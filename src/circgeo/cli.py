@@ -11,6 +11,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -35,15 +36,16 @@ from .curvature import (
     theorem3_check,
 )
 from .errors import (
-    CircGeoError,
     ConfigError,
     DegenerateMetric,
+    DegenerateSection,
     DependentOrbit,
     IndefiniteMetric,
     ParseError,
+    StencilCollapsed,
     UnknownBuiltin,
 )
-from .fields import FieldPair, Polynomial, domain_check, field_eval, metric_at, parse_field_spec
+from .fields import FieldPair, Polynomial, domain_check, metric_at, parse_field_spec
 
 DEFAULT_TOLERANCES = {
     "dual_path": 1e-9,
@@ -331,7 +333,8 @@ def _verify_curvature(config, f, rng, idx, p, status) -> list[dict]:
             if abs(independence_cubic(x)) <= 0.1 * float(np.linalg.norm(x)) ** 3:
                 continue
             report = theorem3_check(
-                f, p, x, config.fd_step, config.tol("spread_rel"), config.tol("spread_abs")
+                f, p, x, config.fd_step, config.tol("spread_rel"), config.tol("spread_abs"),
+                curv=curv,
             )
             worst_spread = max(worst_spread, report.spread)
             ok = ok and report.passed
@@ -354,12 +357,11 @@ def cmd_scan(config: RunConfig) -> dict:
     points = expand_grid(config.grid)
     records = []
     for idx, p in enumerate(points):
-        a, b = field_eval(f, p)
         status = domain_check(f, p)
         row = _record(
             "scan", idx, p,
             "skipped" if status.degenerate else "pass",
-            a=a, b=b, d=status.d, definite=status.definite,
+            a=status.a, b=status.b, d=status.d, definite=status.definite,
         )
         if status.degenerate:
             row["reason"] = "DegenerateMetric"
@@ -370,7 +372,7 @@ def cmd_scan(config: RunConfig) -> dict:
                 qx = Q_DENSE @ x
                 curv = curvature_at(f, p, config.fd_step)
                 mu = sectional_curvature(f, p, x, qx, curv=curv)
-            except CircGeoError:
+            except (DegenerateMetric, DegenerateSection):
                 mu = None
         row["mu_e1"] = mu
         records.append(row)
@@ -454,9 +456,12 @@ def _parse_triple(text: str, what: str) -> list[float]:
     if len(parts) != 3:
         raise ConfigError(f"{what} must be three comma-separated numbers, got {text!r}")
     try:
-        return [float(v) for v in parts]
+        values = [float(v) for v in parts]
     except ValueError as exc:
         raise ConfigError(f"bad {what}: {text!r}") from exc
+    if not all(map(math.isfinite, values)):
+        raise ConfigError(f"{what} must be finite, got {text!r}")
+    return values
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
@@ -486,14 +491,18 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
             config.grid = [float(v) for v in parts]
         except ValueError as exc:
             raise ConfigError(f"bad grid spec {args.grid!r}") from exc
+        if not _is_grid(config.grid):
+            raise ConfigError(f"bad grid spec {args.grid!r}")
         config.points = None
     if args.grad:
         config.grad_mode = args.grad
     if args.step is not None:
-        if args.step <= 0:
-            raise ConfigError("step must be positive")
+        if not _is_positive(args.step):
+            raise ConfigError("step must be positive and finite")
         config.fd_step = args.step
     if args.seed is not None:
+        if args.seed < 0:
+            raise ConfigError("seed must be non-negative")
         config.seed = args.seed
     if args.x:
         config.x = _parse_triple(args.x, "--x")
@@ -509,26 +518,73 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
             parsed = float(value)
         except ValueError as exc:
             raise ConfigError(f"bad tolerance value {value!r}") from exc
-        if parsed <= 0:
-            raise ConfigError(f"tolerance {key} must be positive")
+        if not _is_positive(parsed):
+            raise ConfigError(f"tolerance {key} must be positive and finite")
         config.tolerances[key] = parsed
     return config
 
 
+def _is_real(v) -> bool:
+    """A finite int or float (JSON true/false excluded)."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
+def _is_positive(v) -> bool:
+    return _is_real(v) and v > 0
+
+
+def _is_count(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
+
+
+def _is_triple(v) -> bool:
+    return isinstance(v, list) and len(v) == 3 and all(map(_is_real, v))
+
+
+def _is_grid(v) -> bool:
+    if not isinstance(v, list):
+        return False
+    if len(v) in (3, 9) and all(map(_is_real, v)):
+        return True
+    return len(v) == 3 and all(map(_is_triple, v))
+
+
+def _is_tolerances(v) -> bool:
+    return isinstance(v, dict) and all(
+        k in DEFAULT_TOLERANCES and _is_positive(t) for k, t in v.items()
+    )
+
+
+# Config-file key -> (RunConfig attribute, accepts value, what it must be).
+# Values are stored as given, so the report echoes them unchanged.
 _CONFIG_KEYS = {
-    "fields": "fields",
-    "points": "points",
-    "grid": "grid",
-    "grad_mode": "grad_mode",
-    "fd_step": "fd_step",
-    "seed": "seed",
-    "x": "x",
-    "n_points": "n_points",
-    "n_vectors": "n_vectors",
-    "n_seeds": "n_seeds",
-    "out": "out",
-    "format": "fmt",
-    "tolerances": "tolerances",
+    "fields": ("fields", lambda v: isinstance(v, str), "a string"),
+    "points": (
+        "points", lambda v: v is None or (isinstance(v, list) and all(map(_is_triple, v))),
+        "a list of three-number points",
+    ),
+    "grid": (
+        "grid", lambda v: v is None or _is_grid(v),
+        "[min, max, steps], nine numbers or three such triples",
+    ),
+    "grad_mode": ("grad_mode", lambda v: v in ("analytic", "fd"), '"analytic" or "fd"'),
+    "fd_step": ("fd_step", _is_positive, "a positive finite number"),
+    "seed": ("seed", _is_count, "a non-negative integer"),
+    "x": ("x", _is_triple, "three finite numbers"),
+    "n_points": ("n_points", _is_count, "a non-negative integer"),
+    "n_vectors": ("n_vectors", _is_count, "a non-negative integer"),
+    "n_seeds": ("n_seeds", _is_count, "a non-negative integer"),
+    "out": ("out", lambda v: v is None or isinstance(v, str), "a path"),
+    "format": ("fmt", lambda v: v in ("json", "csv"), '"json" or "csv"'),
+    "tolerances": (
+        "tolerances", _is_tolerances,
+        "an object mapping tolerance names to positive finite numbers",
+    ),
 }
 
 
@@ -538,7 +594,10 @@ def _apply_config_dict(config: RunConfig, data: dict) -> None:
     for key, value in data.items():
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"unknown config key {key!r}")
-        setattr(config, _CONFIG_KEYS[key], value)
+        attr, accepts, expected = _CONFIG_KEYS[key]
+        if not accepts(value):
+            raise ConfigError(f"config key {key!r} must be {expected}, got {value!r}")
+        setattr(config, attr, value)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -563,6 +622,9 @@ def main(argv: list[str] | None = None) -> int:
             sys.stdout.write(text)
     except ConfigError as exc:
         print(f"circgeo: error: {exc}", file=sys.stderr)
+        return 2
+    except StencilCollapsed as exc:
+        print(f"circgeo: error: --step {config.fd_step!r} is too small: {exc}", file=sys.stderr)
         return 2
     return 0 if report["summary"]["fail_count"] == 0 else 1
 

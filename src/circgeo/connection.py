@@ -47,14 +47,12 @@ def christoffel_general(f: FieldPair, p) -> ChristoffelSymbols:
     metric = metric_at(f, p)
     dg = metric_partials(f, p)
     g_inv = metric.g_inv.dense()
-    # 2 Gamma^s_ij = g^{as} (d_i g_aj + d_j g_ai - d_a g_ij)
-    t = np.empty((3, 3, 3))
-    for i in range(3):
-        for j in range(3):
-            for a in range(3):
-                t[i, j, a] = dg[i, a, j] + dg[j, a, i] - dg[a, i, j]
+    # 2 Gamma^s_ij = g^{as} (d_i g_aj + d_j g_ai - d_a g_ij), with
+    # t[i, j, a] = dg[i, a, j] + dg[j, a, i] - dg[a, i, j].  dg is exactly
+    # symmetric in its last two indices, so t and hence gamma are exactly
+    # symmetric in (i, j).
+    t = dg.transpose(0, 2, 1) + dg.transpose(2, 0, 1) - dg.transpose(1, 2, 0)
     gamma = 0.5 * np.einsum("as,ija->sij", g_inv, t)
-    gamma = 0.5 * (gamma + gamma.transpose(0, 2, 1))
     return ChristoffelSymbols(gamma=gamma)
 
 

@@ -22,6 +22,7 @@ from .errors import (
     DegenerateSection,
     DependentOrbit,
     IndefiniteMetric,
+    StencilCollapsed,
     StencilTooWide,
 )
 from .fields import FieldPair, MetricAtPoint, metric_at
@@ -69,9 +70,10 @@ def curvature_at(
 ) -> CurvatureAtPoint:
     """Curvature by central differencing of the Christoffel symbols.
 
-    Every stencil point p +- h_k e_k must itself be nondegenerate
-    (DegenerateMetric otherwise) and, when a bounding box is supplied,
-    inside it (StencilTooWide otherwise).
+    Every stencil point p +- h_k e_k must differ from p (StencilCollapsed
+    otherwise, as when h is below the coordinate's precision), must itself be
+    nondegenerate (DegenerateMetric otherwise) and, when a bounding box is
+    supplied, must lie inside it (StencilTooWide otherwise).
     """
     p = np.asarray(p, dtype=float)
     metric = metric_at(f, p)
@@ -84,6 +86,10 @@ def curvature_at(
         dn = p.copy()
         up[k] += hk
         dn[k] -= hk
+        if up[k] == p[k] or dn[k] == p[k]:
+            raise StencilCollapsed(
+                f"step {h!r} vanishes against coordinate {p[k]} (axis {k}) at {tuple(p.tolist())}"
+            )
         if domain is not None:
             lo, hi = domain
             if np.any(up > hi) or np.any(dn < lo):

@@ -36,6 +36,10 @@ class StencilTooWide(CircGeoError):
     """A finite-difference stencil point falls outside the declared domain."""
 
 
+class StencilCollapsed(CircGeoError):
+    """A finite-difference step is too small to move a coordinate: p + h == p."""
+
+
 class DependentOrbit(CircGeoError):
     """Seed vector x has x, qx, q^2x linearly dependent (cubic vanishes)."""
 

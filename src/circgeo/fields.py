@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Union
 
@@ -33,11 +34,7 @@ class Polynomial:
         return Polynomial(tuple(sorted(cleaned.items())))
 
     def __call__(self, p) -> float:
-        x1, x2, x3 = p
-        total = 0.0
-        for (e1, e2, e3), coef in self.terms:
-            total += coef * x1**e1 * x2**e2 * x3**e3
-        return total
+        return _eval_terms(self.terms, *np.asarray(p, dtype=float).tolist())
 
     def partial(self, axis: int) -> "Polynomial":
         """Exact partial derivative along axis 0, 1 or 2."""
@@ -52,11 +49,25 @@ class Polynomial:
             out[key] = out.get(key, 0.0) + coef * e
         return Polynomial.from_dict(out)
 
+    @cached_property
+    def _partial_terms(self) -> tuple[tuple[tuple[Monomial, float], ...], ...]:
+        """Term tables of the three partial derivatives, built once."""
+        return tuple(self.partial(k).terms for k in range(3))
+
     def gradient(self, p) -> np.ndarray:
-        return np.array([self.partial(k)(p) for k in range(3)])
+        x = np.asarray(p, dtype=float).tolist()
+        return np.array([_eval_terms(terms, *x) for terms in self._partial_terms])
 
     def degree(self) -> int:
         return max((sum(m) for m, _ in self.terms), default=0)
+
+
+def _eval_terms(terms, x1: float, x2: float, x3: float) -> float:
+    """Sum coef * x1^e1 * x2^e2 * x3^e3 over a term table, in table order."""
+    total = 0.0
+    for (e1, e2, e3), coef in terms:
+        total += coef * x1**e1 * x2**e2 * x3**e3
+    return total
 
 
 ScalarField = Union[Polynomial, Callable[[np.ndarray], float]]

@@ -3,6 +3,8 @@ import json
 
 import pytest
 
+import circgeo.cli
+import circgeo.curvature
 from circgeo.cli import expand_grid, main
 from circgeo.errors import ConfigError
 
@@ -100,6 +102,26 @@ class TestVerify:
         )
         s = report["summary"]
         assert s["pass_count"] + s["fail_count"] + s["skipped_count"] == s["total"]
+
+    def test_one_curvature_tensor_per_point(self, tmp_path, monkeypatch):
+        # Count calls through both bindings: the CLI's and the one
+        # theorem3_check uses when it is not handed a tensor.
+        calls = []
+        curvature_at = circgeo.curvature.curvature_at
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return curvature_at(*args, **kwargs)
+
+        monkeypatch.setattr(circgeo.cli, "curvature_at", counting)
+        monkeypatch.setattr(circgeo.curvature, "curvature_at", counting)
+        code, report = run_json(
+            tmp_path, "verify", "--fields", "paper-example", "--grid", "1.1,1.9,3", "--seed", "7",
+        )
+        assert code == 0
+        reached = [r for r in report["records"] if r["check"] == "identity-3.2"]
+        assert len(reached) == 18
+        assert len(calls) == len(reached)
 
     def test_forced_failure_exits_1(self, tmp_path):
         code, report = run_json(
@@ -220,6 +242,56 @@ class TestConfig:
         cfg.write_text(json.dumps({"bogus": 1}))
         code, _ = run(capsys, "verify", "--config", str(cfg))
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv, config",
+        [
+            pytest.param(["eval", "metric", "--point", "nan,0,0"], None, id="point-nan"),
+            pytest.param(
+                ["eval", "sectional", "--point", "1,0,0", "--x", "inf,1,2"], None, id="x-inf"
+            ),
+            pytest.param(["verify", "--tol", "spread_rel=nan"], None, id="tol-nan"),
+            pytest.param(["verify", "--tol", "spread_rel=inf"], None, id="tol-inf"),
+            pytest.param(["verify", "--step", "nan"], None, id="step-nan"),
+            pytest.param(["verify", "--seed", "-1"], None, id="seed-negative"),
+            pytest.param(["verify", "--grid", "nan,1,3"], None, id="grid-nan"),
+            pytest.param(["verify"], {"n_points": "abc"}, id="config-n_points-str"),
+            pytest.param(["verify"], {"n_points": True}, id="config-n_points-bool"),
+            pytest.param(["verify"], {"x": [1, 2]}, id="config-x-short"),
+            pytest.param(["verify"], {"x": [float("nan"), 0, 0]}, id="config-x-nan"),
+            pytest.param(["verify"], {"points": [[1, 0]]}, id="config-points-short"),
+            pytest.param(["verify"], {"grid": ["a", "b", "c"]}, id="config-grid-str"),
+            pytest.param(["verify"], {"seed": 1.5}, id="config-seed-float"),
+            pytest.param(["verify"], {"fd_step": 0}, id="config-fd_step-zero"),
+            pytest.param(["verify"], {"grad_mode": "exact"}, id="config-grad_mode"),
+            pytest.param(
+                ["verify"], {"tolerances": {"spread_rel": "abc"}}, id="config-tolerance-str"
+            ),
+            pytest.param(["verify"], {"tolerances": {"nope": 1e-3}}, id="config-tolerance-key"),
+        ],
+    )
+    def test_bad_number_or_type_exits_2(self, tmp_path, capsys, argv, config):
+        if config is not None:
+            path = tmp_path / "run.json"
+            path.write_text(json.dumps(config))
+            argv = [*argv, "--config", str(path)]
+        code, captured = run(capsys, *argv, "--fields", "paper-example")
+        assert code == 2
+        assert captured.err.startswith("circgeo: error:")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "curvature", "--point", "1.2,1.5,1.7"],
+            ["verify", "--point", "1.2,1.5,1.7"],
+            ["scan", "--grid", "1.2,1.7,2"],
+        ],
+        ids=["eval", "verify", "scan"],
+    )
+    def test_collapsed_stencil_exits_2(self, capsys, argv):
+        code, captured = run(capsys, *argv, "--fields", "paper-example", "--step", "1e-300")
+        assert code == 2
+        assert "--step" in captured.err
 
     def test_unwritable_output_exits_2(self, capsys):
         code, _ = run(

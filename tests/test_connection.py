@@ -6,12 +6,13 @@ from circgeo.connection import (
     christoffel_closed,
     christoffel_general,
     metric_compatibility_residual,
+    metric_partials,
     nabla_q,
     parallel_defect,
     reduced_christoffel,
 )
 from circgeo.errors import DegenerateMetric, ParallelismViolated
-from circgeo.fields import FieldPair, parse_field_spec
+from circgeo.fields import FieldPair, metric_at, parse_field_spec
 from circgeo.sampling import random_defective_pair, random_field_pair, random_parallel_pair, random_point
 
 
@@ -23,6 +24,18 @@ def gamma_from_groups(g1, g2, g3):
             gamma[s, i, j] = value
             gamma[s, j, i] = value
     return gamma
+
+
+def christoffel_loop(f, p):
+    """Reference assembly: explicit index loop, then symmetrisation in (i, j)."""
+    dg = metric_partials(f, p)
+    t = np.empty((3, 3, 3))
+    for i in range(3):
+        for j in range(3):
+            for a in range(3):
+                t[i, j, a] = dg[i, a, j] + dg[j, a, i] - dg[a, i, j]
+    gamma = 0.5 * np.einsum("as,ija->sij", metric_at(f, p).g_inv.dense(), t)
+    return 0.5 * (gamma + gamma.transpose(0, 2, 1))
 
 
 class TestChristoffel:
@@ -46,6 +59,13 @@ class TestChristoffel:
             assert np.array_equal(gamma, gamma.transpose(0, 2, 1))
             gamma = christoffel_closed(paper_fields, p).gamma
             assert np.array_equal(gamma, gamma.transpose(0, 2, 1))
+
+    def test_general_path_bitwise_matches_loop_reference(self, rng):
+        for _ in range(50):
+            f = random_field_pair(rng, degree=2)
+            p = random_point(rng, f)
+            gamma = christoffel_general(f, p).gamma
+            assert gamma.tobytes() == christoffel_loop(f, p).tobytes()
 
     def test_degenerate_point_raises(self, paper_fields):
         with pytest.raises(DegenerateMetric):

@@ -18,6 +18,7 @@ from circgeo.errors import (
     DegenerateSection,
     DependentOrbit,
     IndefiniteMetric,
+    StencilCollapsed,
     StencilTooWide,
 )
 from circgeo.fields import parse_field_spec
@@ -70,6 +71,11 @@ class TestCurvatureTensor:
         hi = np.array([1.0, 1.0, 1.0])
         with pytest.raises(StencilTooWide):
             curvature_at(paper_fields, (1.0, 0.0, 0.0), domain=(lo, hi))
+
+    def test_collapsed_stencil_raises(self, paper_fields):
+        # 1e-300 * (1 + 1.2) is far below half an ulp of 1.2, so p + h == p.
+        with pytest.raises(StencilCollapsed):
+            curvature_at(paper_fields, (1.2, 1.5, 1.7), h=1e-300)
 
 
 class TestShiftIdentities:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from circgeo.errors import DegenerateMetric, ParseError, UnknownBuiltin
 from circgeo.fields import (
@@ -104,6 +106,29 @@ class TestEvalAndGrad:
             errors.append(np.max(np.abs(ga - exact_a)))
         ratio = errors[0] / errors[1]
         assert 3.0 < ratio < 5.0
+
+
+def term_loop(poly, p):
+    """Reference evaluation: the per-term loop over numpy scalars."""
+    x1, x2, x3 = np.asarray(p, dtype=float)
+    total = 0.0
+    for (e1, e2, e3), coef in poly.terms:
+        total += coef * x1**e1 * x2**e2 * x3**e3
+    return total
+
+
+exponents = st.tuples(*[st.integers(0, 4)] * 3)
+coefficients = st.floats(-10.0, 10.0, allow_nan=False)
+polynomials = st.dictionaries(exponents, coefficients, max_size=12).map(Polynomial.from_dict)
+points = st.tuples(*[st.floats(-5.0, 5.0, allow_nan=False)] * 3)
+
+
+@given(polynomials, points)
+def test_evaluation_bitwise_matches_reference(poly, p):
+    assert poly(p) == term_loop(poly, p)
+    gradient = poly.gradient(p).tolist()
+    assert gradient == [poly.partial(k)(p) for k in range(3)]
+    assert gradient == [term_loop(poly.partial(k), p) for k in range(3)]
 
 
 class TestDomainAndMetric:
