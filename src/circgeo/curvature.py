@@ -8,6 +8,9 @@ The (1,3) curvature is assembled from the standard coordinate formula
 with the Gamma derivatives taken by central differences of the general-path
 Christoffel computation.  The (0,4) tensor is the g-lowering of the last
 index: R_kjis = g_as R^a_kji.
+
+The checks contract the tensor against (n, 3) stacks of vectors, one row per
+vector; the single-vector functions are the n = 1 case of the stacked ones.
 """
 
 from __future__ import annotations
@@ -16,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circulant import Q_DENSE
-from .connection import christoffel_general, parallel_defect
+from .circulant import Q, Q_DENSE, circ_mul
+from .connection import christoffel_general
 from .errors import (
     DegenerateSection,
     DependentOrbit,
@@ -25,13 +28,23 @@ from .errors import (
     StencilCollapsed,
     StencilTooWide,
 )
-from .fields import FieldPair, MetricAtPoint, metric_at
+from .fields import FieldPair, MetricAtPoint, metric_at, row
 
 # Step for the Gamma derivatives.  1e-5 keeps the truncation error of the
 # curvature itself well below 1e-6, but the orbit-section spread inherits
 # the pair-symmetry defect of the differenced tensor and needs the finer
 # step to stay inside its tolerance.
 DEFAULT_FD_STEP = 1e-6
+
+#: The shift applied twice, q^2: (x1, x2, x3) -> (x3, x1, x2).  Built from the
+#: circulant product, since a matrix product at import starts BLAS and adds
+#: its buffers to the resident size of runs that never need them.
+Q2_DENSE = circ_mul(Q, Q).dense()
+
+
+def _norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, summed as np.linalg.norm sums one vector."""
+    return np.sqrt(np.matmul(v[:, None, :], v[:, :, None])[:, 0, 0])
 
 
 @dataclass(frozen=True)
@@ -44,18 +57,13 @@ class CurvatureAtPoint:
     fd_step: float
     metric: MetricAtPoint
 
+    def scalars(self, x, y, z, u) -> np.ndarray:
+        """R(x_n, y_n, z_n, u_n) for each row n of four (n, 3) stacks."""
+        return np.einsum("kjis,nk,nj,ni,ns->n", self.r_down, x, y, z, u)
+
     def scalar(self, x, y, z, u) -> float:
         """The (0,4) evaluation R(x, y, z, u)."""
-        return float(
-            np.einsum(
-                "kjis,k,j,i,s->",
-                self.r_down,
-                np.asarray(x, float),
-                np.asarray(y, float),
-                np.asarray(z, float),
-                np.asarray(u, float),
-            )
-        )
+        return float(self.scalars(row(x), row(y), row(z), row(u))[0])
 
     @property
     def max_abs(self) -> float:
@@ -108,15 +116,33 @@ def curvature_at(
     return CurvatureAtPoint(r_up=r_up, r_down=r_down, point=p, fd_step=h, metric=metric)
 
 
+def identity_residuals(curv: CurvatureAtPoint, x, y, z, u) -> tuple[np.ndarray, np.ndarray]:
+    """Residuals of identities 3.1 and 3.6 for each row of four (n, 3) stacks.
+
+    3.1 is |R(x, y, q^2 z, u) - R(x, y, z, q u)|; 3.6 is the larger of
+    |R(x, y, z, u) - R(x, y, q z, q u)| and |R(x, y, z, u) - R(x, y, q^2 z, q^2 u)|.
+    """
+    qz, q2z = z @ Q_DENSE.T, z @ Q2_DENSE.T
+    qu, q2u = u @ Q_DENSE.T, u @ Q2_DENSE.T
+    n = len(x)
+    r = curv.scalars(
+        np.concatenate([x] * 5),
+        np.concatenate([y] * 5),
+        np.concatenate([q2z, z, z, qz, q2z]),
+        np.concatenate([u, qu, u, qu, q2u]),
+    ).reshape(5, n)
+    r31 = np.abs(r[0] - r[1])
+    r36 = np.maximum(np.abs(r[2] - r[3]), np.abs(r[2] - r[4]))
+    return r31, r36
+
+
 def identity_31_residual(
     f: FieldPair, p, x, y, z, u, h: float = DEFAULT_FD_STEP, curv: CurvatureAtPoint | None = None
 ) -> float:
     """|R(x, y, q^2 z, u) - R(x, y, z, q u)|."""
     if curv is None:
         curv = curvature_at(f, p, h)
-    qz2 = circ_apply_q2(z)
-    qu = Q_DENSE @ np.asarray(u, float)
-    return abs(curv.scalar(x, y, qz2, u) - curv.scalar(x, y, z, qu))
+    return float(identity_residuals(curv, row(x), row(y), row(z), row(u))[0][0])
 
 
 def circ_apply_q2(v) -> np.ndarray:
@@ -165,9 +191,36 @@ def sections_of(f: FieldPair, p, x) -> SectionReport:
     )
 
 
+def _gram_terms(metric: MetricAtPoint, u, v) -> tuple[np.ndarray, np.ndarray]:
+    """Per row pair: g(u,u) g(v,v) - g(u,v)^2 and the product g(u,u) g(v,v)."""
+    left, right = np.concatenate([u, v, u]), np.concatenate([u, v, v])
+    uu, vv, uv = metric.inners(left, right).reshape(3, -1)
+    norms = uu * vv
+    # Python's float ** 2 goes through libm pow, which is not always the
+    # correctly rounded x * x that numpy squares with; keep the scalar bits.
+    cross2 = np.array([c**2 for c in uv.tolist()])
+    return norms - cross2, norms
+
+
 def gram_determinant(metric: MetricAtPoint, u, v) -> float:
     """g(u,u) g(v,v) - g(u,v)^2 for the spanning pair."""
-    return metric.inner(u, u) * metric.inner(v, v) - metric.inner(u, v) ** 2
+    return float(_gram_terms(metric, row(u), row(v))[0][0])
+
+
+def sectional_curvatures(curv: CurvatureAtPoint, u, v) -> np.ndarray:
+    """mu = R(u, v, u, v) / (g(u,u) g(v,v) - g(u,v)^2) for each row of two (n, 3) stacks."""
+    metric = curv.metric
+    if not metric.definite:
+        raise IndefiniteMetric(f"metric not positive definite at {tuple(curv.point)}")
+    gram, norms = _gram_terms(metric, u, v)
+    # A zero product of norms is replaced by 1, so the threshold stays positive.
+    bad = gram <= 1e-12 * np.abs(np.where(norms == 0.0, 1.0, norms))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DegenerateSection(
+            f"Gram determinant {float(gram[i])} too small for pair ({u[i]}, {v[i]})"
+        )
+    return curv.scalars(u, v, u, v) / gram
 
 
 def sectional_curvature(
@@ -176,14 +229,29 @@ def sectional_curvature(
     """mu = R(u, v, u, v) / (g(u,u) g(v,v) - g(u,v)^2)."""
     if curv is None:
         curv = curvature_at(f, p, h)
-    metric = curv.metric
-    if not metric.definite:
-        raise IndefiniteMetric(f"metric not positive definite at {tuple(curv.point)}")
-    gram = gram_determinant(metric, u, v)
-    scale = (metric.inner(u, u) * metric.inner(v, v)) or 1.0
-    if gram <= 1e-12 * abs(scale):
-        raise DegenerateSection(f"Gram determinant {gram} too small for pair ({u}, {v})")
-    return curv.scalar(u, v, u, v) / gram
+    return float(sectional_curvatures(curv, row(u), row(v))[0])
+
+
+def orbit_spreads(
+    curv: CurvatureAtPoint, seeds, spread_rel: float = 1e-6, spread_abs: float = 1e-9
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Theorem 3 for each row x of an (n, 3) stack of seeds.
+
+    Returns the sectional curvatures mu (n, 3) of the sections {x, qx},
+    {qx, q^2x}, {q^2x, x}, their largest pairwise difference (n,), and
+    whether it is within spread_rel * max|mu| + spread_abs (n,).  The seeds'
+    orbits must span (see sections_of).
+    """
+    x = np.asarray(seeds, dtype=float)
+    qx = x @ Q_DENSE.T
+    q2x = qx @ Q_DENSE.T
+    mu = sectional_curvatures(
+        curv, np.concatenate([x, qx, q2x]), np.concatenate([qx, q2x, x])
+    ).reshape(3, len(x)).T
+    m0, m1, m2 = mu.T
+    spread = np.maximum(np.maximum(np.abs(m0 - m1), np.abs(m0 - m2)), np.abs(m1 - m2))
+    tol = spread_rel * np.abs(mu).max(axis=1) + spread_abs
+    return mu, spread, spread <= tol
 
 
 def theorem3_check(
@@ -199,27 +267,25 @@ def theorem3_check(
     skeleton = sections_of(f, p, x)
     if curv is None:
         curv = curvature_at(f, p, h)
-    mu = tuple(sectional_curvature(f, p, u, v, curv=curv) for u, v in skeleton.sections)
-    spread = max(abs(mu[i] - mu[j]) for i in range(3) for j in range(i + 1, 3))
-    tol = spread_rel * max(abs(m) for m in mu) + spread_abs
+    mu, spread, passed = orbit_spreads(curv, row(skeleton.x), spread_rel, spread_abs)
     return SectionReport(
         x=skeleton.x,
         sections=skeleton.sections,
         independence=skeleton.independence,
-        mu=mu,
-        spread=spread,
-        passed=spread <= tol,
+        mu=tuple(mu[0].tolist()),
+        spread=float(spread[0]),
+        passed=bool(passed[0]),
     )
+
+
+def residual_scales(curv: CurvatureAtPoint, *stacks) -> np.ndarray:
+    """Magnitude reference for identity residual tolerances, per row of (n, 3) stacks."""
+    prod = 1.0
+    for v in stacks:
+        prod = prod * _norms(v)
+    return curv.max_abs * prod
 
 
 def residual_scale(curv: CurvatureAtPoint, *vectors) -> float:
     """Magnitude reference for curvature-identity residual tolerances."""
-    prod = 1.0
-    for v in vectors:
-        prod *= float(np.linalg.norm(np.asarray(v, float)))
-    return curv.max_abs * prod
-
-
-def parallelism_holds(f: FieldPair, p, tol: float = 1e-9) -> bool:
-    defect = parallel_defect(f, p)
-    return float(np.max(np.abs(defect))) <= tol
+    return float(residual_scales(curv, *map(row, vectors))[0])

@@ -17,7 +17,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .circulant import CirculantMatrix
-from .errors import DegenerateMetric, ParseError, UnknownBuiltin
+from .errors import DegenerateMetric, ParseError, StencilCollapsed, UnknownBuiltin
 
 Monomial = tuple[int, int, int]
 
@@ -255,6 +255,7 @@ def field_eval(f: FieldPair, p) -> tuple[float, float]:
 
 
 def _fd_gradient(func: ScalarField, p: np.ndarray, step: float) -> np.ndarray:
+    """Central differences; StencilCollapsed when p +- h == p on some axis."""
     grad = np.empty(3)
     for k in range(3):
         h = step * (1.0 + abs(p[k]))
@@ -262,6 +263,11 @@ def _fd_gradient(func: ScalarField, p: np.ndarray, step: float) -> np.ndarray:
         dn = p.copy()
         up[k] += h
         dn[k] -= h
+        if up[k] == p[k] or dn[k] == p[k]:
+            raise StencilCollapsed(
+                f"gradient step {step!r} vanishes against coordinate {p[k]} (axis {k})"
+                f" at {tuple(p.tolist())}"
+            )
         grad[k] = (func(up) - func(dn)) / (2.0 * h)
     return grad
 
@@ -305,6 +311,11 @@ def domain_check(f: FieldPair, p) -> DomainStatus:
     )
 
 
+def row(v) -> np.ndarray:
+    """One 3-vector as a (1, 3) stack, the n = 1 input of the stacked functions."""
+    return np.asarray(v, dtype=float).reshape(1, 3)
+
+
 @dataclass(frozen=True)
 class MetricAtPoint:
     """Metric circ(A, B, B), its inverse, and the degeneracy factor at a point."""
@@ -314,11 +325,15 @@ class MetricAtPoint:
     d: float
     definite: bool
 
-    def inner(self, x, y) -> float:
-        """Bilinear form g(x, y) = x^T g y."""
+    def inners(self, x, y) -> np.ndarray:
+        """g(x_n, y_n) for each row n of two (n, 3) stacks."""
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        return float(x @ self.g.dense() @ y)
+        return np.matmul(np.matmul(x[:, None, :], self.g.dense()), y[:, :, None])[:, 0, 0]
+
+    def inner(self, x, y) -> float:
+        """Bilinear form g(x, y) = x^T g y."""
+        return float(self.inners(row(x), row(y))[0])
 
 
 def metric_at(f: FieldPair, p) -> MetricAtPoint:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .circulant import S
 from .fields import FieldPair, Polynomial, domain_check
 
 MONOMIALS_DEG2 = [
@@ -68,11 +69,10 @@ def random_defective_pair(
     The defect of a linear pair is constant, so the bound holds at every
     point.
     """
-    s = np.array([[-1.0, 1.0, 1.0], [1.0, -1.0, 1.0], [1.0, 1.0, -1.0]])
     for _ in range(max_tries):
         ca = rng.uniform(-2.0, 2.0, size=3)
         cb = rng.uniform(-2.0, 2.0, size=3)
-        if np.max(np.abs(ca - cb @ s)) >= min_defect:
+        if np.max(np.abs(ca - cb @ S)) >= min_defect:
             a = Polynomial.from_dict({(1, 0, 0): ca[0], (0, 1, 0): ca[1], (0, 0, 1): ca[2]})
             b = Polynomial.from_dict({(1, 0, 0): cb[0], (0, 1, 0): cb[1], (0, 0, 1): cb[2]})
             return FieldPair(a, b)
@@ -88,8 +88,7 @@ def random_parallel_pair(rng: np.random.Generator) -> FieldPair:
     """
     alpha, beta = rng.uniform(-1.0, 1.0, size=2)
     cb = rng.uniform(-1.0, 1.0, size=3)
-    s = np.array([[-1.0, 1.0, 1.0], [1.0, -1.0, 1.0], [1.0, 1.0, -1.0]])
-    ca = cb @ s
+    ca = cb @ S
 
     b_terms: dict[tuple[int, int, int], float] = {
         (2, 0, 0): alpha / 2 + beta / 2,

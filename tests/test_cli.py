@@ -5,7 +5,7 @@ import pytest
 
 import circgeo.cli
 import circgeo.curvature
-from circgeo.cli import expand_grid, main
+from circgeo.cli import MAX_GRID_NODES, expand_grid, main
 from circgeo.errors import ConfigError
 
 
@@ -180,6 +180,35 @@ class TestScan:
         with pytest.raises(ConfigError):
             expand_grid([0.0, 1.0, 0])
 
+    # Only the cap is exercised: every grid below is rejected before any axis
+    # is built, so none is allocated.
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            [0.0, 1.0, 10**9],
+            [0.0, 1.0, 101],  # 101**3 nodes, just over the cap
+            [0, 1, 2, 0, 1, 10**6, 0, 1, 1],
+            [[0, 1, 1000], [0, 1, 1000], [0, 1, 2]],
+        ],
+        ids=["cube-1e9", "cube-101", "axes-2e6", "triples-2e6"],
+    )
+    def test_oversized_grid_is_config_error(self, grid):
+        with pytest.raises(ConfigError, match=str(MAX_GRID_NODES)):
+            expand_grid(grid)
+
+    @pytest.mark.parametrize("command", ["scan", "verify"])
+    def test_oversized_grid_exits_2(self, capsys, tmp_path, command):
+        code, captured = run(
+            capsys, command, "--fields", "paper-example", "--grid", "0,1,1000000000"
+        )
+        assert code == 2
+        assert "nodes" in captured.err
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"grid": [0, 1, 10**9]}))
+        code, captured = run(capsys, command, "--config", str(cfg))
+        assert code == 2
+        assert "nodes" in captured.err
+
     def test_csv_output(self, tmp_path):
         out = tmp_path / "scan.csv"
         code = main(
@@ -292,6 +321,21 @@ class TestConfig:
         code, captured = run(capsys, *argv, "--fields", "paper-example", "--step", "1e-300")
         assert code == 2
         assert "--step" in captured.err
+
+    def test_collapsed_gradient_stencil_exits_2(self, capsys):
+        # The fd gradient stencil collapses before any curvature is built;
+        # this used to print an all-zero Christoffel table with status pass.
+        code, captured = run(
+            capsys,
+            "eval", "christoffel",
+            "--grad", "fd",
+            "--step", "1e-300",
+            "--point", "1.2,1.5,1.7",
+            "--fields", "A: x1^2 + x2; B: x1*x3",
+        )
+        assert code == 2
+        assert "--step" in captured.err
+        assert captured.out == ""
 
     def test_unwritable_output_exits_2(self, capsys):
         code, _ = run(

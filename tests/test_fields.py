@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from circgeo.errors import DegenerateMetric, ParseError, UnknownBuiltin
+from circgeo.errors import DegenerateMetric, ParseError, StencilCollapsed, UnknownBuiltin
 from circgeo.fields import (
     FieldPair,
     Polynomial,
@@ -106,6 +106,19 @@ class TestEvalAndGrad:
             errors.append(np.max(np.abs(ga - exact_a)))
         ratio = errors[0] / errors[1]
         assert 3.0 < ratio < 5.0
+
+    def test_fd_collapsed_stencil_raises(self):
+        # 1e-300 * (1 + 1.2) is far below half an ulp of 1.2, so p + h == p
+        # and the differences would read as an all-zero gradient.
+        f = parse_field_spec("A: x1^2 + x2; B: x1*x3", grad_mode="fd", fd_step=1e-300)
+        with pytest.raises(StencilCollapsed, match="axis 0"):
+            field_grad(f, (1.2, 1.5, 1.7))
+
+    def test_fd_tiny_step_at_origin_still_moves(self):
+        # At 0 the step itself is representable, so the stencil does not collapse.
+        f = parse_field_spec("A: x1^2 + x2; B: x1*x3", grad_mode="fd", fd_step=1e-300)
+        ga, _ = field_grad(f, (0.0, 0.0, 0.0))
+        assert ga.tolist() == [0.0, 1.0, 0.0]
 
 
 def term_loop(poly, p):

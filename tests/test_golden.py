@@ -1,7 +1,9 @@
 """Byte-for-byte comparison of CLI reports against pinned golden files.
 
-The files under tests/golden/ were written by the CLI before the per-point
-work was deduplicated; any change to a report's bytes fails here.
+Each file under tests/golden/ was written by the CLI before the speedup that
+followed it was made; any change to a report's bytes fails here.  The
+quadratic verify runs the batched curvature checks with odd vector and seed
+counts; the empty-batches verify runs them with no vectors and no seeds.
 """
 
 from pathlib import Path
@@ -19,6 +21,12 @@ CASES = {
     ],
     "scan_quadratic.json": ["scan", "--fields", QUADRATIC_PAIR, "--grid=-1.5,1.5,5"],
     "verify_cubic.json": ["verify", "--config", str(GOLDEN / "verify_cubic.config.json")],
+    "verify_quadratic.json": [
+        "verify", "--config", str(GOLDEN / "verify_quadratic.config.json"),
+    ],
+    "verify_empty_batches.json": [
+        "verify", "--config", str(GOLDEN / "verify_empty_batches.config.json"),
+    ],
 }
 
 
