@@ -4,6 +4,9 @@ Each file under tests/golden/ was written by the CLI before the speedup that
 followed it was made; any change to a report's bytes fails here.  The
 quadratic verify runs the batched curvature checks with odd vector and seed
 counts; the empty-batches verify runs them with no vectors and no seeds.
+The overrides verify, the eval reports and the CSV scan pin the config echo:
+config-file tolerances under a --tol override, --x, --fields @file, and
+every eval target at a definite and a skipped point.
 """
 
 from pathlib import Path
@@ -27,7 +30,22 @@ CASES = {
     "verify_empty_batches.json": [
         "verify", "--config", str(GOLDEN / "verify_empty_batches.config.json"),
     ],
+    "verify_overrides.json": [
+        "verify",
+        "--config", str(GOLDEN / "verify_overrides.config.json"),
+        "--tol", "identity_rel=1e-6",
+        "--x", "1,-2,0.5",
+        "--fields", f"@{GOLDEN / 'quadratic.fields'}",
+    ],
+    "scan_paper_example.csv": [
+        "scan", "--fields", "paper-example", "--grid=-1,1.5,3", "--format", "csv",
+    ],
 }
+# One definite point and one on the degenerate plane x1 = x3 per target.
+for _what in ("metric", "christoffel", "nabla-q", "curvature", "sectional"):
+    CASES[f"eval_{_what}.json"] = [
+        "eval", _what, "--fields", "paper-example", "--point", "1.2,0.5,0.3", "--point", "1,1,1",
+    ]
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
