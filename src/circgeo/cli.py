@@ -8,17 +8,18 @@ key order, records sorted by point index then check name, no timestamps).
 from __future__ import annotations
 
 import argparse
+import copy
 import csv
 import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from contextlib import contextmanager
 
 import numpy as np
 
 from . import sampling
-from .circulant import IDENTITY, circ_mul
+from .circulant import IDENTITY, Q, circ_apply, circ_mul
 from .connection import (
     christoffel_closed,
     christoffel_general,
@@ -26,9 +27,9 @@ from .connection import (
     nabla_q,
     parallel_defect,
 )
-from .circulant import Q_DENSE
 from .curvature import (
     curvature_at,
+    identity_32_residual,
     identity_residuals,
     independence_cubic,
     orbit_spreads,
@@ -36,16 +37,7 @@ from .curvature import (
     sectional_curvature,
     theorem3_check,
 )
-from .errors import (
-    ConfigError,
-    DegenerateMetric,
-    DegenerateSection,
-    DependentOrbit,
-    IndefiniteMetric,
-    ParseError,
-    StencilCollapsed,
-    UnknownBuiltin,
-)
+from .errors import ConfigError, ParseError, PointSkipped, StencilCollapsed, UnknownBuiltin
 from .fields import FieldPair, Polynomial, domain_check, metric_at, parse_field_spec
 
 DEFAULT_TOLERANCES = {
@@ -63,46 +55,99 @@ DEFAULT_TOLERANCES = {
     "spread_abs": 1e-9,
 }
 
-#: Largest grid accepted, in nodes (the product of the per-axis steps).
+#: Largest grid accepted, in nodes (the product of the per-axis steps), and
+#: largest n_points, n_vectors and n_seeds.
 MAX_GRID_NODES = 1_000_000
 
 
-@dataclass
-class RunConfig:
-    """Everything a command run depends on, echoed verbatim into the report."""
+def _is_real(v) -> bool:
+    """A finite int or float (JSON true/false excluded)."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an int too large for a float
+        return False
 
-    fields: str = "paper-example"
-    points: list | None = None
-    grid: list | None = None  # [min, max, steps] or three such triples
-    grad_mode: str = "analytic"
-    fd_step: float = 1e-6
-    seed: int = 0
-    x: list = field(default_factory=lambda: [1.0, 2.0, 3.0])
-    n_points: int = 10
-    n_vectors: int = 20
-    n_seeds: int = 20
-    out: str | None = None
-    fmt: str = "json"
-    tolerances: dict = field(default_factory=dict)
+
+def _is_positive(v) -> bool:
+    return _is_real(v) and v > 0
+
+
+def _is_count(v, most=MAX_GRID_NODES) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and 0 <= v <= most
+
+
+def _is_triple(v) -> bool:
+    return isinstance(v, list) and len(v) == 3 and all(map(_is_real, v))
+
+
+def _is_grid(v) -> bool:
+    if not isinstance(v, list):
+        return False
+    if len(v) in (3, 9) and all(map(_is_real, v)):
+        return True
+    return len(v) == 3 and all(map(_is_triple, v))
+
+
+def _is_tolerances(v) -> bool:
+    return isinstance(v, dict) and all(
+        k in DEFAULT_TOLERANCES and _is_positive(t) for k, t in v.items()
+    )
+
+
+_COUNT = f"an integer from 0 to {MAX_GRID_NODES}"
+
+# Config key -> (default, accepts value, what it must be).  A config file
+# sets these keys by name; each flag turns its text into the same JSON value.
+CONFIG_KEYS = {
+    "fields": ("paper-example", lambda v: isinstance(v, str), "a string"),
+    "points": (
+        None, lambda v: v is None or (isinstance(v, list) and all(map(_is_triple, v))),
+        "a list of three-number points",
+    ),
+    "grid": (
+        None, lambda v: v is None or _is_grid(v),
+        "[min, max, steps], nine numbers or three such triples",
+    ),
+    "grad_mode": ("analytic", lambda v: v in ("analytic", "fd"), '"analytic" or "fd"'),
+    "fd_step": (1e-6, _is_positive, "a positive finite number"),
+    "seed": (0, lambda v: _is_count(v, math.inf), "a non-negative integer"),
+    "x": ([1.0, 2.0, 3.0], _is_triple, "three finite numbers"),
+    "n_points": (10, _is_count, _COUNT),
+    "n_vectors": (20, _is_count, _COUNT),
+    "n_seeds": (20, _is_count, _COUNT),
+    "out": (None, lambda v: v is None or isinstance(v, str), "a path"),
+    "format": ("json", lambda v: v in ("json", "csv"), '"json" or "csv"'),
+    "tolerances": (
+        {}, _is_tolerances, "an object mapping tolerance names to positive finite numbers",
+    ),
+}
+
+
+class RunConfig:
+    """Everything a command run depends on: one attribute per CONFIG_KEYS key."""
+
+    def __init__(self) -> None:
+        for key, (default, _, _) in CONFIG_KEYS.items():
+            setattr(self, key, copy.deepcopy(default))
+
+    def set(self, key: str, value, source: str) -> None:
+        """Store value as given, so the report echoes it; ConfigError names source if refused."""
+        if key not in CONFIG_KEYS:
+            raise ConfigError(f"unknown config key {key!r}")
+        _, accepts, expected = CONFIG_KEYS[key]
+        if not accepts(value):
+            raise ConfigError(f"{source} must be {expected}, got {value!r}")
+        setattr(self, key, value)
 
     def tol(self, name: str) -> float:
         return float(self.tolerances.get(name, DEFAULT_TOLERANCES[name]))
 
     def echo(self) -> dict:
-        return {
-            "fields": self.fields,
-            "points": self.points,
-            "grid": self.grid,
-            "grad_mode": self.grad_mode,
-            "fd_step": self.fd_step,
-            "seed": self.seed,
-            "x": list(self.x),
-            "n_points": self.n_points,
-            "n_vectors": self.n_vectors,
-            "n_seeds": self.n_seeds,
-            "format": self.fmt,
-            "tolerances": {k: self.tol(k) for k in sorted(DEFAULT_TOLERANCES)},
-        }
+        echo = {key: getattr(self, key) for key in CONFIG_KEYS if key != "out"}
+        echo["tolerances"] = {k: self.tol(k) for k in sorted(DEFAULT_TOLERANCES)}
+        return echo
 
 
 def expand_grid(grid: list) -> list[list[float]]:
@@ -149,6 +194,21 @@ def _record(check: str, index: int, point, status: str, **extra) -> dict:
     return rec
 
 
+def _bounded(check: str, index: int, point, residual: float, tolerance: float) -> dict:
+    """A check that passes when its residual is at most its tolerance."""
+    return _record(check, index, point, "pass" if residual <= tolerance else "fail",
+                   residual=residual, tolerance=tolerance)
+
+
+@contextmanager
+def _in_range(point):
+    """Turn a float overflow while working on point into a ConfigError naming it."""
+    try:
+        yield
+    except OverflowError as exc:
+        raise ConfigError(f"point {list(point)} is out of range: {exc}") from exc
+
+
 def _is_constant(f: FieldPair) -> bool:
     return (
         isinstance(f.a, Polynomial)
@@ -165,8 +225,9 @@ def cmd_eval(config: RunConfig, what: str) -> dict:
     records = []
     for idx, p in enumerate(points):
         try:
-            records.append(_eval_one(config, f, what, idx, p))
-        except (DegenerateMetric, DependentOrbit, IndefiniteMetric) as exc:
+            with _in_range(p):
+                records.append(_eval_one(config, f, what, idx, p))
+        except PointSkipped as exc:
             records.append(
                 _record(what, idx, p, "skipped", reason=type(exc).__name__, detail=str(exc))
             )
@@ -221,43 +282,33 @@ def cmd_verify(config: RunConfig) -> dict:
     dual_tol = config.tol("dual_path" if config.grad_mode == "analytic" else "dual_path_fd")
     records = []
     for idx, p in enumerate(points):
-        status = domain_check(f, p)
-        if status.degenerate:
-            records.append(_record("all", idx, p, "skipped", reason="DegenerateMetric", d=status.d))
-            continue
-        records.extend(_verify_point(config, f, rng, idx, p, status, dual_tol))
+        with _in_range(p):
+            status = domain_check(f, p)
+            if status.degenerate:
+                records.append(
+                    _record("all", idx, p, "skipped", reason="DegenerateMetric", d=status.d)
+                )
+                continue
+            records.extend(_verify_point(config, f, rng, idx, p, status, dual_tol))
     records.sort(key=lambda r: (r["point_index"], r["check"]))
     return _assemble(config, records)
 
 
 def _verify_point(config, f, rng, idx, p, status, dual_tol) -> list[dict]:
-    records = []
-
     m = metric_at(f, p)
     prod = circ_mul(m.g, m.g_inv)
     resid = max(
         abs(prod.a - IDENTITY.a), abs(prod.b - IDENTITY.b), abs(prod.c - IDENTITY.c)
     )
-    tol = config.tol("metric_inverse")
-    records.append(
-        _record("metric-inverse", idx, p, "pass" if resid <= tol else "fail",
-                residual=resid, tolerance=tol)
-    )
+    records = [_bounded("metric-inverse", idx, p, resid, config.tol("metric_inverse"))]
 
     general = christoffel_general(f, p)
     closed = christoffel_closed(f, p)
     resid = float(np.max(np.abs(general.gamma - closed.gamma)))
-    records.append(
-        _record("christoffel-dual-path", idx, p, "pass" if resid <= dual_tol else "fail",
-                residual=resid, tolerance=dual_tol)
-    )
+    records.append(_bounded("christoffel-dual-path", idx, p, resid, dual_tol))
 
     resid = metric_compatibility_residual(f, p)
-    tol = config.tol("metric_compat")
-    records.append(
-        _record("metric-compatibility", idx, p, "pass" if resid <= tol else "fail",
-                residual=resid, tolerance=tol)
-    )
+    records.append(_bounded("metric-compatibility", idx, p, resid, config.tol("metric_compat")))
 
     defect = float(np.max(np.abs(parallel_defect(f, p))))
     nq = nabla_q(f, p, general).max_norm
@@ -295,18 +346,16 @@ def _verify_point(config, f, rng, idx, p, status, dual_tol) -> list[dict]:
 
 
 def _verify_curvature(config, f, rng, idx, p, status) -> list[dict]:
-    records = []
-    curv = curvature_at(f, p, config.fd_step)
+    try:
+        curv = curvature_at(f, p, config.fd_step)
+    except PointSkipped as exc:  # p is not degenerate, but a stencil point is
+        return [
+            _record(check, idx, p, "skipped", reason=type(exc).__name__, detail=str(exc))
+            for check in ("identity-3.1", "identity-3.2", "identity-3.6", "theorem3-spread")
+        ]
     rel = config.tol("identity_rel")
-
-    eq32_lhs = np.einsum("skja,ia->skji", curv.r_up, Q_DENSE)
-    eq32_rhs = np.einsum("akji,as->skji", curv.r_up, Q_DENSE)
-    resid32 = float(np.max(np.abs(eq32_lhs - eq32_rhs)))
-    scale32 = max(curv.max_abs, float(np.max(np.abs(curv.r_up))), 1e-300)
-    records.append(
-        _record("identity-3.2", idx, p, "pass" if resid32 <= rel * scale32 else "fail",
-                residual=resid32, tolerance=rel * scale32)
-    )
+    resid32, scale32 = identity_32_residual(curv)
+    records = [_bounded("identity-3.2", idx, p, resid32, rel * scale32)]
 
     # Row i of x, y, z, u is the i-th of the n_vectors draws of four vectors.
     vectors = rng.uniform(-2.0, 2.0, size=(config.n_vectors, 4, 3))
@@ -314,16 +363,8 @@ def _verify_curvature(config, f, rng, idx, p, status) -> list[dict]:
     r31, r36 = identity_residuals(curv, x, y, z, u)
     scale = np.maximum(residual_scales(curv, x, y, z, u), 1e-300)
     # Python max from 0.0 keeps the first of equal values, as a running max does.
-    worst31 = max([0.0, *(r31 / scale).tolist()])
-    worst36 = max([0.0, *(r36 / scale).tolist()])
-    records.append(
-        _record("identity-3.1", idx, p, "pass" if worst31 <= rel else "fail",
-                residual=worst31, tolerance=rel)
-    )
-    records.append(
-        _record("identity-3.6", idx, p, "pass" if worst36 <= rel else "fail",
-                residual=worst36, tolerance=rel)
-    )
+    records.append(_bounded("identity-3.1", idx, p, max([0.0, *(r31 / scale).tolist()]), rel))
+    records.append(_bounded("identity-3.6", idx, p, max([0.0, *(r36 / scale).tolist()]), rel))
 
     if status.definite:
         # Seeds are drawn one at a time: the scalar cubic decides acceptance.
@@ -354,27 +395,26 @@ def cmd_scan(config: RunConfig) -> dict:
         raise ConfigError("scan requires a grid spec")
     f = _build_fields(config)
     points = expand_grid(config.grid)
+    qx = circ_apply(Q, config.x)
     records = []
     for idx, p in enumerate(points):
-        status = domain_check(f, p)
-        row = _record(
-            "scan", idx, p,
-            "skipped" if status.degenerate else "pass",
-            a=status.a, b=status.b, d=status.d, definite=status.definite,
-        )
-        if status.degenerate:
-            row["reason"] = "DegenerateMetric"
-        mu = None
-        if not status.degenerate and status.definite:
-            try:
-                x = np.asarray(config.x, dtype=float)
-                qx = Q_DENSE @ x
-                curv = curvature_at(f, p, config.fd_step)
-                mu = sectional_curvature(f, p, x, qx, curv=curv)
-            except (DegenerateMetric, DegenerateSection):
-                mu = None
-        row["mu_e1"] = mu
-        records.append(row)
+        with _in_range(p):
+            status = domain_check(f, p)
+            row = _record(
+                "scan", idx, p,
+                "skipped" if status.degenerate else "pass",
+                a=status.a, b=status.b, d=status.d, definite=status.definite,
+            )
+            if status.degenerate:
+                row["reason"] = "DegenerateMetric"
+            row["mu_e1"] = None
+            if not status.degenerate and status.definite:
+                try:
+                    curv = curvature_at(f, p, config.fd_step)
+                    row["mu_e1"] = sectional_curvature(f, p, config.x, qx, curv=curv)
+                except PointSkipped:
+                    pass
+            records.append(row)
     return _assemble(config, records)
 
 
@@ -389,7 +429,16 @@ def _build_fields(config: RunConfig) -> FieldPair:
         raise ConfigError(f"bad field spec: {exc}") from exc
 
 
+def _finite(value) -> bool:
+    if isinstance(value, float):
+        return math.isfinite(value)
+    return not isinstance(value, list) or all(map(_finite, value))
+
+
 def _assemble(config: RunConfig, records: list[dict]) -> dict:
+    for r in records:
+        if not _finite(list(r.values())):
+            raise ConfigError(f"point {r['point']} is out of range: {r['check']} is not finite")
     summary = {
         "pass_count": sum(1 for r in records if r["status"] == "pass"),
         "fail_count": sum(1 for r in records if r["status"] == "fail"),
@@ -450,20 +499,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_triple(text: str, what: str) -> list[float]:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise ConfigError(f"{what} must be three comma-separated numbers, got {text!r}")
+def _floats(text: str, flag: str) -> list[float]:
+    """The comma-separated numbers of a flag's text."""
     try:
-        values = [float(v) for v in parts]
+        return [float(v) for v in text.split(",")]
     except ValueError as exc:
-        raise ConfigError(f"bad {what}: {text!r}") from exc
-    if not all(map(math.isfinite, values)):
-        raise ConfigError(f"{what} must be finite, got {text!r}")
-    return values
+        raise ConfigError(f"bad {flag} value {text!r}") from exc
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
+    """The config file's keys, then each flag's value, stored through RunConfig.set."""
     config = RunConfig()
     if args.config:
         try:
@@ -471,7 +516,10 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
                 data = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
-        _apply_config_dict(config, data)
+        if not isinstance(data, dict):
+            raise ConfigError("config file must contain a JSON object")
+        for key, value in data.items():
+            config.set(key, value, f"config key {key!r}")
     if args.fields:
         text = args.fields
         if text.startswith("@"):
@@ -480,123 +528,32 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
                     text = fh.read()
             except OSError as exc:
                 raise ConfigError(f"cannot read fields file: {exc}") from exc
-        config.fields = text
+        config.set("fields", text, "--fields")
     if args.point:
-        config.points = [_parse_triple(p, "--point") for p in args.point]
-        config.grid = None
+        config.set("points", [_floats(p, "--point") for p in args.point], "--point")
+        config.set("grid", None, "--point")
     if args.grid:
-        parts = args.grid.split(",")
-        try:
-            config.grid = [float(v) for v in parts]
-        except ValueError as exc:
-            raise ConfigError(f"bad grid spec {args.grid!r}") from exc
-        if not _is_grid(config.grid):
-            raise ConfigError(f"bad grid spec {args.grid!r}")
-        config.points = None
-    if args.grad:
-        config.grad_mode = args.grad
-    if args.step is not None:
-        if not _is_positive(args.step):
-            raise ConfigError("step must be positive and finite")
-        config.fd_step = args.step
-    if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigError("seed must be non-negative")
-        config.seed = args.seed
+        config.set("grid", _floats(args.grid, "--grid"), "--grid")
+        config.set("points", None, "--grid")
     if args.x:
-        config.x = _parse_triple(args.x, "--x")
-    if args.out:
-        config.out = args.out
-    if args.format:
-        config.fmt = args.format
-    for item in args.tol:
-        key, eq, value = item.partition("=")
-        if not eq or key not in DEFAULT_TOLERANCES:
-            raise ConfigError(f"bad tolerance override {item!r}")
-        try:
-            parsed = float(value)
-        except ValueError as exc:
-            raise ConfigError(f"bad tolerance value {value!r}") from exc
-        if not _is_positive(parsed):
-            raise ConfigError(f"tolerance {key} must be positive and finite")
-        config.tolerances[key] = parsed
+        config.set("x", _floats(args.x, "--x"), "--x")
+    # Flags whose parsed value is already the config value.
+    for flag, key in (
+        ("grad", "grad_mode"), ("step", "fd_step"), ("seed", "seed"), ("out", "out"),
+        ("format", "format"),
+    ):
+        if getattr(args, flag) is not None:
+            config.set(key, getattr(args, flag), f"--{flag}")
+    if args.tol:
+        tolerances = dict(config.tolerances)
+        for item in args.tol:
+            key, _, value = item.partition("=")
+            try:
+                tolerances[key] = float(value)
+            except ValueError as exc:
+                raise ConfigError(f"bad --tol value {item!r}") from exc
+        config.set("tolerances", tolerances, "--tol")
     return config
-
-
-def _is_real(v) -> bool:
-    """A finite int or float (JSON true/false excluded)."""
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        return False
-    try:
-        return math.isfinite(v)
-    except OverflowError:  # an int too large for a float
-        return False
-
-
-def _is_positive(v) -> bool:
-    return _is_real(v) and v > 0
-
-
-def _is_count(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
-
-
-def _is_triple(v) -> bool:
-    return isinstance(v, list) and len(v) == 3 and all(map(_is_real, v))
-
-
-def _is_grid(v) -> bool:
-    if not isinstance(v, list):
-        return False
-    if len(v) in (3, 9) and all(map(_is_real, v)):
-        return True
-    return len(v) == 3 and all(map(_is_triple, v))
-
-
-def _is_tolerances(v) -> bool:
-    return isinstance(v, dict) and all(
-        k in DEFAULT_TOLERANCES and _is_positive(t) for k, t in v.items()
-    )
-
-
-# Config-file key -> (RunConfig attribute, accepts value, what it must be).
-# Values are stored as given, so the report echoes them unchanged.
-_CONFIG_KEYS = {
-    "fields": ("fields", lambda v: isinstance(v, str), "a string"),
-    "points": (
-        "points", lambda v: v is None or (isinstance(v, list) and all(map(_is_triple, v))),
-        "a list of three-number points",
-    ),
-    "grid": (
-        "grid", lambda v: v is None or _is_grid(v),
-        "[min, max, steps], nine numbers or three such triples",
-    ),
-    "grad_mode": ("grad_mode", lambda v: v in ("analytic", "fd"), '"analytic" or "fd"'),
-    "fd_step": ("fd_step", _is_positive, "a positive finite number"),
-    "seed": ("seed", _is_count, "a non-negative integer"),
-    "x": ("x", _is_triple, "three finite numbers"),
-    "n_points": ("n_points", _is_count, "a non-negative integer"),
-    "n_vectors": ("n_vectors", _is_count, "a non-negative integer"),
-    "n_seeds": ("n_seeds", _is_count, "a non-negative integer"),
-    "out": ("out", lambda v: v is None or isinstance(v, str), "a path"),
-    "format": ("fmt", lambda v: v in ("json", "csv"), '"json" or "csv"'),
-    "tolerances": (
-        "tolerances", _is_tolerances,
-        "an object mapping tolerance names to positive finite numbers",
-    ),
-}
-
-
-def _apply_config_dict(config: RunConfig, data: dict) -> None:
-    if not isinstance(data, dict):
-        raise ConfigError("config file must contain a JSON object")
-    for key, value in data.items():
-        if key not in _CONFIG_KEYS:
-            raise ConfigError(f"unknown config key {key!r}")
-        attr, accepts, expected = _CONFIG_KEYS[key]
-        if not accepts(value):
-            raise ConfigError(f"config key {key!r} must be {expected}, got {value!r}")
-        setattr(config, attr, value)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -610,7 +567,7 @@ def main(argv: list[str] | None = None) -> int:
             report = cmd_verify(config)
         else:
             report = cmd_scan(config)
-        text = render_csv(report) if config.fmt == "csv" else render_json(report)
+        text = render_csv(report) if config.format == "csv" else render_json(report)
         if config.out:
             try:
                 with open(config.out, "w", encoding="utf-8") as fh:

@@ -21,13 +21,7 @@ import numpy as np
 
 from .circulant import Q, Q_DENSE, circ_mul
 from .connection import christoffel_general
-from .errors import (
-    DegenerateSection,
-    DependentOrbit,
-    IndefiniteMetric,
-    StencilCollapsed,
-    StencilTooWide,
-)
+from .errors import DegenerateSection, DependentOrbit, IndefiniteMetric, StencilCollapsed
 from .fields import FieldPair, MetricAtPoint, metric_at, row
 
 # Step for the Gamma derivatives.  1e-5 keeps the truncation error of the
@@ -70,18 +64,12 @@ class CurvatureAtPoint:
         return float(np.max(np.abs(self.r_down)))
 
 
-def curvature_at(
-    f: FieldPair,
-    p,
-    h: float = DEFAULT_FD_STEP,
-    domain: tuple[np.ndarray, np.ndarray] | None = None,
-) -> CurvatureAtPoint:
+def curvature_at(f: FieldPair, p, h: float = DEFAULT_FD_STEP) -> CurvatureAtPoint:
     """Curvature by central differencing of the Christoffel symbols.
 
     Every stencil point p +- h_k e_k must differ from p (StencilCollapsed
-    otherwise, as when h is below the coordinate's precision), must itself be
-    nondegenerate (DegenerateMetric otherwise) and, when a bounding box is
-    supplied, must lie inside it (StencilTooWide otherwise).
+    otherwise, as when h is below the coordinate's precision) and must itself
+    be nondegenerate (DegenerateMetric otherwise).
     """
     p = np.asarray(p, dtype=float)
     metric = metric_at(f, p)
@@ -98,10 +86,6 @@ def curvature_at(
             raise StencilCollapsed(
                 f"step {h!r} vanishes against coordinate {p[k]} (axis {k}) at {tuple(p.tolist())}"
             )
-        if domain is not None:
-            lo, hi = domain
-            if np.any(up > hi) or np.any(dn < lo):
-                raise StencilTooWide(f"stencil at {tuple(p)} (axis {k}) leaves the domain")
         gamma_up = christoffel_general(f, up).gamma
         gamma_dn = christoffel_general(f, dn).gamma
         dgamma[k] = (gamma_up - gamma_dn) / (2.0 * hk)
@@ -134,6 +118,18 @@ def identity_residuals(curv: CurvatureAtPoint, x, y, z, u) -> tuple[np.ndarray, 
     r31 = np.abs(r[0] - r[1])
     r36 = np.maximum(np.abs(r[2] - r[3]), np.abs(r[2] - r[4]))
     return r31, r36
+
+
+def identity_32_residual(curv: CurvatureAtPoint) -> tuple[float, float]:
+    """Residual of identity 3.2 on the (1,3) tensor, and the scale it is read against.
+
+    The residual is max |R^s_kja q_ia - q_as R^a_kji|; the scale is the larger
+    of max |R_kjis| and max |R^s_kji| (at least 1e-300).
+    """
+    lhs = np.einsum("skja,ia->skji", curv.r_up, Q_DENSE)
+    rhs = np.einsum("akji,as->skji", curv.r_up, Q_DENSE)
+    residual = float(np.max(np.abs(lhs - rhs)))
+    return residual, max(curv.max_abs, float(np.max(np.abs(curv.r_up))), 1e-300)
 
 
 def identity_31_residual(

@@ -9,7 +9,14 @@ class SingularMatrix(CircGeoError):
     """Circulant matrix has (numerically) zero determinant."""
 
 
-class DegenerateMetric(CircGeoError):
+class PointSkipped(CircGeoError):
+    """The point (or a point its computation needs) is outside where the check applies.
+
+    The CLI records such a point as skipped, with the subclass name as reason.
+    """
+
+
+class DegenerateMetric(PointSkipped):
     """The degeneracy factor D = (A-B)(A+2B) vanishes at the point."""
 
 
@@ -32,23 +39,19 @@ class ParallelismViolated(CircGeoError):
     """Reduced Christoffel forms requested where grad A != grad B . S."""
 
 
-class StencilTooWide(CircGeoError):
-    """A finite-difference stencil point falls outside the declared domain."""
-
-
 class StencilCollapsed(CircGeoError):
     """A finite-difference step is too small to move a coordinate: p + h == p."""
 
 
-class DependentOrbit(CircGeoError):
+class DependentOrbit(PointSkipped):
     """Seed vector x has x, qx, q^2x linearly dependent (cubic vanishes)."""
 
 
-class IndefiniteMetric(CircGeoError):
+class IndefiniteMetric(PointSkipped):
     """Sectional curvature requested where the metric is not positive definite."""
 
 
-class DegenerateSection(CircGeoError):
+class DegenerateSection(PointSkipped):
     """Spanning pair has (numerically) vanishing Gram determinant."""
 
 

@@ -1,7 +1,10 @@
 import csv
 import json
+import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import circgeo.cli
 import circgeo.curvature
@@ -52,6 +55,20 @@ class TestEval:
         (rec,) = report["records"]
         assert rec["status"] == "skipped"
         assert rec["reason"] == "DependentOrbit"
+
+    def test_sectional_degenerate_section_skipped(self, tmp_path):
+        # x and qx are nearly parallel, so the section's Gram determinant is tiny.
+        code, report = run_json(
+            tmp_path,
+            "eval", "sectional",
+            "--fields", "paper-example",
+            "--point", "1.5,1.1,1.1",
+            "--x", "1,1,1.000003",
+        )
+        assert code == 0
+        (rec,) = report["records"]
+        assert rec["status"] == "skipped"
+        assert rec["reason"] == "DegenerateSection"
 
     def test_curvature_and_nabla_q(self, tmp_path):
         code, report = run_json(
@@ -122,6 +139,27 @@ class TestVerify:
         reached = [r for r in report["records"] if r["check"] == "identity-3.2"]
         assert len(reached) == 18
         assert len(calls) == len(reached)
+
+    # Each point lies 1e-6 * (1 + x1) from the plane x1 = x3, so the curvature
+    # stencil point p - h e1 is degenerate while p is not.  At the first point
+    # metric-inverse fails: its absolute tolerance is below the rounding of
+    # g * g^-1 with |g^-1| ~ 1e5.
+    @pytest.mark.parametrize(
+        "point, failed", [("1.0,0.5,0.999998", ["metric-inverse"]), ("0.1,0.05,0.0999989", [])]
+    )
+    def test_degenerate_stencil_point_skips_curvature_checks(self, tmp_path, point, failed):
+        code, report = run_json(tmp_path, "verify", "--fields", "paper-example", "--point", point)
+        by_status = {}
+        for r in report["records"]:
+            by_status.setdefault(r["status"], []).append(r)
+        skipped = by_status["skipped"]
+        assert [r["check"] for r in skipped] == [
+            "identity-3.1", "identity-3.2", "identity-3.6", "theorem3-spread"
+        ]
+        assert all(r["reason"] == "DegenerateMetric" for r in skipped)
+        assert [r["check"] for r in by_status.get("fail", [])] == failed
+        assert len(by_status["pass"]) + len(failed) == 4
+        assert code == (1 if failed else 0)
 
     def test_forced_failure_exits_1(self, tmp_path):
         code, report = run_json(
@@ -297,6 +335,10 @@ class TestConfig:
                 ["verify"], {"tolerances": {"spread_rel": "abc"}}, id="config-tolerance-str"
             ),
             pytest.param(["verify"], {"tolerances": {"nope": 1e-3}}, id="config-tolerance-key"),
+            # Counts above the cap are refused before anything is allocated.
+            pytest.param(["verify"], {"n_points": MAX_GRID_NODES + 1}, id="config-n_points-cap"),
+            pytest.param(["verify"], {"n_vectors": 10**12}, id="config-n_vectors-cap"),
+            pytest.param(["verify"], {"n_seeds": MAX_GRID_NODES + 1}, id="config-n_seeds-cap"),
         ],
     )
     def test_bad_number_or_type_exits_2(self, tmp_path, capsys, argv, config):
@@ -337,6 +379,22 @@ class TestConfig:
         assert "--step" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "metric", "--point", "1e200,1e200,1e200"],  # g * g^-1 overflows to inf
+            ["verify", "--point", "1e170,1,1"],  # a squared inner product overflows
+            ["scan", "--grid=1e300,1e301,2"],
+        ],
+        ids=["eval", "verify", "scan"],
+    )
+    def test_out_of_range_point_exits_2(self, capsys, argv):
+        code, captured = run(capsys, *argv, "--fields", "paper-example")
+        assert code == 2
+        assert captured.err.startswith("circgeo: error: point [1e+")
+        assert "out of range" in captured.err
+        assert captured.out == ""
+
     def test_unwritable_output_exits_2(self, capsys):
         code, _ = run(
             capsys,
@@ -346,3 +404,17 @@ class TestConfig:
             "--out", "/nonexistent-dir/report.json",
         )
         assert code == 2
+
+
+COMMANDS = [["eval", what] for what in ("metric", "christoffel", "nabla-q", "curvature", "sectional")]
+COORDS = st.floats(-1e300, 1e300, allow_nan=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([*COMMANDS, ["verify"], ["scan"]]), st.lists(COORDS, min_size=3, max_size=3))
+def test_any_point_exits_0_1_or_2(command, p):
+    # scan takes the first two coordinates as the grid's bounds, 2 steps per axis.
+    text = ",".join(map(repr, p if command != ["scan"] else [*p[:2], 2]))
+    where = f"--grid={text}" if command == ["scan"] else f"--point={text}"
+    argv = [*command, "--fields", "paper-example", where, "--out", os.devnull]
+    assert main(argv) in (0, 1, 2)
