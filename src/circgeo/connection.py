@@ -148,7 +148,7 @@ def reduced_christoffel(f: FieldPair, p) -> tuple[float, float, float]:
     """
     defect = parallel_defect(f, p)
     if float(np.max(np.abs(defect))) > defect_eps(f, p):
-        raise ParallelismViolated(f"defect {defect} at {tuple(np.asarray(p, float))}")
+        raise ParallelismViolated(f"defect {defect} at {tuple(np.asarray(p, float).tolist())}")
     a, b = field_eval(f, p)
     metric = metric_at(f, p)
     (a1, a2, a3), (b1, b2, b3) = field_grad(f, p)

@@ -174,10 +174,10 @@ def sections_of(f: FieldPair, p, x) -> SectionReport:
     cubic = independence_cubic(x)
     norm = float(np.linalg.norm(x))
     if abs(cubic) <= 1e-12 * norm**3:
-        raise DependentOrbit(f"orbit of {tuple(x)} is linearly dependent (cubic = {cubic})")
+        raise DependentOrbit(f"orbit of {tuple(x.tolist())} is linearly dependent (cubic = {cubic})")
     metric = metric_at(f, p)
     if not metric.definite:
-        raise IndefiniteMetric(f"metric not positive definite at {tuple(np.asarray(p, float))}")
+        raise IndefiniteMetric(f"metric not positive definite at {tuple(np.asarray(p, float).tolist())}")
     qx = Q_DENSE @ x
     q2x = Q_DENSE @ qx
     return SectionReport(
@@ -207,7 +207,7 @@ def sectional_curvatures(curv: CurvatureAtPoint, u, v) -> np.ndarray:
     """mu = R(u, v, u, v) / (g(u,u) g(v,v) - g(u,v)^2) for each row of two (n, 3) stacks."""
     metric = curv.metric
     if not metric.definite:
-        raise IndefiniteMetric(f"metric not positive definite at {tuple(curv.point)}")
+        raise IndefiniteMetric(f"metric not positive definite at {tuple(curv.point.tolist())}")
     gram, norms = _gram_terms(metric, u, v)
     # A zero product of norms is replaced by 1, so the threshold stays positive.
     bad = gram <= 1e-12 * np.abs(np.where(norms == 0.0, 1.0, norms))

@@ -340,7 +340,7 @@ def metric_at(f: FieldPair, p) -> MetricAtPoint:
     """Assemble metric and inverse at p; raises DegenerateMetric when D ~ 0."""
     status = domain_check(f, p)
     if status.degenerate:
-        raise DegenerateMetric(f"D = {status.d} at point {tuple(np.asarray(p, float))}")
+        raise DegenerateMetric(f"D = {status.d} at point {tuple(np.asarray(p, float).tolist())}")
     a, b, d = status.a, status.b, status.d
     g = CirculantMatrix(a, b, b)
     g_inv = CirculantMatrix((a + b) / d, -b / d, -b / d)
