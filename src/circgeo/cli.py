@@ -166,6 +166,9 @@ def expand_grid(grid: list) -> list[list[float]]:
     nodes = math.prod(steps)
     if nodes > MAX_GRID_NODES:
         raise ConfigError(f"grid has {nodes} nodes, more than {MAX_GRID_NODES}")
+    for lo, hi, _ in axes:
+        if not math.isfinite(float(hi) - float(lo)):
+            raise ConfigError(f"grid span {lo} to {hi} overflows a float")
     axis_values = [np.linspace(float(lo), float(hi), n) for (lo, hi, _), n in zip(axes, steps)]
     return [
         [float(v1), float(v2), float(v3)]
@@ -204,8 +207,9 @@ def _bounded(check: str, index: int, point, residual: float, tolerance: float) -
 def _in_range(point):
     """Turn a float overflow while working on point into a ConfigError naming it."""
     try:
-        yield
-    except OverflowError as exc:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except (OverflowError, FloatingPointError) as exc:
         raise ConfigError(f"point {list(point)} is out of range: {exc}") from exc
 
 

@@ -100,6 +100,16 @@ def _tokenize(text: str, base: int):
     return tokens
 
 
+def _number(convert, text, pos: int):
+    """convert(text); ParseError at pos when the value does not fit in a float."""
+    try:
+        value = convert(text)
+        float(value)
+    except (OverflowError, ValueError):  # ValueError: past int()'s digit limit
+        raise ParseError("number too large for a float", pos) from None
+    return value
+
+
 class _PolyParser:
     def __init__(self, text: str, base: int):
         self.tokens = _tokenize(text, base)
@@ -153,18 +163,18 @@ class _PolyParser:
     def parse_factor(self, exps: list[int]) -> float:
         kind, value, pos = self.take()
         if kind == "num":
-            num = Fraction(value)
+            num = _number(Fraction, value, pos)
             nk, nv, _ = self.peek()
             if nk == "op" and nv == "/":
                 self.take()
                 dk, dv, dpos = self.take()
                 if dk != "num":
                     raise ParseError("expected denominator after '/'", dpos)
-                denom = Fraction(dv)
+                denom = _number(Fraction, dv, dpos)
                 if denom == 0:
                     raise ParseError("zero denominator", dpos)
                 num /= denom
-            return float(num)
+            return _number(float, num, pos)
         if kind == "var":
             axis = int(value[1]) - 1
             exp = 1
@@ -174,7 +184,7 @@ class _PolyParser:
                 ek, ev, epos = self.take()
                 if ek != "num" or "." in ev:
                     raise ParseError("expected integer exponent after '^'", epos)
-                exp = int(ev)
+                exp = _number(int, ev, epos)
             exps[axis] += exp
             return 1.0
         raise ParseError("expected number or x1/x2/x3", pos)

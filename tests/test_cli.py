@@ -234,6 +234,14 @@ class TestScan:
         with pytest.raises(ConfigError, match=str(MAX_GRID_NODES)):
             expand_grid(grid)
 
+    # Both bounds are finite but hi - lo is not; refused before any axis is built.
+    @pytest.mark.parametrize(
+        "grid", [[-1e308, 1e308, 3], [0, 1, 2, -1e308, 1e308, 2, 0, 1, 2]], ids=["cube", "axis"]
+    )
+    def test_overflowing_grid_span_is_config_error(self, grid):
+        with pytest.raises(ConfigError, match="grid span"):
+            expand_grid(grid)
+
     @pytest.mark.parametrize("command", ["scan", "verify"])
     def test_oversized_grid_exits_2(self, capsys, tmp_path, command):
         code, captured = run(
@@ -259,7 +267,8 @@ class TestScan:
             ]
         )
         assert code == 0
-        rows = list(csv.DictReader(out.open()))
+        with out.open() as fh:
+            rows = list(csv.DictReader(fh))
         assert len(rows) == 3
         assert {"a", "b", "d", "definite", "mu_e1"} <= set(rows[0])
 
@@ -339,6 +348,12 @@ class TestConfig:
             pytest.param(["verify"], {"n_points": MAX_GRID_NODES + 1}, id="config-n_points-cap"),
             pytest.param(["verify"], {"n_vectors": 10**12}, id="config-n_vectors-cap"),
             pytest.param(["verify"], {"n_seeds": MAX_GRID_NODES + 1}, id="config-n_seeds-cap"),
+            # A coefficient past the float range is a parse error, not an OverflowError.
+            pytest.param(
+                ["eval", "metric", "--point", "1,2,3", "--fields", f"A: {'9' * 400}*x1; B: 1"],
+                None,
+                id="fields-coefficient-overflow",
+            ),
         ],
     )
     def test_bad_number_or_type_exits_2(self, tmp_path, capsys, argv, config):
@@ -346,7 +361,9 @@ class TestConfig:
             path = tmp_path / "run.json"
             path.write_text(json.dumps(config))
             argv = [*argv, "--config", str(path)]
-        code, captured = run(capsys, *argv, "--fields", "paper-example")
+        if "--fields" not in argv:
+            argv = [*argv, "--fields", "paper-example"]
+        code, captured = run(capsys, *argv)
         assert code == 2
         assert captured.err.startswith("circgeo: error:")
 

@@ -63,6 +63,20 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse_polynomial("1/0*x1")
 
+    @pytest.mark.parametrize(
+        "text, position",
+        [
+            ("x2 + " + "9" * 400 + "*x1", 5),  # the number itself overflows
+            ("2 - 1/0." + "0" * 400 + "1*x3", 4),  # the quotient overflows
+            ("x1^" + "9" * 5000, 3),  # more digits than int() converts
+        ],
+        ids=["coefficient", "quotient", "exponent-digits"],
+    )
+    def test_number_beyond_float_range(self, text, position):
+        with pytest.raises(ParseError, match="too large") as exc:
+            parse_polynomial(text)
+        assert exc.value.position == position
+
 
 class TestEvalAndGrad:
     def test_paper_example_origin(self, paper_fields):
