@@ -21,7 +21,22 @@ import numpy as np
 
 from .circulant import Q_DENSE, S
 from .errors import ParallelismViolated
-from .fields import FieldPair, field_eval, field_grad, metric_at
+from .fields import FieldPair, degeneracy_factor, field_eval, field_grad, field_jet, metric_at
+
+
+_EYE = np.eye(3)
+_OFF_DIAGONAL = 1.0 - _EYE
+
+# 2 Gamma^s_ij = g^{as} t[i, j, a], t[i, j, a] = d_i g_aj + d_j g_ai - d_a g_ij, and d_k g_ij
+# is A_k on the diagonal, B_k off it: _T_TERMS[n, i, j, a] indexes term n in (A_1, A_2, A_3,
+# B_1, B_2, B_3).  Terms 0 and 1 swap under i <-> j and term 2 is symmetric, so t and hence
+# gamma are exactly symmetric in (i, j).
+_I, _J, _A = np.indices((3, 3, 3))
+_T_TERMS = np.stack([_I + 3 * (_A != _J), _J + 3 * (_A != _I), _A + 3 * (_I != _J)])
+
+# Gamma^s_ij is value 3 * (index of the pair {i, j}) + s of christoffel_closed, which lists
+# three values (s = 0, 1, 2) per lower-index pair (0,0), (0,1), (0,2), (1,1), (1,2), (2,2).
+_CLOSED_ORDER = 3 * np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]]) + np.arange(3)[:, None, None]
 
 
 @dataclass(frozen=True)
@@ -38,65 +53,50 @@ class ChristoffelSymbols:
 def metric_partials(f: FieldPair, p) -> np.ndarray:
     """dg[k, i, j] = d_k g_ij: diagonal entries carry A_k, off-diagonal B_k."""
     grad_a, grad_b = field_grad(f, p)
-    eye = np.eye(3)
-    return grad_a[:, None, None] * eye + grad_b[:, None, None] * (1.0 - eye)
+    return grad_a[:, None, None] * _EYE + grad_b[:, None, None] * _OFF_DIAGONAL
 
 
 def christoffel_general(f: FieldPair, p) -> ChristoffelSymbols:
     """Christoffel symbols from the inverse-metric contraction."""
-    metric = metric_at(f, p)
-    dg = metric_partials(f, p)
-    g_inv = metric.g_inv.dense()
-    # 2 Gamma^s_ij = g^{as} (d_i g_aj + d_j g_ai - d_a g_ij), with
-    # t[i, j, a] = dg[i, a, j] + dg[j, a, i] - dg[a, i, j].  dg is exactly
-    # symmetric in its last two indices, so t and hence gamma are exactly
-    # symmetric in (i, j).
-    t = dg.transpose(0, 2, 1) + dg.transpose(2, 0, 1) - dg.transpose(1, 2, 0)
+    a, b, *grad = field_jet(f, p)
+    d, _ = degeneracy_factor(a, b, p)
+    inv_a, inv_b = (a + b) / d, -b / d
+    g_inv = np.array([[inv_a, inv_b, inv_b], [inv_b, inv_a, inv_b], [inv_b, inv_b, inv_a]])
+    di_gaj, dj_gai, da_gij = np.array(grad)[_T_TERMS]
+    t = di_gaj + dj_gai - da_gij
     gamma = 0.5 * np.einsum("as,ija->sij", g_inv, t)
     return ChristoffelSymbols(gamma=gamma)
 
 
 def christoffel_closed(f: FieldPair, p) -> ChristoffelSymbols:
     """Christoffel symbols from the corrected closed-form expressions."""
-    metric = metric_at(f, p)
-    a = metric.g.a
-    b = metric.g.b
-    d = metric.d
-    (a1, a2, a3), (b1, b2, b3) = field_grad(f, p)
+    a, b, a1, a2, a3, b1, b2, b3 = field_jet(f, p)
+    d, _ = degeneracy_factor(a, b, p)
     half_d = 1.0 / (2.0 * d)
     ab = a + b
 
-    gamma = np.empty((3, 3, 3))
-    # Each block lists (Gamma^1, Gamma^2, Gamma^3) for one lower-index pair.
-    gamma[0, 0, 0] = half_d * (ab * a1 - b * (2 * b1 - a2) - b * (2 * b1 - a3))
-    gamma[1, 0, 0] = half_d * (-b * a1 + ab * (2 * b1 - a2) - b * (2 * b1 - a3))
-    gamma[2, 0, 0] = half_d * (-b * a1 - b * (2 * b1 - a2) + ab * (2 * b1 - a3))
-
-    gamma[0, 0, 1] = half_d * (ab * a2 - b * a1 - b * (b1 + b2 - b3))
-    gamma[1, 0, 1] = half_d * (-b * a2 + ab * a1 - b * (b1 + b2 - b3))
-    gamma[2, 0, 1] = half_d * (-b * a2 - b * a1 + ab * (b1 + b2 - b3))
-
-    gamma[0, 0, 2] = half_d * (ab * a3 - b * (b1 - b2 + b3) - b * a1)
-    gamma[1, 0, 2] = half_d * (-b * a3 + ab * (b1 - b2 + b3) - b * a1)
-    gamma[2, 0, 2] = half_d * (-b * a3 - b * (b1 - b2 + b3) + ab * a1)
-
-    gamma[0, 1, 1] = half_d * (ab * (2 * b2 - a1) - b * a2 - b * (2 * b2 - a3))
-    gamma[1, 1, 1] = half_d * (-b * (2 * b2 - a1) + ab * a2 - b * (2 * b2 - a3))
-    gamma[2, 1, 1] = half_d * (-b * (2 * b2 - a1) - b * a2 + ab * (2 * b2 - a3))
-
-    gamma[0, 1, 2] = half_d * (ab * (-b1 + b2 + b3) - b * a3 - b * a2)
-    gamma[1, 1, 2] = half_d * (-b * (-b1 + b2 + b3) + ab * a3 - b * a2)
-    gamma[2, 1, 2] = half_d * (-b * (-b1 + b2 + b3) - b * a3 + ab * a2)
-
-    gamma[0, 2, 2] = half_d * (ab * (2 * b3 - a1) - b * (2 * b3 - a2) - b * a3)
-    gamma[1, 2, 2] = half_d * (-b * (2 * b3 - a1) + ab * (2 * b3 - a2) - b * a3)
-    gamma[2, 2, 2] = half_d * (-b * (2 * b3 - a1) - b * (2 * b3 - a2) + ab * a3)
-
-    for s in range(3):
-        gamma[s, 1, 0] = gamma[s, 0, 1]
-        gamma[s, 2, 0] = gamma[s, 0, 2]
-        gamma[s, 2, 1] = gamma[s, 1, 2]
-    return ChristoffelSymbols(gamma=gamma)
+    # (Gamma^1, Gamma^2, Gamma^3) for each lower-index pair in turn.
+    values = [
+        half_d * (ab * a1 - b * (2 * b1 - a2) - b * (2 * b1 - a3)),
+        half_d * (-b * a1 + ab * (2 * b1 - a2) - b * (2 * b1 - a3)),
+        half_d * (-b * a1 - b * (2 * b1 - a2) + ab * (2 * b1 - a3)),
+        half_d * (ab * a2 - b * a1 - b * (b1 + b2 - b3)),
+        half_d * (-b * a2 + ab * a1 - b * (b1 + b2 - b3)),
+        half_d * (-b * a2 - b * a1 + ab * (b1 + b2 - b3)),
+        half_d * (ab * a3 - b * (b1 - b2 + b3) - b * a1),
+        half_d * (-b * a3 + ab * (b1 - b2 + b3) - b * a1),
+        half_d * (-b * a3 - b * (b1 - b2 + b3) + ab * a1),
+        half_d * (ab * (2 * b2 - a1) - b * a2 - b * (2 * b2 - a3)),
+        half_d * (-b * (2 * b2 - a1) + ab * a2 - b * (2 * b2 - a3)),
+        half_d * (-b * (2 * b2 - a1) - b * a2 + ab * (2 * b2 - a3)),
+        half_d * (ab * (-b1 + b2 + b3) - b * a3 - b * a2),
+        half_d * (-b * (-b1 + b2 + b3) + ab * a3 - b * a2),
+        half_d * (-b * (-b1 + b2 + b3) - b * a3 + ab * a2),
+        half_d * (ab * (2 * b3 - a1) - b * (2 * b3 - a2) - b * a3),
+        half_d * (-b * (2 * b3 - a1) + ab * (2 * b3 - a2) - b * a3),
+        half_d * (-b * (2 * b3 - a1) - b * (2 * b3 - a2) + ab * a3),
+    ]
+    return ChristoffelSymbols(gamma=np.array(values)[_CLOSED_ORDER])
 
 
 def parallel_defect(f: FieldPair, p) -> np.ndarray:

@@ -75,24 +75,25 @@ def curvature_at(f: FieldPair, p, h: float = DEFAULT_FD_STEP) -> CurvatureAtPoin
     metric = metric_at(f, p)
     gamma0 = christoffel_general(f, p).gamma
 
+    x = p.tolist()
     dgamma = np.empty((3, 3, 3, 3))  # [k, s, i, j]
     for k in range(3):
-        hk = h * (1.0 + abs(p[k]))
-        up = p.copy()
-        dn = p.copy()
+        hk = h * (1.0 + abs(x[k]))
+        up = list(x)
+        dn = list(x)
         up[k] += hk
         dn[k] -= hk
-        if up[k] == p[k] or dn[k] == p[k]:
+        if up[k] == x[k] or dn[k] == x[k]:
             raise StencilCollapsed(
-                f"step {h!r} vanishes against coordinate {p[k]} (axis {k}) at {tuple(p.tolist())}"
+                f"step {h!r} vanishes against coordinate {x[k]} (axis {k}) at {tuple(x)}"
             )
         gamma_up = christoffel_general(f, up).gamma
         gamma_dn = christoffel_general(f, dn).gamma
         dgamma[k] = (gamma_up - gamma_dn) / (2.0 * hk)
 
     r_up = (
-        np.einsum("ksji->skji", dgamma)
-        - np.einsum("jski->skji", dgamma)
+        dgamma.transpose(1, 0, 2, 3)  # [s, k, j, i] = d_k Gamma^s_ji
+        - dgamma.transpose(1, 2, 0, 3)  # [s, k, j, i] = d_j Gamma^s_ki
         + np.einsum("ska,aji->skji", gamma0, gamma0)
         - np.einsum("sja,aki->skji", gamma0, gamma0)
     )
@@ -174,10 +175,14 @@ def sections_of(f: FieldPair, p, x) -> SectionReport:
     cubic = independence_cubic(x)
     norm = float(np.linalg.norm(x))
     if abs(cubic) <= 1e-12 * norm**3:
-        raise DependentOrbit(f"orbit of {tuple(x.tolist())} is linearly dependent (cubic = {cubic})")
+        raise DependentOrbit(
+            f"orbit of {tuple(x.tolist())} is linearly dependent (cubic = {cubic})"
+        )
     metric = metric_at(f, p)
     if not metric.definite:
-        raise IndefiniteMetric(f"metric not positive definite at {tuple(np.asarray(p, float).tolist())}")
+        raise IndefiniteMetric(
+            f"metric not positive definite at {tuple(np.asarray(p, float).tolist())}"
+        )
     qx = Q_DENSE @ x
     q2x = Q_DENSE @ qx
     return SectionReport(

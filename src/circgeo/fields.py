@@ -34,7 +34,7 @@ class Polynomial:
         return Polynomial(tuple(sorted(cleaned.items())))
 
     def __call__(self, p) -> float:
-        return _eval_terms(self.terms, *np.asarray(p, dtype=float).tolist())
+        return self._compiled[0](*np.asarray(p, dtype=float).tolist())
 
     def partial(self, axis: int) -> "Polynomial":
         """Exact partial derivative along axis 0, 1 or 2."""
@@ -50,24 +50,34 @@ class Polynomial:
         return Polynomial.from_dict(out)
 
     @cached_property
-    def _partial_terms(self) -> tuple[tuple[tuple[Monomial, float], ...], ...]:
-        """Term tables of the three partial derivatives, built once."""
-        return tuple(self.partial(k).terms for k in range(3))
+    def _compiled(self) -> tuple[Callable[[float, float, float], float], ...]:
+        """The value and the three partials as functions of x1, x2, x3, compiled once."""
+        return (_compile(self.terms), *(_compile(self.partial(k).terms) for k in range(3)))
 
     def gradient(self, p) -> np.ndarray:
         x = np.asarray(p, dtype=float).tolist()
-        return np.array([_eval_terms(terms, *x) for terms in self._partial_terms])
+        return np.array([d(*x) for d in self._compiled[1:]])
 
     def degree(self) -> int:
         return max((sum(m) for m, _ in self.terms), default=0)
 
 
-def _eval_terms(terms, x1: float, x2: float, x3: float) -> float:
-    """Sum coef * x1^e1 * x2^e2 * x3^e3 over a term table, in table order."""
-    total = 0.0
-    for (e1, e2, e3), coef in terms:
-        total += coef * x1**e1 * x2**e2 * x3**e3
-    return total
+def _compile(terms) -> Callable[[float, float, float], float]:
+    """The term table as straight-line code with the bits of 0.0 + t1 + t2 + ...
+
+    x**0 (exactly 1.0) is dropped and x**1 written x (exact); x**e, Python's pow,
+    stays for e >= 2.  Coefficients are closure values, so only names and exponents
+    are compiled; lines of at most 200 terms keep the compiler's recursion shallow.
+    """
+    names = [f"c{k}" for k in range(len(terms))]
+    summands = []
+    for c, (mono, _) in zip(names, terms):
+        powers = [x if e == 1 else f"{x}**{e}" for x, e in zip(("x1", "x2", "x3"), mono) if e]
+        summands.append(" * ".join([c, *powers]))
+    lines = [f"s = s + {' + '.join(summands[k:k + 200])}" for k in range(0, len(summands), 200)]
+    body = "".join(f"\n        {line}" for line in ["s = 0.0", *lines, "return s"])
+    exec(f"def bind({', '.join(names)}):\n    def f(x1, x2, x3):{body}\n    return f", scope := {})
+    return scope["bind"](*(coef for _, coef in terms))
 
 
 ScalarField = Union[Polynomial, Callable[[np.ndarray], float]]
@@ -103,8 +113,7 @@ def _tokenize(text: str, base: int):
 def _number(convert, text, pos: int):
     """convert(text); ParseError at pos when the value does not fit in a float."""
     try:
-        value = convert(text)
-        float(value)
+        float(value := convert(text))
     except (OverflowError, ValueError):  # ValueError: past int()'s digit limit
         raise ParseError("number too large for a float", pos) from None
     return value
@@ -290,6 +299,19 @@ def field_grad(f: FieldPair, p) -> tuple[np.ndarray, np.ndarray]:
     return _fd_gradient(f.a, p, f.fd_step), _fd_gradient(f.b, p, f.fd_step)
 
 
+def field_jet(f: FieldPair, p) -> tuple[float, ...]:
+    """(A, B, A_1, A_2, A_3, B_1, B_2, B_3) at p as floats, A_k = dA/dx_k: the
+    values of field_eval and field_grad, for polynomials from one tolist() of p."""
+    if f.grad_mode == "analytic":
+        x1, x2, x3 = np.asarray(p, dtype=float).tolist()
+        a, a1, a2, a3 = f.a._compiled
+        b, b1, b2, b3 = f.b._compiled
+        return (a(x1, x2, x3), b(x1, x2, x3), a1(x1, x2, x3), a2(x1, x2, x3), a3(x1, x2, x3),
+                b1(x1, x2, x3), b2(x1, x2, x3), b3(x1, x2, x3))
+    grad_a, grad_b = field_grad(f, p)
+    return (*field_eval(f, p), *grad_a.tolist(), *grad_b.tolist())
+
+
 @dataclass(frozen=True)
 class DomainStatus:
     """Degeneracy and definiteness report for one point."""
@@ -302,23 +324,25 @@ class DomainStatus:
     definite: bool
 
 
-def degeneracy_eps(a: float, b: float) -> float:
-    return 1e-10 * (1.0 + a * a + b * b)
+def _status(a: float, b: float) -> tuple[float, float, bool, bool]:
+    """D = (A - B)(A + 2B), its threshold, and whether D ~ 0 and g is definite."""
+    d = (a - b) * (a + 2.0 * b)
+    eps = 1e-10 * (1.0 + a * a + b * b)
+    return d, eps, abs(d) < eps, (a - b > 0.0) and (a + 2.0 * b > 0.0)
 
 
 def domain_check(f: FieldPair, p) -> DomainStatus:
     """Report |D|, degeneracy, and positive definiteness at p."""
     a, b = field_eval(f, p)
-    d = (a - b) * (a + 2.0 * b)
-    eps = degeneracy_eps(a, b)
-    return DomainStatus(
-        a=a,
-        b=b,
-        d=d,
-        eps=eps,
-        degenerate=abs(d) < eps,
-        definite=(a - b > 0.0) and (a + 2.0 * b > 0.0),
-    )
+    return DomainStatus(a, b, *_status(a, b))
+
+
+def degeneracy_factor(a: float, b: float, p) -> tuple[float, bool]:
+    """D and definiteness from the field values at p; DegenerateMetric when D ~ 0."""
+    d, _, degenerate, definite = _status(a, b)
+    if degenerate:
+        raise DegenerateMetric(f"D = {d} at point {tuple(np.asarray(p, float).tolist())}")
+    return d, definite
 
 
 def row(v) -> np.ndarray:
@@ -348,10 +372,7 @@ class MetricAtPoint:
 
 def metric_at(f: FieldPair, p) -> MetricAtPoint:
     """Assemble metric and inverse at p; raises DegenerateMetric when D ~ 0."""
-    status = domain_check(f, p)
-    if status.degenerate:
-        raise DegenerateMetric(f"D = {status.d} at point {tuple(np.asarray(p, float).tolist())}")
-    a, b, d = status.a, status.b, status.d
-    g = CirculantMatrix(a, b, b)
+    a, b = field_eval(f, p)
+    d, definite = degeneracy_factor(a, b, p)
     g_inv = CirculantMatrix((a + b) / d, -b / d, -b / d)
-    return MetricAtPoint(g=g, g_inv=g_inv, d=d, definite=status.definite)
+    return MetricAtPoint(g=CirculantMatrix(a, b, b), g_inv=g_inv, d=d, definite=definite)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import circgeo.cli
+import circgeo.connection
 import circgeo.curvature
 from circgeo.cli import MAX_GRID_NODES, expand_grid, main
 from circgeo.errors import ConfigError
@@ -121,24 +122,42 @@ class TestVerify:
         assert s["pass_count"] + s["fail_count"] + s["skipped_count"] == s["total"]
 
     def test_one_curvature_tensor_per_point(self, tmp_path, monkeypatch):
-        # Count calls through both bindings: the CLI's and the one
-        # theorem3_check uses when it is not handed a tensor.
-        calls = []
-        curvature_at = circgeo.curvature.curvature_at
+        # Count calls through every binding: curvature_at in the CLI and in
+        # theorem3_check (when it is not handed a tensor), christoffel_general
+        # in the CLI, the curvature stencil and metric_compatibility_residual.
+        calls = {"curvature_at": [], "christoffel_general": []}
 
-        def counting(*args, **kwargs):
-            calls.append(args[1])
-            return curvature_at(*args, **kwargs)
+        def counting(name, module):
+            original = getattr(module, name)
 
-        monkeypatch.setattr(circgeo.cli, "curvature_at", counting)
-        monkeypatch.setattr(circgeo.curvature, "curvature_at", counting)
+            def wrapper(*args, **kwargs):
+                calls[name].append(args[1])
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name, module, bindings in (
+            ("curvature_at", circgeo.curvature, (circgeo.cli, circgeo.curvature)),
+            (
+                "christoffel_general", circgeo.connection,
+                (circgeo.cli, circgeo.connection, circgeo.curvature),
+            ),
+        ):
+            wrapper = counting(name, module)
+            for binding in bindings:
+                monkeypatch.setattr(binding, name, wrapper)
         code, report = run_json(
             tmp_path, "verify", "--fields", "paper-example", "--grid", "1.1,1.9,3", "--seed", "7",
         )
         assert code == 0
         reached = [r for r in report["records"] if r["check"] == "identity-3.2"]
         assert len(reached) == 18
-        assert len(calls) == len(reached)
+        assert len(calls["curvature_at"]) == len(reached)
+        # The finite-difference stencil takes 7 Christoffel evaluations per
+        # tensor; each verified point takes 2 more (dual path, compatibility).
+        verified = [r for r in report["records"] if r["check"] == "metric-inverse"]
+        assert len(verified) == 18
+        assert len(calls["christoffel_general"]) == 7 * len(reached) + 2 * len(verified)
 
     # Each point lies 1e-6 * (1 + x1) from the plane x1 = x3, so the curvature
     # stencil point p - h e1 is degenerate while p is not.  At the first point

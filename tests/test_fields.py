@@ -12,6 +12,7 @@ from circgeo.fields import (
     domain_check,
     field_eval,
     field_grad,
+    field_jet,
     metric_at,
     parse_field_spec,
     parse_polynomial,
@@ -144,18 +145,33 @@ def term_loop(poly, p):
     return total
 
 
-exponents = st.tuples(*[st.integers(0, 4)] * 3)
-coefficients = st.floats(-10.0, 10.0, allow_nan=False)
+def bits(*values):
+    """Each value's float.hex(), which tells -0.0 from 0.0."""
+    return [float(v).hex() for v in values]
+
+
+# Exponents 0 and 1 and exact zeros of either sign take the compiled
+# polynomials' shortcuts (no factor, the bare variable).
+exponents = st.tuples(*[st.integers(0, 6)] * 3)
+coefficients = st.floats(-1e6, 1e6, allow_nan=False)
 polynomials = st.dictionaries(exponents, coefficients, max_size=12).map(Polynomial.from_dict)
-points = st.tuples(*[st.floats(-5.0, 5.0, allow_nan=False)] * 3)
+coords = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-5.0, 5.0))
+points = st.tuples(coords, coords, coords)
 
 
 @given(polynomials, points)
 def test_evaluation_bitwise_matches_reference(poly, p):
-    assert poly(p) == term_loop(poly, p)
-    gradient = poly.gradient(p).tolist()
-    assert gradient == [poly.partial(k)(p) for k in range(3)]
-    assert gradient == [term_loop(poly.partial(k), p) for k in range(3)]
+    assert bits(poly(p)) == bits(term_loop(poly, p))
+    gradient = bits(*poly.gradient(p))
+    assert gradient == bits(*(poly.partial(k)(p) for k in range(3)))
+    assert gradient == bits(*(term_loop(poly.partial(k), p) for k in range(3)))
+
+
+@given(polynomials, polynomials, points, st.sampled_from(["analytic", "fd"]))
+def test_field_jet_matches_eval_and_grad(a, b, p, grad_mode):
+    f = FieldPair(a, b, grad_mode=grad_mode)
+    grad_a, grad_b = field_grad(f, p)
+    assert bits(*field_jet(f, p)) == bits(*field_eval(f, p), *grad_a, *grad_b)
 
 
 class TestDomainAndMetric:
