@@ -110,10 +110,10 @@ def _tokenize(text: str, base: int):
     return tokens
 
 
-def _number(convert, text, pos: int):
-    """convert(text); ParseError at pos when the value does not fit in a float."""
+def _number(convert, raw, pos: int):
+    """convert(raw); ParseError at pos when the value does not fit in a float."""
     try:
-        float(value := convert(text))
+        float(value := convert(raw))
     except (OverflowError, ValueError):  # ValueError: past int()'s digit limit
         raise ParseError("number too large for a float", pos) from None
     return value
