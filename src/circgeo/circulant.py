@@ -66,12 +66,6 @@ def circ_det(m: CirculantMatrix) -> float:
     return a**3 + b**3 + c**3 - 3.0 * a * b * c
 
 
-def singularity_eps(m: CirculantMatrix) -> float:
-    """Scale-aware threshold below which the determinant counts as zero."""
-    scale = max(abs(m.a), abs(m.b), abs(m.c))
-    return 1e-12 * (1.0 + scale**3)
-
-
 def circ_inverse(m: CirculantMatrix) -> CirculantMatrix:
     """Inverse circulant matrix via the adjugate.
 
@@ -81,7 +75,8 @@ def circ_inverse(m: CirculantMatrix) -> CirculantMatrix:
     """
     a, b, c = m.triple()
     det = circ_det(m)
-    if abs(det) < singularity_eps(m):
+    # Scale-aware threshold below which the determinant counts as zero.
+    if abs(det) < 1e-12 * (1.0 + max(abs(a), abs(b), abs(c)) ** 3):
         raise SingularMatrix(f"circulant {m.triple()} has determinant {det}")
     return CirculantMatrix(
         (a * a - b * c) / det,

@@ -38,7 +38,14 @@ from .curvature import (
     theorem3_check,
 )
 from .errors import ConfigError, ParseError, PointSkipped, StencilCollapsed, UnknownBuiltin
-from .fields import FieldPair, Polynomial, domain_check, metric_at, parse_field_spec
+from .fields import (
+    DEFAULT_FD_STEP,
+    FieldPair,
+    Polynomial,
+    domain_check,
+    metric_at,
+    parse_field_spec,
+)
 
 DEFAULT_TOLERANCES = {
     "dual_path": 1e-9,
@@ -83,11 +90,12 @@ def _is_triple(v) -> bool:
 
 
 def _is_grid(v) -> bool:
+    """[min, max, steps] for every axis or once per axis, flat or nested; whole steps."""
     if not isinstance(v, list):
         return False
     if len(v) in (3, 9) and all(map(_is_real, v)):
-        return True
-    return len(v) == 3 and all(map(_is_triple, v))
+        return all(float(n).is_integer() for n in v[2::3])
+    return len(v) == 3 and all(_is_triple(t) and float(t[2]).is_integer() for t in v)
 
 
 def _is_tolerances(v) -> bool:
@@ -108,10 +116,10 @@ CONFIG_KEYS = {
     ),
     "grid": (
         None, lambda v: v is None or _is_grid(v),
-        "[min, max, steps], nine numbers or three such triples",
+        "[min, max, steps] with whole steps, nine numbers or three such triples",
     ),
     "grad_mode": ("analytic", lambda v: v in ("analytic", "fd"), '"analytic" or "fd"'),
-    "fd_step": (1e-6, _is_positive, "a positive finite number"),
+    "fd_step": (DEFAULT_FD_STEP, _is_positive, "a positive finite number"),
     "seed": (0, lambda v: _is_count(v, math.inf), "a non-negative integer"),
     "x": ([1.0, 2.0, 3.0], _is_triple, "three finite numbers"),
     "n_points": (10, _is_count, _COUNT),
@@ -152,14 +160,12 @@ class RunConfig:
 
 def expand_grid(grid: list) -> list[list[float]]:
     """Expand [min, max, steps] (or per-axis triples) into grid nodes."""
-    if len(grid) == 3 and not isinstance(grid[0], (list, tuple)):
-        axes = [grid, grid, grid]
-    elif len(grid) == 9:
+    if not _is_grid(grid):
+        raise ConfigError(f"grid must be {CONFIG_KEYS['grid'][2]}, got {grid!r}")
+    if len(grid) == 9:
         axes = [grid[0:3], grid[3:6], grid[6:9]]
-    elif len(grid) == 3:
-        axes = list(grid)
     else:
-        raise ConfigError("grid must be min,max,steps or three such triples")
+        axes = list(grid) if isinstance(grid[0], list) else [grid, grid, grid]
     steps = [int(n) for _, _, n in axes]
     if min(steps) <= 0:
         raise ConfigError("grid steps must be positive")
@@ -261,12 +267,10 @@ def _eval_one(config: RunConfig, f: FieldPair, what: str, idx: int, p) -> dict:
         nq = nabla_q(f, p)
         return _record(what, idx, p, "pass", max_norm=nq.max_norm, components=nq.components.tolist())
     if what == "curvature":
-        curv = curvature_at(f, p, config.fd_step)
+        curv = curvature_at(f, p)
         return _record(what, idx, p, "pass", max_abs=curv.max_abs, r_down=curv.r_down.tolist())
     if what == "sectional":
-        report = theorem3_check(
-            f, p, config.x, config.fd_step, config.tol("spread_rel"), config.tol("spread_abs")
-        )
+        report = theorem3_check(f, p, config.x, config.tol("spread_rel"), config.tol("spread_abs"))
         return _record(
             what,
             idx,
@@ -322,7 +326,15 @@ def _verify_point(config, f, rng, idx, p, status, dual_tol) -> list[dict]:
             _record("theorem1-parallel", idx, p, "pass" if nq <= tol else "fail",
                     defect=defect, nabla_q=nq, tolerance=tol)
         )
-        records.extend(_verify_curvature(config, f, rng, idx, p, status))
+        try:
+            curv = curvature_at(f, p)
+        except PointSkipped as exc:  # p is not degenerate, but a stencil point is
+            records.extend(
+                _record(check, idx, p, "skipped", reason=type(exc).__name__, detail=str(exc))
+                for check in ("identity-3.1", "identity-3.2", "identity-3.6", "theorem3-spread")
+            )
+        else:
+            records.extend(_verify_curvature(config, rng, idx, p, status, curv))
     elif defect >= 0.1:
         tol = config.tol("nabla_q_nonzero")
         records.append(
@@ -336,8 +348,10 @@ def _verify_point(config, f, rng, idx, p, status, dual_tol) -> list[dict]:
         )
 
     if _is_constant(f):
+        # Constant fields have defect 0 and the metric of p at every stencil
+        # point, so the parallel branch above has built curv.
         gamma_max = general.max_abs
-        curv_max = curvature_at(f, p, config.fd_step).max_abs
+        curv_max = curv.max_abs
         g_tol = config.tol("flat_gamma")
         c_tol = config.tol("flat_curvature")
         ok = gamma_max <= g_tol and curv_max <= c_tol
@@ -349,14 +363,7 @@ def _verify_point(config, f, rng, idx, p, status, dual_tol) -> list[dict]:
     return records
 
 
-def _verify_curvature(config, f, rng, idx, p, status) -> list[dict]:
-    try:
-        curv = curvature_at(f, p, config.fd_step)
-    except PointSkipped as exc:  # p is not degenerate, but a stencil point is
-        return [
-            _record(check, idx, p, "skipped", reason=type(exc).__name__, detail=str(exc))
-            for check in ("identity-3.1", "identity-3.2", "identity-3.6", "theorem3-spread")
-        ]
+def _verify_curvature(config, rng, idx, p, status, curv) -> list[dict]:
     rel = config.tol("identity_rel")
     resid32, scale32 = identity_32_residual(curv)
     records = [_bounded("identity-3.2", idx, p, resid32, rel * scale32)]
@@ -414,7 +421,7 @@ def cmd_scan(config: RunConfig) -> dict:
             row["mu_e1"] = None
             if not status.degenerate and status.definite:
                 try:
-                    curv = curvature_at(f, p, config.fd_step)
+                    curv = curvature_at(f, p)
                     row["mu_e1"] = sectional_curvature(f, p, config.x, qx, curv=curv)
                 except PointSkipped:
                     pass
@@ -424,11 +431,7 @@ def cmd_scan(config: RunConfig) -> dict:
 
 def _build_fields(config: RunConfig) -> FieldPair:
     try:
-        return parse_field_spec(
-            config.fields,
-            grad_mode=config.grad_mode,
-            fd_step=config.fd_step if config.grad_mode == "fd" else 1e-6,
-        )
+        return parse_field_spec(config.fields, grad_mode=config.grad_mode, fd_step=config.fd_step)
     except (ParseError, UnknownBuiltin) as exc:
         raise ConfigError(f"bad field spec: {exc}") from exc
 

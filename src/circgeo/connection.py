@@ -105,12 +105,6 @@ def parallel_defect(f: FieldPair, p) -> np.ndarray:
     return grad_a - grad_b @ S
 
 
-def defect_eps(f: FieldPair, p) -> float:
-    """Scale-aware zero test for the parallelism defect."""
-    grad_a, _ = field_grad(f, p)
-    return 1e-9 * (1.0 + float(np.max(np.abs(grad_a))))
-
-
 @dataclass(frozen=True)
 class NablaQ:
     """Covariant derivative of the shift structure: components[i, j, s]."""
@@ -147,11 +141,13 @@ def reduced_christoffel(f: FieldPair, p) -> tuple[float, float, float]:
     the six-way equalities against the general-path symbols.
     """
     defect = parallel_defect(f, p)
-    if float(np.max(np.abs(defect))) > defect_eps(f, p):
+    grad_a, grad_b = field_grad(f, p)
+    # Scale-aware zero test for the defect.
+    if float(np.max(np.abs(defect))) > 1e-9 * (1.0 + float(np.max(np.abs(grad_a)))):
         raise ParallelismViolated(f"defect {defect} at {tuple(np.asarray(p, float).tolist())}")
     a, b = field_eval(f, p)
     metric = metric_at(f, p)
-    (a1, a2, a3), (b1, b2, b3) = field_grad(f, p)
+    (a1, a2, a3), (b1, b2, b3) = grad_a, grad_b
     half_d = 1.0 / (2.0 * metric.d)
     values = (
         half_d * (a * a1 + b * (-3 * b1 + b2 + b3)),

@@ -6,8 +6,8 @@ The (1,3) curvature is assembled from the standard coordinate formula
               + Gamma^s_ka Gamma^a_ji - Gamma^s_ja Gamma^a_ki
 
 with the Gamma derivatives taken by central differences of the general-path
-Christoffel computation.  The (0,4) tensor is the g-lowering of the last
-index: R_kjis = g_as R^a_kji.
+Christoffel computation, with the field pair's fd_step.  The (0,4) tensor is
+the g-lowering of the last index: R_kjis = g_as R^a_kji.
 
 The checks contract the tensor against (n, 3) stacks of vectors, one row per
 vector; the single-vector functions are the n = 1 case of the stacked ones.
@@ -21,14 +21,8 @@ import numpy as np
 
 from .circulant import Q, Q_DENSE, circ_mul
 from .connection import christoffel_general
-from .errors import DegenerateSection, DependentOrbit, IndefiniteMetric, StencilCollapsed
-from .fields import FieldPair, MetricAtPoint, metric_at, row
-
-# Step for the Gamma derivatives.  1e-5 keeps the truncation error of the
-# curvature itself well below 1e-6, but the orbit-section spread inherits
-# the pair-symmetry defect of the differenced tensor and needs the finer
-# step to stay inside its tolerance.
-DEFAULT_FD_STEP = 1e-6
+from .errors import DegenerateSection, DependentOrbit, IndefiniteMetric
+from .fields import FieldPair, MetricAtPoint, central_differences, metric_at, row
 
 #: The shift applied twice, q^2: (x1, x2, x3) -> (x3, x1, x2).  Built from the
 #: circulant product, since a matrix product at import starts BLAS and adds
@@ -48,7 +42,6 @@ class CurvatureAtPoint:
     r_up: np.ndarray
     r_down: np.ndarray
     point: np.ndarray
-    fd_step: float
     metric: MetricAtPoint
 
     def scalars(self, x, y, z, u) -> np.ndarray:
@@ -64,32 +57,19 @@ class CurvatureAtPoint:
         return float(np.max(np.abs(self.r_down)))
 
 
-def curvature_at(f: FieldPair, p, h: float = DEFAULT_FD_STEP) -> CurvatureAtPoint:
-    """Curvature by central differencing of the Christoffel symbols.
+def curvature_at(f: FieldPair, p) -> CurvatureAtPoint:
+    """Curvature by central differencing of the Christoffel symbols with step f.fd_step.
 
     Every stencil point p +- h_k e_k must differ from p (StencilCollapsed
-    otherwise, as when h is below the coordinate's precision) and must itself
-    be nondegenerate (DegenerateMetric otherwise).
+    otherwise, as when the step is below the coordinate's precision) and must
+    itself be nondegenerate (DegenerateMetric otherwise).
     """
     p = np.asarray(p, dtype=float)
     metric = metric_at(f, p)
     gamma0 = christoffel_general(f, p).gamma
-
-    x = p.tolist()
-    dgamma = np.empty((3, 3, 3, 3))  # [k, s, i, j]
-    for k in range(3):
-        hk = h * (1.0 + abs(x[k]))
-        up = list(x)
-        dn = list(x)
-        up[k] += hk
-        dn[k] -= hk
-        if up[k] == x[k] or dn[k] == x[k]:
-            raise StencilCollapsed(
-                f"step {h!r} vanishes against coordinate {x[k]} (axis {k}) at {tuple(x)}"
-            )
-        gamma_up = christoffel_general(f, up).gamma
-        gamma_dn = christoffel_general(f, dn).gamma
-        dgamma[k] = (gamma_up - gamma_dn) / (2.0 * hk)
+    dgamma = np.array(  # [k, s, i, j]
+        central_differences(lambda q: christoffel_general(f, q).gamma, p.tolist(), f.fd_step)
+    )
 
     r_up = (
         dgamma.transpose(1, 0, 2, 3)  # [s, k, j, i] = d_k Gamma^s_ji
@@ -98,7 +78,7 @@ def curvature_at(f: FieldPair, p, h: float = DEFAULT_FD_STEP) -> CurvatureAtPoin
         - np.einsum("sja,aki->skji", gamma0, gamma0)
     )
     r_down = np.einsum("as,akji->kjis", metric.g.dense(), r_up)
-    return CurvatureAtPoint(r_up=r_up, r_down=r_down, point=p, fd_step=h, metric=metric)
+    return CurvatureAtPoint(r_up=r_up, r_down=r_down, point=p, metric=metric)
 
 
 def identity_residuals(curv: CurvatureAtPoint, x, y, z, u) -> tuple[np.ndarray, np.ndarray]:
@@ -131,15 +111,6 @@ def identity_32_residual(curv: CurvatureAtPoint) -> tuple[float, float]:
     rhs = np.einsum("akji,as->skji", curv.r_up, Q_DENSE)
     residual = float(np.max(np.abs(lhs - rhs)))
     return residual, max(curv.max_abs, float(np.max(np.abs(curv.r_up))), 1e-300)
-
-
-def identity_31_residual(
-    f: FieldPair, p, x, y, z, u, h: float = DEFAULT_FD_STEP, curv: CurvatureAtPoint | None = None
-) -> float:
-    """|R(x, y, q^2 z, u) - R(x, y, z, q u)|."""
-    if curv is None:
-        curv = curvature_at(f, p, h)
-    return float(identity_residuals(curv, row(x), row(y), row(z), row(u))[0][0])
 
 
 def circ_apply_q2(v) -> np.ndarray:
@@ -224,12 +195,10 @@ def sectional_curvatures(curv: CurvatureAtPoint, u, v) -> np.ndarray:
     return curv.scalars(u, v, u, v) / gram
 
 
-def sectional_curvature(
-    f: FieldPair, p, u, v, h: float = DEFAULT_FD_STEP, curv: CurvatureAtPoint | None = None
-) -> float:
+def sectional_curvature(f: FieldPair, p, u, v, curv: CurvatureAtPoint | None = None) -> float:
     """mu = R(u, v, u, v) / (g(u,u) g(v,v) - g(u,v)^2)."""
     if curv is None:
-        curv = curvature_at(f, p, h)
+        curv = curvature_at(f, p)
     return float(sectional_curvatures(curv, row(u), row(v))[0])
 
 
@@ -259,7 +228,6 @@ def theorem3_check(
     f: FieldPair,
     p,
     x,
-    h: float = DEFAULT_FD_STEP,
     spread_rel: float = 1e-6,
     spread_abs: float = 1e-9,
     curv: CurvatureAtPoint | None = None,
@@ -267,7 +235,7 @@ def theorem3_check(
     """Sectional curvatures of the three orbit sections and their spread."""
     skeleton = sections_of(f, p, x)
     if curv is None:
-        curv = curvature_at(f, p, h)
+        curv = curvature_at(f, p)
     mu, spread, passed = orbit_spreads(curv, row(skeleton.x), spread_rel, spread_abs)
     return SectionReport(
         x=skeleton.x,

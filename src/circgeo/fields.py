@@ -8,6 +8,7 @@ its degeneracy factor is D = (A - B)(A + 2B).
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -82,6 +83,12 @@ def _compile(terms) -> Callable[[float, float, float], float]:
 
 ScalarField = Union[Polynomial, Callable[[np.ndarray], float]]
 
+#: Step of every central difference, h_k = DEFAULT_FD_STEP * (1 + |x_k|).  1e-5
+#: keeps the truncation error of the curvature itself well below 1e-6, but the
+#: orbit-section spread inherits the pair-symmetry defect of the differenced
+#: tensor and needs the finer step to stay inside its tolerance.
+DEFAULT_FD_STEP = 1e-6
+
 
 # ---------------------------------------------------------------------------
 # Field-spec parsing.  Grammar: "A: <poly>; B: <poly>" where <poly> is a
@@ -119,6 +126,15 @@ def _number(convert, raw, pos: int):
     return value
 
 
+def _fits(coef: float, mono: Monomial) -> bool:
+    """Whether a term's coefficient and those of its partials, which scale it by
+    one exponent each and merge no terms, are finite floats."""
+    try:
+        return coef == 0.0 or math.isfinite(coef * max(1, *mono))
+    except OverflowError:  # an exponent past the float range
+        return False
+
+
 class _PolyParser:
     def __init__(self, text: str, base: int):
         self.tokens = _tokenize(text, base)
@@ -143,20 +159,29 @@ class _PolyParser:
 
     def parse_sum(self) -> Polynomial:
         out: dict[Monomial, float] = {}
+        first_pos: dict[Monomial, int] = {}
         sign = 1.0
         kind, value, pos = self.peek()
         if kind == "op" and value in "+-":
             self.take()
             sign = -1.0 if value == "-" else 1.0
         while True:
+            term_pos = self.peek()[2]
             mono, coef = self.parse_term()
+            first_pos.setdefault(mono, term_pos)
             out[mono] = out.get(mono, 0.0) + sign * coef
             kind, value, pos = self.peek()
             if kind == "op" and value in "+-":
                 self.take()
                 sign = -1.0 if value == "-" else 1.0
             else:
-                return Polynomial.from_dict(out)
+                break
+        for mono, coef in out.items():
+            if not _fits(coef, mono):
+                raise ParseError(
+                    "coefficient or its derivative too large for a float", first_pos[mono]
+                )
+        return Polynomial.from_dict(out)
 
     def parse_term(self) -> tuple[Monomial, float]:
         exps = [0, 0, 0]
@@ -219,16 +244,17 @@ BUILTIN_FIELDS: dict[str, Callable[[], tuple[Polynomial, Polynomial]]] = {
 
 @dataclass(frozen=True)
 class FieldPair:
-    """The two scalar fields defining the metric, with a gradient mode.
+    """The two scalar fields defining the metric, with a gradient mode and a step.
 
-    grad_mode is "analytic" (polynomials only) or "fd" (central differences
-    with per-coordinate step fd_step * (1 + |x_i|)).
+    grad_mode is "analytic" (polynomials only) or "fd" (central differences).
+    fd_step is the step of every central difference (see central_differences):
+    the curvature's always, the field gradients' under "fd".
     """
 
     a: ScalarField
     b: ScalarField
     grad_mode: str = "analytic"
-    fd_step: float = 1e-6
+    fd_step: float = DEFAULT_FD_STEP
 
     def __post_init__(self):
         if self.grad_mode not in ("analytic", "fd"):
@@ -239,7 +265,9 @@ class FieldPair:
                     raise ValueError("analytic gradients require polynomial fields")
 
 
-def parse_field_spec(text: str, grad_mode: str = "analytic", fd_step: float = 1e-6) -> FieldPair:
+def parse_field_spec(
+    text: str, grad_mode: str = "analytic", fd_step: float = DEFAULT_FD_STEP
+) -> FieldPair:
     """Build a FieldPair from spec text or a builtin name."""
     stripped = text.strip()
     if ":" not in stripped:
@@ -273,22 +301,25 @@ def field_eval(f: FieldPair, p) -> tuple[float, float]:
     return float(f.a(p)), float(f.b(p))
 
 
-def _fd_gradient(func: ScalarField, p: np.ndarray, step: float) -> np.ndarray:
-    """Central differences; StencilCollapsed when p +- h == p on some axis."""
-    grad = np.empty(3)
+def central_differences(func, x: list[float], step: float) -> list:
+    """(func(x + h_k e_k) - func(x - h_k e_k)) / (2 h_k), h_k = step * (1 + |x_k|), k = 0, 1, 2.
+
+    The one stencil of the fd field gradients and the curvature's Gamma derivatives;
+    x and func's points are lists of three floats.  StencilCollapsed if x_k +- h_k == x_k.
+    """
+    derivatives = []
     for k in range(3):
-        h = step * (1.0 + abs(p[k]))
-        up = p.copy()
-        dn = p.copy()
+        h = step * (1.0 + abs(x[k]))
+        up = list(x)
+        dn = list(x)
         up[k] += h
         dn[k] -= h
-        if up[k] == p[k] or dn[k] == p[k]:
+        if up[k] == x[k] or dn[k] == x[k]:
             raise StencilCollapsed(
-                f"gradient step {step!r} vanishes against coordinate {p[k]} (axis {k})"
-                f" at {tuple(p.tolist())}"
+                f"step {step!r} vanishes against coordinate {x[k]} (axis {k}) at {tuple(x)}"
             )
-        grad[k] = (func(up) - func(dn)) / (2.0 * h)
-    return grad
+        derivatives.append((func(up) - func(dn)) / (2.0 * h))
+    return derivatives
 
 
 def field_grad(f: FieldPair, p) -> tuple[np.ndarray, np.ndarray]:
@@ -296,7 +327,10 @@ def field_grad(f: FieldPair, p) -> tuple[np.ndarray, np.ndarray]:
     p = np.asarray(p, dtype=float)
     if f.grad_mode == "analytic":
         return f.a.gradient(p), f.b.gradient(p)
-    return _fd_gradient(f.a, p, f.fd_step), _fd_gradient(f.b, p, f.fd_step)
+    x = p.tolist()
+    return tuple(
+        np.array(central_differences(lambda q: g(np.array(q)), x, f.fd_step)) for g in (f.a, f.b)
+    )
 
 
 def field_jet(f: FieldPair, p) -> tuple[float, ...]:
@@ -319,16 +353,14 @@ class DomainStatus:
     a: float
     b: float
     d: float
-    eps: float
     degenerate: bool
     definite: bool
 
 
-def _status(a: float, b: float) -> tuple[float, float, bool, bool]:
-    """D = (A - B)(A + 2B), its threshold, and whether D ~ 0 and g is definite."""
+def _status(a: float, b: float) -> tuple[float, bool, bool]:
+    """D = (A - B)(A + 2B), and whether D ~ 0 and g is definite."""
     d = (a - b) * (a + 2.0 * b)
-    eps = 1e-10 * (1.0 + a * a + b * b)
-    return d, eps, abs(d) < eps, (a - b > 0.0) and (a + 2.0 * b > 0.0)
+    return d, abs(d) < 1e-10 * (1.0 + a * a + b * b), (a - b > 0.0) and (a + 2.0 * b > 0.0)
 
 
 def domain_check(f: FieldPair, p) -> DomainStatus:
@@ -339,7 +371,7 @@ def domain_check(f: FieldPair, p) -> DomainStatus:
 
 def degeneracy_factor(a: float, b: float, p) -> tuple[float, bool]:
     """D and definiteness from the field values at p; DegenerateMetric when D ~ 0."""
-    d, _, degenerate, definite = _status(a, b)
+    d, degenerate, definite = _status(a, b)
     if degenerate:
         raise DegenerateMetric(f"D = {d} at point {tuple(np.asarray(p, float).tolist())}")
     return d, definite

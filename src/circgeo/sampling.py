@@ -25,20 +25,19 @@ MONOMIALS_DEG2 = [
 ]
 
 
+#: Sampled points and vectors are uniform on [-2, 2)^3; sampled points keep |D| >= 0.1.
+LOW, HIGH = -2.0, 2.0
+MIN_ABS_D = 0.1
+
+
 def random_point(
-    rng: np.random.Generator,
-    f: FieldPair,
-    low: float = -2.0,
-    high: float = 2.0,
-    min_abs_d: float = 0.1,
-    definite: bool = False,
-    max_tries: int = 10_000,
+    rng: np.random.Generator, f: FieldPair, definite: bool = False, max_tries: int = 10_000
 ) -> np.ndarray:
-    """Uniform point with |D| above min_abs_d (and optionally definite g)."""
+    """Uniform point with |D| at least MIN_ABS_D (and optionally definite g)."""
     for _ in range(max_tries):
-        p = rng.uniform(low, high, size=3)
+        p = rng.uniform(LOW, HIGH, size=3)
         status = domain_check(f, p)
-        if abs(status.d) < min_abs_d:
+        if abs(status.d) < MIN_ABS_D:
             continue
         if definite and not status.definite:
             continue
@@ -46,8 +45,8 @@ def random_point(
     raise RuntimeError("could not sample an admissible point")
 
 
-def random_vector(rng: np.random.Generator, low: float = -2.0, high: float = 2.0) -> np.ndarray:
-    return rng.uniform(low, high, size=3)
+def random_vector(rng: np.random.Generator) -> np.ndarray:
+    return rng.uniform(LOW, HIGH, size=3)
 
 
 def random_polynomial(rng: np.random.Generator, degree: int = 2) -> Polynomial:

@@ -5,6 +5,7 @@ summary lines.
 """
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -172,8 +173,8 @@ def test_criterion_7_structural_identities(paper_fields):
 
 
 def test_criterion_8_fd_convergence(paper_fields):
-    c1 = curvature_at(paper_fields, (1, 0, 0), h=1e-5)
-    c2 = curvature_at(paper_fields, (1, 0, 0), h=5e-6)
+    c1 = curvature_at(replace(paper_fields, fd_step=1e-5), (1, 0, 0))
+    c2 = curvature_at(replace(paper_fields, fd_step=5e-6), (1, 0, 0))
     diff = float(np.max(np.abs(c1.r_down - c2.r_down)))
     report(8, diff <= 1e-6, f"half-step curvature change {diff:.3e}")
 

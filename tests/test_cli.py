@@ -125,6 +125,7 @@ class TestVerify:
         # Count calls through every binding: curvature_at in the CLI and in
         # theorem3_check (when it is not handed a tensor), christoffel_general
         # in the CLI, the curvature stencil and metric_compatibility_residual.
+        # Constant fields add the flat-baseline check, which reads the same tensor.
         calls = {"curvature_at": [], "christoffel_general": []}
 
         def counting(name, module):
@@ -146,18 +147,21 @@ class TestVerify:
             wrapper = counting(name, module)
             for binding in bindings:
                 monkeypatch.setattr(binding, name, wrapper)
-        code, report = run_json(
-            tmp_path, "verify", "--fields", "paper-example", "--grid", "1.1,1.9,3", "--seed", "7",
-        )
-        assert code == 0
-        reached = [r for r in report["records"] if r["check"] == "identity-3.2"]
-        assert len(reached) == 18
-        assert len(calls["curvature_at"]) == len(reached)
-        # The finite-difference stencil takes 7 Christoffel evaluations per
-        # tensor; each verified point takes 2 more (dual path, compatibility).
-        verified = [r for r in report["records"] if r["check"] == "metric-inverse"]
-        assert len(verified) == 18
-        assert len(calls["christoffel_general"]) == 7 * len(reached) + 2 * len(verified)
+        for fields, n_reached in (("paper-example", 18), ("A: 2; B: 1", 27)):
+            for made in calls.values():
+                made.clear()
+            code, report = run_json(
+                tmp_path, "verify", "--fields", fields, "--grid", "1.1,1.9,3", "--seed", "7",
+            )
+            assert code == 0
+            reached = [r for r in report["records"] if r["check"] == "identity-3.2"]
+            assert len(reached) == n_reached
+            assert len(calls["curvature_at"]) == len(reached)
+            # The finite-difference stencil takes 7 Christoffel evaluations per
+            # tensor; each verified point takes 2 more (dual path, compatibility).
+            verified = [r for r in report["records"] if r["check"] == "metric-inverse"]
+            assert len(verified) == n_reached
+            assert len(calls["christoffel_general"]) == 7 * len(reached) + 2 * len(verified)
 
     # Each point lies 1e-6 * (1 + x1) from the plane x1 = x3, so the curvature
     # stencil point p - h e1 is degenerate while p is not.  At the first point
@@ -236,6 +240,12 @@ class TestScan:
     def test_zero_steps_is_config_error(self):
         with pytest.raises(ConfigError):
             expand_grid([0.0, 1.0, 0])
+
+    def test_fractional_steps_is_config_error(self):
+        # int() would truncate 2.5 to 2 steps; 3.0 is whole and stays valid.
+        assert len(expand_grid([0, 1, 2, 0, 1, 3.0, 0, 1, 1])) == 6
+        with pytest.raises(ConfigError, match=r"got \[1.1, 1.9, 2.5\]"):
+            expand_grid([1.1, 1.9, 2.5])
 
     # Only the cap is exercised: every grid below is rejected before any axis
     # is built, so none is allocated.
@@ -350,12 +360,14 @@ class TestConfig:
             pytest.param(["verify", "--step", "nan"], None, id="step-nan"),
             pytest.param(["verify", "--seed", "-1"], None, id="seed-negative"),
             pytest.param(["verify", "--grid", "nan,1,3"], None, id="grid-nan"),
+            pytest.param(["scan", "--grid", "1.1,1.9,2.5"], None, id="grid-fractional-steps"),
             pytest.param(["verify"], {"n_points": "abc"}, id="config-n_points-str"),
             pytest.param(["verify"], {"n_points": True}, id="config-n_points-bool"),
             pytest.param(["verify"], {"x": [1, 2]}, id="config-x-short"),
             pytest.param(["verify"], {"x": [float("nan"), 0, 0]}, id="config-x-nan"),
             pytest.param(["verify"], {"points": [[1, 0]]}, id="config-points-short"),
             pytest.param(["verify"], {"grid": ["a", "b", "c"]}, id="config-grid-str"),
+            pytest.param(["scan"], {"grid": [0, 1, 2.5]}, id="config-grid-fractional-steps"),
             pytest.param(["verify"], {"seed": 1.5}, id="config-seed-float"),
             pytest.param(["verify"], {"fd_step": 0}, id="config-fd_step-zero"),
             pytest.param(["verify"], {"grad_mode": "exact"}, id="config-grad_mode"),
@@ -373,18 +385,36 @@ class TestConfig:
                 None,
                 id="fields-coefficient-overflow",
             ),
+            # Coefficients in range whose derivative, product or sum is not: refused
+            # as a field spec, not blamed on the point where they first reach inf.
+            *(
+                pytest.param(
+                    [*command, "--point", "0,0,0", "--fields", f"A: {spec}; B: 1"],
+                    None,
+                    id=f"fields-{name}-overflow-{command[-1]}",
+                )
+                for name, spec in (
+                    ("derivative", f"15{'0' * 307}*x1^2 + 3"),
+                    ("product", f"1{'0' * 200}*1{'0' * 200}*x1 + 1"),
+                    ("sum", f"1{'0' * 308}*x1 + 1{'0' * 308}*x1 + 3"),
+                )
+                for command in (["eval", "metric"], ["eval", "christoffel"], ["verify"])
+            ),
         ],
     )
     def test_bad_number_or_type_exits_2(self, tmp_path, capsys, argv, config):
+        bad_fields = "--fields" in argv
         if config is not None:
             path = tmp_path / "run.json"
             path.write_text(json.dumps(config))
             argv = [*argv, "--config", str(path)]
-        if "--fields" not in argv:
+        if not bad_fields:
             argv = [*argv, "--fields", "paper-example"]
         code, captured = run(capsys, *argv)
         assert code == 2
         assert captured.err.startswith("circgeo: error:")
+        assert ("bad field spec" in captured.err) == bad_fields
+        assert captured.out == ""
 
     @pytest.mark.parametrize(
         "argv",

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,8 @@ from circgeo.curvature import (
     circ_apply_q2,
     curvature_at,
     gram_determinant,
-    identity_31_residual,
     identity_32_residual,
+    identity_residuals,
     independence_cubic,
     residual_scale,
     sectional_curvature,
@@ -21,7 +23,7 @@ from circgeo.errors import (
     IndefiniteMetric,
     StencilCollapsed,
 )
-from circgeo.fields import parse_field_spec
+from circgeo.fields import parse_field_spec, row
 from circgeo.sampling import random_point, random_vector
 
 FLAT = "A: 2; B: 1"
@@ -35,8 +37,8 @@ class TestCurvatureTensor:
         assert curv.max_abs <= 1e-10
 
     def test_richardson_self_consistency(self, paper_fields):
-        c1 = curvature_at(paper_fields, (1, 0, 0), h=1e-5)
-        c2 = curvature_at(paper_fields, (1, 0, 0), h=5e-6)
+        c1 = curvature_at(replace(paper_fields, fd_step=1e-5), (1, 0, 0))
+        c2 = curvature_at(replace(paper_fields, fd_step=5e-6), (1, 0, 0))
         assert np.max(np.abs(c1.r_down - c2.r_down)) <= 1e-6
 
     def test_first_pair_antisymmetry(self, paper_fields, rng):
@@ -46,11 +48,11 @@ class TestCurvatureTensor:
             assert np.max(np.abs(r + r.transpose(1, 0, 2, 3))) <= 1e-8
 
     def test_pair_symmetry(self, paper_fields, rng):
-        # FD-limited symmetry: needs a finer step than the default and a
-        # tolerance read relative to the tensor magnitude.
+        # FD-limited symmetry: pinned at the step 1e-6, with a tolerance read
+        # relative to the tensor magnitude.
         for _ in range(10):
             p = random_point(rng, paper_fields)
-            curv = curvature_at(paper_fields, p, h=1e-6)
+            curv = curvature_at(replace(paper_fields, fd_step=1e-6), p)
             r = curv.r_down
             resid = np.max(np.abs(r - r.transpose(2, 3, 0, 1)))
             assert resid <= 1e-8 * max(curv.max_abs, 1.0)
@@ -69,7 +71,7 @@ class TestCurvatureTensor:
     def test_collapsed_stencil_raises(self, paper_fields):
         # 1e-300 * (1 + 1.2) is far below half an ulp of 1.2, so p + h == p.
         with pytest.raises(StencilCollapsed):
-            curvature_at(paper_fields, (1.2, 1.5, 1.7), h=1e-300)
+            curvature_at(replace(paper_fields, fd_step=1e-300), (1.2, 1.5, 1.7))
 
 
 class TestShiftIdentities:
@@ -84,13 +86,15 @@ class TestShiftIdentities:
             curv = curvature_at(paper_fields, p)
             for _ in range(20):
                 x, y, z, u = (random_vector(rng) for _ in range(4))
-                resid = identity_31_residual(paper_fields, p, x, y, z, u, curv=curv)
+                resid = identity_residuals(curv, row(x), row(y), row(z), row(u))[0][0]
                 assert resid <= 1e-7 * max(residual_scale(curv, x, y, z, u), 1e-300)
 
     def test_identity_31_zero_vectors(self, paper_fields):
-        zero = np.zeros(3)
-        resid = identity_31_residual(paper_fields, (1, 0, 0), (1, 2, 3), (3, 1, 0), zero, zero)
-        assert resid == 0.0
+        curv = curvature_at(paper_fields, (1, 0, 0))
+        zero = row(np.zeros(3))
+        r31, r36 = identity_residuals(curv, row((1, 2, 3)), row((3, 1, 0)), zero, zero)
+        assert r31.tolist() == [0.0]
+        assert r36.tolist() == [0.0]
 
     def test_identity_31_fails_without_parallelism(self, rng):
         # Curved, non-parallel pair: the identity is a consequence of the
@@ -102,7 +106,7 @@ class TestShiftIdentities:
         worst = 0.0
         for _ in range(50):
             x, y, z, u = (random_vector(rng) for _ in range(4))
-            resid = identity_31_residual(f, p, x, y, z, u, curv=curv)
+            resid = identity_residuals(curv, row(x), row(y), row(z), row(u))[0][0]
             worst = max(worst, resid / max(residual_scale(curv, x, y, z, u), 1e-300))
         assert worst > 1e-2
 
@@ -204,8 +208,8 @@ class TestSectionalCurvature:
     def test_richardson_stability(self, paper_fields):
         x = np.array([1.0, 2.0, 3.0])
         qx = Q_DENSE @ x
-        mu1 = sectional_curvature(paper_fields, (1, 0, 0), x, qx, h=1e-5)
-        mu2 = sectional_curvature(paper_fields, (1, 0, 0), x, qx, h=5e-6)
+        mu1 = sectional_curvature(replace(paper_fields, fd_step=1e-5), (1, 0, 0), x, qx)
+        mu2 = sectional_curvature(replace(paper_fields, fd_step=5e-6), (1, 0, 0), x, qx)
         assert abs(mu1 - mu2) <= 1e-6 * abs(mu1)
 
 

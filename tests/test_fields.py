@@ -70,8 +70,17 @@ class TestParsing:
             ("x2 + " + "9" * 400 + "*x1", 5),  # the number itself overflows
             ("2 - 1/0." + "0" * 400 + "1*x3", 4),  # the quotient overflows
             ("x1^" + "9" * 5000, 3),  # more digits than int() converts
+            # Each number fits; what the parser or a derivative makes of them does not.
+            (f"3 + 15{'0' * 307}*x1^2", 4),  # dA/dx1 = 3e308
+            (f"x2 + 1{'0' * 200}*1{'0' * 200}*x1", 5),  # the product
+            (f"1{'0' * 308}*x1 + 1{'0' * 308}*x1 + 3", 0),  # the sum
+            (f"1{'0' * 200}*1{'0' * 200}*x1 - 1{'0' * 200}*1{'0' * 200}*x1", 0),  # inf - inf
+            (f"x1^{'9' * 308}*x1^{'9' * 308}", 0),  # the exponent sum
         ],
-        ids=["coefficient", "quotient", "exponent-digits"],
+        ids=[
+            "coefficient", "quotient", "exponent-digits",
+            "derivative", "product", "sum", "inf-minus-inf", "exponent-sum",
+        ],
     )
     def test_number_beyond_float_range(self, text, position):
         with pytest.raises(ParseError, match="too large") as exc:

@@ -3,10 +3,15 @@
 Each reference below is the assembly the current kernel replaced: Gamma from
 the metric-partial tensor and three transposes, the closed forms written
 item by item over numpy scalars, the metric partials from a fresh identity
-matrix, and the curvature stencil on numpy arrays with einsum transposes.
-The comparisons are exact, on reprs so that the sign of a zero counts too,
-not within a tolerance, because reports must keep their bytes.
+matrix, and the curvature stencil and the fd field gradient, each with its
+own step rule, on numpy arrays.  The comparisons are exact, on reprs or
+float.hex so that the sign of a zero counts too, not within a tolerance,
+because reports must keep their bytes.
 """
+
+import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,8 +20,16 @@ from hypothesis import strategies as st
 
 from circgeo.connection import christoffel_closed, christoffel_general, metric_partials
 from circgeo.curvature import curvature_at
-from circgeo.errors import PointSkipped
-from circgeo.fields import FieldPair, Polynomial, field_grad, metric_at, parse_field_spec
+from circgeo.errors import PointSkipped, StencilCollapsed
+from circgeo.fields import (
+    DEFAULT_FD_STEP,
+    FieldPair,
+    Polynomial,
+    domain_check,
+    field_grad,
+    metric_at,
+    parse_field_spec,
+)
 
 
 def old_metric_partials(f, p):
@@ -86,6 +99,23 @@ def old_curvature_at(f, p, h=1e-6):
     return r_up, r_down
 
 
+def old_fd_gradient(func, p: np.ndarray, step: float) -> np.ndarray:
+    grad = np.empty(3)
+    for k in range(3):
+        h = step * (1.0 + abs(p[k]))
+        up = p.copy()
+        dn = p.copy()
+        up[k] += h
+        dn[k] -= h
+        if up[k] == p[k] or dn[k] == p[k]:
+            raise StencilCollapsed(
+                f"gradient step {step!r} vanishes against coordinate {p[k]} (axis {k})"
+                f" at {tuple(p.tolist())}"
+            )
+        grad[k] = (func(up) - func(dn)) / (2.0 * h)
+    return grad
+
+
 def outcome(fn, *args):
     """fn(*args) as nested lists, or the skip it raised as (type name, text)."""
     try:
@@ -143,3 +173,63 @@ def test_connection_kernels_match_references(a, b, p, grad_mode):
 )
 def test_connection_kernels_match_references_on_paper_example(p):
     assert_kernels_match(parse_field_spec("paper-example"), p)
+
+
+def hexes(*arrays):
+    """float.hex() of every entry, which tells -0.0 from 0.0."""
+    return [float(v).hex() for a in arrays for v in np.ravel(a)]
+
+
+def collapsed_axis(exc: StencilCollapsed) -> int:
+    return int(re.search(r"axis (\d)", str(exc)).group(1))
+
+
+def smooth_field(p):
+    """A field that is not a polynomial: fd gradients are its only gradients."""
+    return math.sin(p[0]) * math.exp(p[1]) + p[2] ** 2
+
+
+steps = st.floats(1e-8, 1e-3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(polynomials | st.just(smooth_field), polynomials, points, steps)
+def test_fd_gradient_matches_reference(a, b, p, step):
+    x = np.asarray(p, dtype=float)
+    grads = field_grad(FieldPair(a, b, grad_mode="fd", fd_step=step), p)
+    assert hexes(*grads) == hexes(old_fd_gradient(a, x, step), old_fd_gradient(b, x, step))
+
+
+@settings(max_examples=100, deadline=None)
+@given(polynomials, polynomials, points, steps, st.sampled_from(["analytic", "fd"]))
+def test_curvature_matches_reference_at_other_steps(a, b, p, h, grad_mode):
+    assume(a != b and h != DEFAULT_FD_STEP)
+    f = FieldPair(a, b, grad_mode=grad_mode, fd_step=h)
+    new, old = outcome(new_curvature, f, p), outcome(old_curvature_at, f, p, h)
+    if isinstance(old, tuple):  # the same skip
+        assert new == old
+    else:
+        assert hexes(*new) == hexes(*old)
+
+
+@settings(max_examples=100, deadline=None)
+@given(polynomials, polynomials, points)
+def test_collapsed_stencil_names_the_reference_axis(a, b, p):
+    # A step of 1e-300 vanishes against every coordinate but the tiny ones.
+    x = np.asarray(p, dtype=float)
+    try:
+        old_fd_gradient(a, x, 1e-300)
+    except StencilCollapsed as exc:
+        axis = collapsed_axis(exc)
+    else:
+        axis = None
+    assume(axis is not None and a != b)
+    f = FieldPair(a, b, grad_mode="fd", fd_step=1e-300)
+    with pytest.raises(StencilCollapsed) as exc:
+        field_grad(f, p)
+    assert collapsed_axis(exc.value) == axis
+    f = replace(f, grad_mode="analytic")
+    assume(not domain_check(f, p).degenerate)
+    with pytest.raises(StencilCollapsed) as exc:
+        curvature_at(f, p)
+    assert collapsed_axis(exc.value) == axis
