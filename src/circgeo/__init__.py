@@ -11,8 +11,6 @@ from .circulant import (
     circ_mul,
 )
 from .connection import (
-    ChristoffelSymbols,
-    NablaQ,
     christoffel_closed,
     christoffel_general,
     nabla_q,
@@ -33,7 +31,6 @@ from .curvature import (
     theorem3_check,
 )
 from .fields import (
-    DomainStatus,
     FieldPair,
     MetricAtPoint,
     Polynomial,
@@ -53,8 +50,6 @@ __all__ = [
     "circ_det",
     "circ_inverse",
     "circ_mul",
-    "ChristoffelSymbols",
-    "NablaQ",
     "christoffel_closed",
     "christoffel_general",
     "nabla_q",
@@ -71,7 +66,6 @@ __all__ = [
     "sectional_curvatures",
     "sections_of",
     "theorem3_check",
-    "DomainStatus",
     "FieldPair",
     "MetricAtPoint",
     "Polynomial",

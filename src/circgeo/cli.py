@@ -43,7 +43,6 @@ from .fields import (
     FieldPair,
     Polynomial,
     domain_check,
-    metric_at,
     parse_field_spec,
 )
 
@@ -111,8 +110,8 @@ _COUNT = f"an integer from 0 to {MAX_GRID_NODES}"
 CONFIG_KEYS = {
     "fields": ("paper-example", lambda v: isinstance(v, str), "a string"),
     "points": (
-        None, lambda v: v is None or (isinstance(v, list) and all(map(_is_triple, v))),
-        "a list of three-number points",
+        None, lambda v: v is None or (isinstance(v, list) and v and all(map(_is_triple, v))),
+        "a non-empty list of three-number points",
     ),
     "grid": (
         None, lambda v: v is None or _is_grid(v),
@@ -185,9 +184,9 @@ def expand_grid(grid: list) -> list[list[float]]:
 
 
 def resolve_points(config: RunConfig, f: FieldPair, rng: np.random.Generator) -> list[list[float]]:
-    if config.points:
+    if config.points is not None:
         return [[float(c) for c in p] for p in config.points]
-    if config.grid:
+    if config.grid is not None:
         return expand_grid(config.grid)
     try:
         return [
@@ -219,6 +218,10 @@ def _in_range(point):
         raise ConfigError(f"point {list(point)} is out of range: {exc}") from exc
 
 
+def _max_abs(values: np.ndarray) -> float:
+    return float(np.max(np.abs(values)))
+
+
 def _is_constant(f: FieldPair) -> bool:
     return (
         isinstance(f.a, Polynomial)
@@ -246,10 +249,9 @@ def cmd_eval(config: RunConfig, what: str) -> dict:
 
 def _eval_one(config: RunConfig, f: FieldPair, what: str, idx: int, p) -> dict:
     if what == "metric":
-        status = domain_check(f, p)
-        if status.degenerate:
-            return _record(what, idx, p, "skipped", reason="DegenerateMetric", d=status.d)
-        m = metric_at(f, p)
+        m = domain_check(f, p)
+        if m.degenerate:
+            return _record(what, idx, p, "skipped", reason="DegenerateMetric", d=m.d)
         return _record(
             what,
             idx,
@@ -261,11 +263,10 @@ def _eval_one(config: RunConfig, f: FieldPair, what: str, idx: int, p) -> dict:
             definite=m.definite,
         )
     if what == "christoffel":
-        gamma = christoffel_general(f, p)
-        return _record(what, idx, p, "pass", gamma=gamma.gamma.tolist())
+        return _record(what, idx, p, "pass", gamma=christoffel_general(f, p).tolist())
     if what == "nabla-q":
         nq = nabla_q(f, p)
-        return _record(what, idx, p, "pass", max_norm=nq.max_norm, components=nq.components.tolist())
+        return _record(what, idx, p, "pass", max_norm=_max_abs(nq), components=nq.tolist())
     if what == "curvature":
         curv = curvature_at(f, p)
         return _record(what, idx, p, "pass", max_abs=curv.max_abs, r_down=curv.r_down.tolist())
@@ -291,19 +292,16 @@ def cmd_verify(config: RunConfig) -> dict:
     records = []
     for idx, p in enumerate(points):
         with _in_range(p):
-            status = domain_check(f, p)
-            if status.degenerate:
-                records.append(
-                    _record("all", idx, p, "skipped", reason="DegenerateMetric", d=status.d)
-                )
+            m = domain_check(f, p)
+            if m.degenerate:
+                records.append(_record("all", idx, p, "skipped", reason="DegenerateMetric", d=m.d))
                 continue
-            records.extend(_verify_point(config, f, rng, idx, p, status, dual_tol))
+            records.extend(_verify_point(config, f, rng, idx, p, m, dual_tol))
     records.sort(key=lambda r: (r["point_index"], r["check"]))
     return _assemble(config, records)
 
 
-def _verify_point(config, f, rng, idx, p, status, dual_tol) -> list[dict]:
-    m = metric_at(f, p)
+def _verify_point(config, f, rng, idx, p, m, dual_tol) -> list[dict]:
     prod = circ_mul(m.g, m.g_inv)
     resid = max(
         abs(prod.a - IDENTITY.a), abs(prod.b - IDENTITY.b), abs(prod.c - IDENTITY.c)
@@ -312,14 +310,14 @@ def _verify_point(config, f, rng, idx, p, status, dual_tol) -> list[dict]:
 
     general = christoffel_general(f, p)
     closed = christoffel_closed(f, p)
-    resid = float(np.max(np.abs(general.gamma - closed.gamma)))
+    resid = _max_abs(general - closed)
     records.append(_bounded("christoffel-dual-path", idx, p, resid, dual_tol))
 
     resid = metric_compatibility_residual(f, p)
     records.append(_bounded("metric-compatibility", idx, p, resid, config.tol("metric_compat")))
 
-    defect = float(np.max(np.abs(parallel_defect(f, p))))
-    nq = nabla_q(f, p, general).max_norm
+    defect = _max_abs(parallel_defect(f, p))
+    nq = _max_abs(nabla_q(f, p, general))
     if defect <= config.tol("defect_zero"):
         tol = config.tol("nabla_q")
         records.append(
@@ -334,7 +332,7 @@ def _verify_point(config, f, rng, idx, p, status, dual_tol) -> list[dict]:
                 for check in ("identity-3.1", "identity-3.2", "identity-3.6", "theorem3-spread")
             )
         else:
-            records.extend(_verify_curvature(config, rng, idx, p, status, curv))
+            records.extend(_verify_curvature(config, rng, idx, p, m.definite, curv))
     elif defect >= 0.1:
         tol = config.tol("nabla_q_nonzero")
         records.append(
@@ -350,7 +348,7 @@ def _verify_point(config, f, rng, idx, p, status, dual_tol) -> list[dict]:
     if _is_constant(f):
         # Constant fields have defect 0 and the metric of p at every stencil
         # point, so the parallel branch above has built curv.
-        gamma_max = general.max_abs
+        gamma_max = _max_abs(general)
         curv_max = curv.max_abs
         g_tol = config.tol("flat_gamma")
         c_tol = config.tol("flat_curvature")
@@ -363,13 +361,13 @@ def _verify_point(config, f, rng, idx, p, status, dual_tol) -> list[dict]:
     return records
 
 
-def _verify_curvature(config, rng, idx, p, status, curv) -> list[dict]:
+def _verify_curvature(config, rng, idx, p, definite, curv) -> list[dict]:
     rel = config.tol("identity_rel")
     resid32, scale32 = identity_32_residual(curv)
     records = [_bounded("identity-3.2", idx, p, resid32, rel * scale32)]
 
     # Row i of x, y, z, u is the i-th of the n_vectors draws of four vectors.
-    vectors = rng.uniform(-2.0, 2.0, size=(config.n_vectors, 4, 3))
+    vectors = rng.uniform(sampling.LOW, sampling.HIGH, size=(config.n_vectors, 4, 3))
     x, y, z, u = np.moveaxis(vectors, 1, 0).copy()
     r31, r36 = identity_residuals(curv, x, y, z, u)
     scale = np.maximum(residual_scales(curv, x, y, z, u), 1e-300)
@@ -377,7 +375,7 @@ def _verify_curvature(config, rng, idx, p, status, curv) -> list[dict]:
     records.append(_bounded("identity-3.1", idx, p, max([0.0, *(r31 / scale).tolist()]), rel))
     records.append(_bounded("identity-3.6", idx, p, max([0.0, *(r36 / scale).tolist()]), rel))
 
-    if status.definite:
+    if definite:
         # Seeds are drawn one at a time: the scalar cubic decides acceptance.
         seeds = []
         tries = 0
@@ -410,16 +408,16 @@ def cmd_scan(config: RunConfig) -> dict:
     records = []
     for idx, p in enumerate(points):
         with _in_range(p):
-            status = domain_check(f, p)
+            m = domain_check(f, p)
             row = _record(
                 "scan", idx, p,
-                "skipped" if status.degenerate else "pass",
-                a=status.a, b=status.b, d=status.d, definite=status.definite,
+                "skipped" if m.degenerate else "pass",
+                a=m.a, b=m.b, d=m.d, definite=m.definite,
             )
-            if status.degenerate:
+            if m.degenerate:
                 row["reason"] = "DegenerateMetric"
             row["mu_e1"] = None
-            if not status.degenerate and status.definite:
+            if not m.degenerate and m.definite:
                 try:
                     curv = curvature_at(f, p)
                     row["mu_e1"] = sectional_curvature(f, p, config.x, qx, curv=curv)
@@ -473,8 +471,8 @@ def render_csv(report: dict) -> str:
 def _csv_cell(value):
     if value is None:
         return ""
-    if isinstance(value, (list, tuple)):
-        return ";".join(repr(float(v)) for v in value)
+    if isinstance(value, (list, tuple)):  # nested arrays flatten in row-major order
+        return ";".join(repr(float(v)) for v in np.ravel(value))
     return value
 
 

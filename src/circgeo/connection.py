@@ -15,13 +15,11 @@ Both paths must agree everywhere; tests enforce this.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .circulant import Q_DENSE, S
 from .errors import ParallelismViolated
-from .fields import FieldPair, degeneracy_factor, field_eval, field_grad, field_jet, metric_at
+from .fields import FieldPair, degeneracy_factor, field_grad, field_jet, metric_at
 
 
 _EYE = np.eye(3)
@@ -39,39 +37,27 @@ _T_TERMS = np.stack([_I + 3 * (_A != _J), _J + 3 * (_A != _I), _A + 3 * (_I != _
 _CLOSED_ORDER = 3 * np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]]) + np.arange(3)[:, None, None]
 
 
-@dataclass(frozen=True)
-class ChristoffelSymbols:
-    """Connection coefficients gamma[s, i, j], symmetric in (i, j)."""
-
-    gamma: np.ndarray
-
-    @property
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.gamma)))
-
-
 def metric_partials(f: FieldPair, p) -> np.ndarray:
     """dg[k, i, j] = d_k g_ij: diagonal entries carry A_k, off-diagonal B_k."""
     grad_a, grad_b = field_grad(f, p)
     return grad_a[:, None, None] * _EYE + grad_b[:, None, None] * _OFF_DIAGONAL
 
 
-def christoffel_general(f: FieldPair, p) -> ChristoffelSymbols:
-    """Christoffel symbols from the inverse-metric contraction."""
+def christoffel_general(f: FieldPair, p) -> np.ndarray:
+    """Christoffel symbols gamma[s, i, j] from the inverse-metric contraction."""
     a, b, *grad = field_jet(f, p)
-    d, _ = degeneracy_factor(a, b, p)
+    d = degeneracy_factor(a, b, p)
     inv_a, inv_b = (a + b) / d, -b / d
     g_inv = np.array([[inv_a, inv_b, inv_b], [inv_b, inv_a, inv_b], [inv_b, inv_b, inv_a]])
     di_gaj, dj_gai, da_gij = np.array(grad)[_T_TERMS]
     t = di_gaj + dj_gai - da_gij
-    gamma = 0.5 * np.einsum("as,ija->sij", g_inv, t)
-    return ChristoffelSymbols(gamma=gamma)
+    return 0.5 * np.einsum("as,ija->sij", g_inv, t)
 
 
-def christoffel_closed(f: FieldPair, p) -> ChristoffelSymbols:
-    """Christoffel symbols from the corrected closed-form expressions."""
+def christoffel_closed(f: FieldPair, p) -> np.ndarray:
+    """Christoffel symbols gamma[s, i, j] from the corrected closed-form expressions."""
     a, b, a1, a2, a3, b1, b2, b3 = field_jet(f, p)
-    d, _ = degeneracy_factor(a, b, p)
+    d = degeneracy_factor(a, b, p)
     half_d = 1.0 / (2.0 * d)
     ab = a + b
 
@@ -96,7 +82,7 @@ def christoffel_closed(f: FieldPair, p) -> ChristoffelSymbols:
         half_d * (-b * (2 * b3 - a1) + ab * (2 * b3 - a2) - b * a3),
         half_d * (-b * (2 * b3 - a1) - b * (2 * b3 - a2) + ab * a3),
     ]
-    return ChristoffelSymbols(gamma=np.array(values)[_CLOSED_ORDER])
+    return np.array(values)[_CLOSED_ORDER]
 
 
 def parallel_defect(f: FieldPair, p) -> np.ndarray:
@@ -105,24 +91,12 @@ def parallel_defect(f: FieldPair, p) -> np.ndarray:
     return grad_a - grad_b @ S
 
 
-@dataclass(frozen=True)
-class NablaQ:
-    """Covariant derivative of the shift structure: components[i, j, s]."""
-
-    components: np.ndarray
-
-    @property
-    def max_norm(self) -> float:
-        return float(np.max(np.abs(self.components)))
-
-
-def nabla_q(f: FieldPair, p, gamma: ChristoffelSymbols | None = None) -> NablaQ:
-    """nabla_i q_j^s = Gamma^s_ia q_j^a - Gamma^a_ij q_a^s (q is constant)."""
+def nabla_q(f: FieldPair, p, gamma: np.ndarray | None = None) -> np.ndarray:
+    """nabla_i q_j^s = Gamma^s_ia q_j^a - Gamma^a_ij q_a^s as [i, j, s] (q is constant);
+    gamma is christoffel_general(f, p) when not given."""
     if gamma is None:
         gamma = christoffel_general(f, p)
-    g = gamma.gamma
-    comps = np.einsum("sia,ja->ijs", g, Q_DENSE) - np.einsum("aij,as->ijs", g, Q_DENSE)
-    return NablaQ(components=comps)
+    return np.einsum("sia,ja->ijs", gamma, Q_DENSE) - np.einsum("aij,as->ijs", gamma, Q_DENSE)
 
 
 # Six-way degenerate groups of the reduced Christoffel symbols: which
@@ -145,8 +119,8 @@ def reduced_christoffel(f: FieldPair, p) -> tuple[float, float, float]:
     # Scale-aware zero test for the defect.
     if float(np.max(np.abs(defect))) > 1e-9 * (1.0 + float(np.max(np.abs(grad_a)))):
         raise ParallelismViolated(f"defect {defect} at {tuple(np.asarray(p, float).tolist())}")
-    a, b = field_eval(f, p)
     metric = metric_at(f, p)
+    a, b = metric.a, metric.b
     (a1, a2, a3), (b1, b2, b3) = grad_a, grad_b
     half_d = 1.0 / (2.0 * metric.d)
     values = (
@@ -154,7 +128,7 @@ def reduced_christoffel(f: FieldPair, p) -> tuple[float, float, float]:
         half_d * (a * a2 + b * (b1 - 3 * b2 + b3)),
         half_d * (a * a3 + b * (b1 + b2 - 3 * b3)),
     )
-    gamma = christoffel_general(f, p).gamma
+    gamma = christoffel_general(f, p)
     tol = 1e-10 * (1.0 + np.max(np.abs(gamma)))
     for value, group in zip(values, REDUCED_GROUPS):
         for s, i, j in group:
@@ -171,6 +145,6 @@ def metric_compatibility_residual(f: FieldPair, p) -> float:
     metric = metric_at(f, p)
     g = metric.g.dense()
     dg = metric_partials(f, p)
-    gamma = christoffel_general(f, p).gamma
+    gamma = christoffel_general(f, p)
     resid = dg - np.einsum("aki,aj->kij", gamma, g) - np.einsum("akj,ia->kij", gamma, g)
     return float(np.max(np.abs(resid)))

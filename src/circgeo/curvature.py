@@ -66,9 +66,9 @@ def curvature_at(f: FieldPair, p) -> CurvatureAtPoint:
     """
     p = np.asarray(p, dtype=float)
     metric = metric_at(f, p)
-    gamma0 = christoffel_general(f, p).gamma
+    gamma0 = christoffel_general(f, p)
     dgamma = np.array(  # [k, s, i, j]
-        central_differences(lambda q: christoffel_general(f, q).gamma, p.tolist(), f.fd_step)
+        central_differences(lambda q: christoffel_general(f, q), p.tolist(), f.fd_step)
     )
 
     r_up = (
@@ -203,7 +203,7 @@ def sectional_curvature(f: FieldPair, p, u, v, curv: CurvatureAtPoint | None = N
 
 
 def orbit_spreads(
-    curv: CurvatureAtPoint, seeds, spread_rel: float = 1e-6, spread_abs: float = 1e-9
+    curv: CurvatureAtPoint, seeds, spread_rel: float, spread_abs: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Theorem 3 for each row x of an (n, 3) stack of seeds.
 
@@ -228,8 +228,8 @@ def theorem3_check(
     f: FieldPair,
     p,
     x,
-    spread_rel: float = 1e-6,
-    spread_abs: float = 1e-9,
+    spread_rel: float,
+    spread_abs: float,
     curv: CurvatureAtPoint | None = None,
 ) -> SectionReport:
     """Sectional curvatures of the three orbit sections and their spread."""

@@ -346,35 +346,22 @@ def field_jet(f: FieldPair, p) -> tuple[float, ...]:
     return (*field_eval(f, p), *grad_a.tolist(), *grad_b.tolist())
 
 
-@dataclass(frozen=True)
-class DomainStatus:
-    """Degeneracy and definiteness report for one point."""
-
-    a: float
-    b: float
-    d: float
-    degenerate: bool
-    definite: bool
-
-
 def _status(a: float, b: float) -> tuple[float, bool, bool]:
     """D = (A - B)(A + 2B), and whether D ~ 0 and g is definite."""
     d = (a - b) * (a + 2.0 * b)
     return d, abs(d) < 1e-10 * (1.0 + a * a + b * b), (a - b > 0.0) and (a + 2.0 * b > 0.0)
 
 
-def domain_check(f: FieldPair, p) -> DomainStatus:
-    """Report |D|, degeneracy, and positive definiteness at p."""
-    a, b = field_eval(f, p)
-    return DomainStatus(a, b, *_status(a, b))
+def _degenerate(d: float, p) -> DegenerateMetric:
+    return DegenerateMetric(f"D = {d} at point {tuple(np.asarray(p, float).tolist())}")
 
 
-def degeneracy_factor(a: float, b: float, p) -> tuple[float, bool]:
-    """D and definiteness from the field values at p; DegenerateMetric when D ~ 0."""
-    d, degenerate, definite = _status(a, b)
+def degeneracy_factor(a: float, b: float, p) -> float:
+    """D from the field values at p; DegenerateMetric when D ~ 0."""
+    d, degenerate, _ = _status(a, b)
     if degenerate:
-        raise DegenerateMetric(f"D = {d} at point {tuple(np.asarray(p, float).tolist())}")
-    return d, definite
+        raise _degenerate(d, p)
+    return d
 
 
 def row(v) -> np.ndarray:
@@ -384,12 +371,16 @@ def row(v) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MetricAtPoint:
-    """Metric circ(A, B, B), its inverse, and the degeneracy factor at a point."""
+    """The metric circ(A, B, B) at a point: the field values, D = (A - B)(A + 2B),
+    whether D ~ 0 and whether g is definite, g, and g^-1 (None when D ~ 0)."""
 
-    g: CirculantMatrix
-    g_inv: CirculantMatrix
+    a: float
+    b: float
     d: float
+    degenerate: bool
     definite: bool
+    g: CirculantMatrix
+    g_inv: CirculantMatrix | None
 
     def inners(self, x, y) -> np.ndarray:
         """g(x_n, y_n) for each row n of two (n, 3) stacks."""
@@ -402,9 +393,17 @@ class MetricAtPoint:
         return float(self.inners(row(x), row(y))[0])
 
 
-def metric_at(f: FieldPair, p) -> MetricAtPoint:
-    """Assemble metric and inverse at p; raises DegenerateMetric when D ~ 0."""
+def domain_check(f: FieldPair, p) -> MetricAtPoint:
+    """The metric record at p, degenerate or not."""
     a, b = field_eval(f, p)
-    d, definite = degeneracy_factor(a, b, p)
-    g_inv = CirculantMatrix((a + b) / d, -b / d, -b / d)
-    return MetricAtPoint(g=CirculantMatrix(a, b, b), g_inv=g_inv, d=d, definite=definite)
+    d, degenerate, definite = _status(a, b)
+    g_inv = None if degenerate else CirculantMatrix((a + b) / d, -b / d, -b / d)
+    return MetricAtPoint(a, b, d, degenerate, definite, CirculantMatrix(a, b, b), g_inv)
+
+
+def metric_at(f: FieldPair, p) -> MetricAtPoint:
+    """The record of domain_check at p; raises DegenerateMetric when D ~ 0."""
+    metric = domain_check(f, p)
+    if metric.degenerate:
+        raise _degenerate(metric.d, p)
+    return metric

@@ -122,4 +122,4 @@ def test_orbit_spreads_match_per_seed_loop(seed, n):
 def test_orbit_spreads_rejects_a_degenerate_section(paper_fields):
     curv = curvature_at(paper_fields, (1.5, 1.1, 1.1))
     with pytest.raises(DegenerateSection):
-        orbit_spreads(curv, [[1.0, 2.0, 3.0], [1.0, 1.0, 1.0]])
+        orbit_spreads(curv, [[1.0, 2.0, 3.0], [1.0, 1.0, 1.0]], 1e-6, 1e-9)

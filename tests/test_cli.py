@@ -1,7 +1,11 @@
+import contextlib
 import csv
+import io
 import json
 import os
+import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,7 +13,7 @@ from hypothesis import strategies as st
 import circgeo.cli
 import circgeo.connection
 import circgeo.curvature
-from circgeo.cli import MAX_GRID_NODES, expand_grid, main
+from circgeo.cli import DEFAULT_TOLERANCES, MAX_GRID_NODES, expand_grid, main
 from circgeo.errors import ConfigError
 
 
@@ -43,6 +47,20 @@ class TestEval:
         (rec,) = report["records"]
         assert rec["status"] == "skipped"
         assert rec["reason"] == "DegenerateMetric"
+
+    @pytest.mark.parametrize("what, key", [
+        ("christoffel", "gamma"), ("nabla-q", "components"), ("curvature", "r_down"),
+    ])
+    def test_csv_flattens_nested_arrays(self, tmp_path, what, key):
+        argv = ["eval", what, "--fields", "paper-example", "--point", "1,0.5,0"]
+        code, report = run_json(tmp_path, *argv)
+        assert code == 0
+        code = main([*argv, "--format", "csv", "--out", str(tmp_path / "out.csv")])
+        assert code == 0
+        with open(tmp_path / "out.csv", newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        values = np.ravel(report["records"][0][key]).tolist()
+        assert row[key] == ";".join(map(repr, values))
 
     def test_sectional_dependent_orbit_skipped(self, tmp_path):
         code, report = run_json(
@@ -366,6 +384,8 @@ class TestConfig:
             pytest.param(["verify"], {"x": [1, 2]}, id="config-x-short"),
             pytest.param(["verify"], {"x": [float("nan"), 0, 0]}, id="config-x-nan"),
             pytest.param(["verify"], {"points": [[1, 0]]}, id="config-points-short"),
+            # An empty list names no point; it is not a request to sample some.
+            pytest.param(["verify"], {"points": []}, id="config-points-empty"),
             pytest.param(["verify"], {"grid": ["a", "b", "c"]}, id="config-grid-str"),
             pytest.param(["scan"], {"grid": [0, 1, 2.5]}, id="config-grid-fractional-steps"),
             pytest.param(["verify"], {"seed": 1.5}, id="config-seed-float"),
@@ -484,3 +504,70 @@ def test_any_point_exits_0_1_or_2(command, p):
     where = f"--grid={text}" if command == ["scan"] else f"--point={text}"
     argv = [*command, "--fields", "paper-example", where, "--out", os.devnull]
     assert main(argv) in (0, 1, 2)
+
+
+def _refuse(name):
+    raise ValueError(f"non-finite {name} in a report")
+
+
+# Arbitrary JSON whose whole numbers stay at most 4, or pass MAX_GRID_NODES so that
+# the cap refuses them: every count or grid step the config accepts is small.
+SMALL = st.one_of(
+    st.integers(-3, 4), st.floats(-4, 4),
+    st.sampled_from([MAX_GRID_NODES + 1, 10**12, 1e308, float("nan"), float("inf"), -0.0]),
+)
+JSON = st.recursive(
+    st.none() | st.booleans() | SMALL | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=5)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=12,
+)
+TRIPLE = st.lists(st.floats(-4, 4), min_size=3, max_size=3)
+# A value each config key accepts, at most a few points, vectors and seeds.
+VALID = {
+    "fields": st.sampled_from(["paper-example", "A: 2; B: 1", "A: x1^2 + 3; B: x2*x3"]),
+    "points": st.lists(TRIPLE, min_size=1, max_size=3),
+    "grid": st.tuples(st.floats(-4, 4), st.floats(-4, 4), st.integers(1, 3)).map(list),
+    "grad_mode": st.sampled_from(["analytic", "fd"]),
+    "fd_step": st.sampled_from([1e-6, 1e-3, 0.5, 1e-300]),
+    "seed": st.integers(0, 2**64),
+    "x": TRIPLE,
+    "n_points": st.integers(0, 4),
+    "n_vectors": st.integers(0, 4),
+    "n_seeds": st.integers(0, 4),
+    "out": st.text(max_size=8),
+    "format": st.sampled_from(["json", "csv"]),
+    "tolerances": st.dictionaries(
+        st.sampled_from(sorted(DEFAULT_TOLERANCES)), st.floats(1e-15, 1.0), max_size=3
+    ),
+}
+assert VALID.keys() == circgeo.cli.CONFIG_KEYS.keys()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from([*COMMANDS, ["verify"], ["scan"]]),
+    st.fixed_dictionaries({}, optional=VALID),
+    st.dictionaries(st.sampled_from(sorted(VALID)), JSON, max_size=2),
+)
+def test_any_config_exits_0_1_or_2(command, config, arbitrary):
+    config.update(arbitrary)
+    with tempfile.TemporaryDirectory() as tmp:
+        report = os.path.join(tmp, "report")
+        if isinstance(config.get("out"), str):
+            config["out"] = report  # never a path outside the temporary directory
+        path = os.path.join(tmp, "run.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(config, fh)
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+            code = main([*command, "--config", path])
+        assert code in (0, 1, 2)
+        text = stdout.getvalue()
+        if os.path.exists(report):
+            with open(report, encoding="utf-8") as fh:
+                text = fh.read()
+        if code == 2:
+            assert text == ""
+        elif config.get("format", "json") == "json":
+            json.loads(text, parse_constant=_refuse)

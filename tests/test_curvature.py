@@ -215,13 +215,13 @@ class TestSectionalCurvature:
 
 class TestTheorem3:
     def test_paper_point_spread(self, paper_fields):
-        report = theorem3_check(paper_fields, (1, 0, 0), (1, 2, 3))
+        report = theorem3_check(paper_fields, (1, 0, 0), (1, 2, 3), 1e-6, 1e-9)
         assert report.passed
         assert report.spread <= 1e-6 * max(abs(m) for m in report.mu) + 1e-9
 
     def test_flat_spread_zero(self):
         f = parse_field_spec(FLAT)
-        report = theorem3_check(f, (0, 0, 0), (1, 2, 3))
+        report = theorem3_check(f, (0, 0, 0), (1, 2, 3), 1e-6, 1e-9)
         assert report.mu == pytest.approx((0.0, 0.0, 0.0), abs=1e-10)
         assert report.spread <= 1e-10
 
@@ -233,6 +233,6 @@ class TestTheorem3:
                 x = random_vector(rng)
                 if abs(independence_cubic(x)) <= 0.1 * np.linalg.norm(x) ** 3:
                     continue
-                report = theorem3_check(paper_fields, p, x)
+                report = theorem3_check(paper_fields, p, x, 1e-6, 1e-9)
                 assert report.passed, (p, x, report.spread, report.mu)
                 done += 1

@@ -195,6 +195,12 @@ class TestDomainAndMetric:
         assert status.degenerate
         assert status.d == 0.0
 
+    def test_degenerate_record_has_no_inverse(self, paper_fields):
+        m = domain_check(paper_fields, (1, 1, 1))
+        assert m.degenerate
+        assert m.g.triple() == (6.0, 6.0, 6.0)
+        assert m.g_inv is None
+
     def test_indefinite_but_nondegenerate(self):
         f = parse_field_spec("A: 0; B: 1")
         status = domain_check(f, (0, 0, 0))

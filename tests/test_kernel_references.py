@@ -126,11 +126,11 @@ def outcome(fn, *args):
 
 
 def new_gamma(f, p):
-    return christoffel_general(f, p).gamma
+    return christoffel_general(f, p)
 
 
 def new_closed(f, p):
-    return christoffel_closed(f, p).gamma
+    return christoffel_closed(f, p)
 
 
 def new_curvature(f, p):
