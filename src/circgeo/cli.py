@@ -65,6 +65,10 @@ DEFAULT_TOLERANCES = {
 #: largest n_points, n_vectors and n_seeds.
 MAX_GRID_NODES = 1_000_000
 
+#: Grid nodes per block of a scan, so that its arrays stay within a few MB at
+#: any grid size.
+SCAN_BLOCK = 1024
+
 
 def _is_real(v) -> bool:
     """A finite int or float (JSON true/false excluded)."""
@@ -406,25 +410,51 @@ def cmd_scan(config: RunConfig) -> dict:
     points = expand_grid(config.grid)
     qx = circ_apply(Q, config.x)
     records = []
-    for idx, p in enumerate(points):
-        with _in_range(p):
-            m = domain_check(f, p)
-            row = _record(
-                "scan", idx, p,
-                "skipped" if m.degenerate else "pass",
-                a=m.a, b=m.b, d=m.d, definite=m.definite,
-            )
-            if m.degenerate:
-                row["reason"] = "DegenerateMetric"
-            row["mu_e1"] = None
-            if not m.degenerate and m.definite:
-                try:
-                    curv = curvature_at(f, p)
-                    row["mu_e1"] = sectional_curvature(f, p, config.x, qx, curv=curv)
-                except PointSkipped:
-                    pass
-            records.append(row)
+    for start in range(0, len(points), SCAN_BLOCK):
+        block = points[start:start + SCAN_BLOCK]
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                records.extend(_scan_block(config, f, qx, start, block))
+        except (FloatingPointError, OverflowError, StencilCollapsed):
+            # Node by node, as the error then names the first node it belongs to.
+            records.extend(_scan_node(config, f, qx, start + i, p) for i, p in enumerate(block))
     return _assemble(config, records)
+
+
+def _scan_block(config: RunConfig, f: FieldPair, qx, start: int, block: list) -> list[dict]:
+    """The rows of consecutive grid nodes, from array kernels over the whole block."""
+    x = np.array(block)
+    m = domain_check(f, x)
+    curved = m.definite & ~m.degenerate
+    mu = np.full(len(block), np.nan)  # NaN where the node is skipped
+    if curved.any():
+        mu[curved] = sectional_curvature(f, x[curved], config.x, qx)
+    mu_e1 = [None if math.isnan(v) else v for v in mu.tolist()]
+    columns = (m.a, m.b, m.d, m.degenerate, m.definite)
+    rows = zip(block, *(c.tolist() for c in columns), mu_e1)
+    return [_scan_row(start + i, *values) for i, values in enumerate(rows)]
+
+
+def _scan_node(config: RunConfig, f: FieldPair, qx, idx: int, p) -> dict:
+    """The row of one grid node, from the one-point kernels."""
+    with _in_range(p):
+        m = domain_check(f, p)
+        mu_e1 = None
+        if not m.degenerate and m.definite:
+            try:
+                mu_e1 = sectional_curvature(f, p, config.x, qx)
+            except PointSkipped:
+                pass
+        return _scan_row(idx, p, m.a, m.b, m.d, m.degenerate, m.definite, mu_e1)
+
+
+def _scan_row(idx: int, p, a, b, d, degenerate, definite, mu_e1) -> dict:
+    row = _record("scan", idx, p, "skipped" if degenerate else "pass",
+                  a=a, b=b, d=d, definite=definite)
+    if degenerate:
+        row["reason"] = "DegenerateMetric"
+    row["mu_e1"] = mu_e1
+    return row
 
 
 def _build_fields(config: RunConfig) -> FieldPair:

@@ -44,14 +44,19 @@ def metric_partials(f: FieldPair, p) -> np.ndarray:
 
 
 def christoffel_general(f: FieldPair, p) -> np.ndarray:
-    """Christoffel symbols gamma[s, i, j] from the inverse-metric contraction."""
+    """Christoffel symbols gamma[s, i, j] from the inverse-metric contraction.
+
+    Over an (n, 3) block of points the batch axis comes last, gamma[s, i, j, n],
+    each row with the bits of the one-point call, and NaN in the rows where D ~ 0;
+    at one point D ~ 0 raises DegenerateMetric.
+    """
     a, b, *grad = field_jet(f, p)
     d = degeneracy_factor(a, b, p)
     inv_a, inv_b = (a + b) / d, -b / d
     g_inv = np.array([[inv_a, inv_b, inv_b], [inv_b, inv_a, inv_b], [inv_b, inv_b, inv_a]])
     di_gaj, dj_gai, da_gij = np.array(grad)[_T_TERMS]
     t = di_gaj + dj_gai - da_gij
-    return 0.5 * np.einsum("as,ija->sij", g_inv, t)
+    return 0.5 * np.einsum("as...,ija...->sij...", g_inv, t)
 
 
 def christoffel_closed(f: FieldPair, p) -> np.ndarray:

@@ -22,7 +22,7 @@ import numpy as np
 from .circulant import Q, Q_DENSE, circ_mul
 from .connection import christoffel_general
 from .errors import DegenerateSection, DependentOrbit, IndefiniteMetric
-from .fields import FieldPair, MetricAtPoint, central_differences, metric_at, row
+from .fields import FieldPair, MetricAtPoint, central_differences, domain_check, metric_at, row
 
 #: The shift applied twice, q^2: (x1, x2, x3) -> (x3, x1, x2).  Built from the
 #: circulant product, since a matrix product at import starts BLAS and adds
@@ -37,7 +37,11 @@ def _norms(v: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CurvatureAtPoint:
-    """Curvature at one point: r_up[s, k, j, i] and r_down[k, j, i, s]."""
+    """Curvature at one point: r_up[s, k, j, i] and r_down[k, j, i, s].
+
+    At an (n, 3) block of points the batch axis comes last, r_up[s, k, j, i, n]
+    and r_down[k, j, i, s, n], and point and metric are those of the block.
+    """
 
     r_up: np.ndarray
     r_down: np.ndarray
@@ -45,8 +49,8 @@ class CurvatureAtPoint:
     metric: MetricAtPoint
 
     def scalars(self, x, y, z, u) -> np.ndarray:
-        """R(x_n, y_n, z_n, u_n) for each row n of four (n, 3) stacks."""
-        return np.einsum("kjis,nk,nj,ni,ns->n", self.r_down, x, y, z, u)
+        """R(x_m, y_m, z_m, u_m) for each row m of four (m, 3) stacks; over a block, (n, m)."""
+        return np.einsum("kjis...,mk,mj,mi,ms->...m", self.r_down, x, y, z, u)
 
     def scalar(self, x, y, z, u) -> float:
         """The (0,4) evaluation R(x, y, z, u)."""
@@ -62,22 +66,30 @@ def curvature_at(f: FieldPair, p) -> CurvatureAtPoint:
 
     Every stencil point p +- h_k e_k must differ from p (StencilCollapsed
     otherwise, as when the step is below the coordinate's precision) and must
-    itself be nondegenerate (DegenerateMetric otherwise).
+    itself be nondegenerate (DegenerateMetric otherwise).  Over an (n, 3) block
+    of points, Gamma is evaluated once at the centres and once per stencil block,
+    each row of the tensors has the bits of the one-point call, and the rows
+    where that call would raise DegenerateMetric are NaN.
     """
     p = np.asarray(p, dtype=float)
-    metric = metric_at(f, p)
+    block = p.ndim == 2
+    metric = domain_check(f, p) if block else metric_at(f, p)
     gamma0 = christoffel_general(f, p)
+    centres = p if block else p.tolist()
     dgamma = np.array(  # [k, s, i, j]
-        central_differences(lambda q: christoffel_general(f, q), p.tolist(), f.fd_step)
+        central_differences(lambda q: christoffel_general(f, q), centres, f.fd_step)
     )
 
+    # A block's axis stays last; transpose, because np.moveaxis costs microseconds
+    # a call, which the one-point path would pay at every verified point.
+    batch = range(4, dgamma.ndim)
     r_up = (
-        dgamma.transpose(1, 0, 2, 3)  # [s, k, j, i] = d_k Gamma^s_ji
-        - dgamma.transpose(1, 2, 0, 3)  # [s, k, j, i] = d_j Gamma^s_ki
-        + np.einsum("ska,aji->skji", gamma0, gamma0)
-        - np.einsum("sja,aki->skji", gamma0, gamma0)
+        dgamma.transpose(1, 0, 2, 3, *batch)  # [s, k, j, i] = d_k Gamma^s_ji
+        - dgamma.transpose(1, 2, 0, 3, *batch)  # [s, k, j, i] = d_j Gamma^s_ki
+        + np.einsum("ska...,aji...->skji...", gamma0, gamma0)
+        - np.einsum("sja...,aki...->skji...", gamma0, gamma0)
     )
-    r_down = np.einsum("as,akji->kjis", metric.g.dense(), r_up)
+    r_down = np.einsum("as...,akji...->kjis...", metric.g.dense(), r_up)
     return CurvatureAtPoint(r_up=r_up, r_down=r_down, point=p, metric=metric)
 
 
@@ -165,12 +177,13 @@ def sections_of(f: FieldPair, p, x) -> SectionReport:
 
 def _gram_terms(metric: MetricAtPoint, u, v) -> tuple[np.ndarray, np.ndarray]:
     """Per row pair: g(u,u) g(v,v) - g(u,v)^2 and the product g(u,u) g(v,v)."""
-    left, right = np.concatenate([u, v, u]), np.concatenate([u, v, v])
-    uu, vv, uv = metric.inners(left, right).reshape(3, -1)
+    n = len(u)
+    inners = metric.inners(np.concatenate([u, v, u]), np.concatenate([u, v, v]))
+    uu, vv, uv = inners[..., :n], inners[..., n:2 * n], inners[..., 2 * n:]
     norms = uu * vv
     # Python's float ** 2 goes through libm pow, which is not always the
     # correctly rounded x * x that numpy squares with; keep the scalar bits.
-    cross2 = np.array([c**2 for c in uv.tolist()])
+    cross2 = np.array([c**2 for c in uv.ravel().tolist()]).reshape(uv.shape)
     return norms - cross2, norms
 
 
@@ -180,14 +193,22 @@ def gram_determinant(metric: MetricAtPoint, u, v) -> float:
 
 
 def sectional_curvatures(curv: CurvatureAtPoint, u, v) -> np.ndarray:
-    """mu = R(u, v, u, v) / (g(u,u) g(v,v) - g(u,v)^2) for each row of two (n, 3) stacks."""
+    """mu = R(u, v, u, v) / (g(u,u) g(v,v) - g(u,v)^2) for each row of two (m, 3) stacks.
+
+    At one point an indefinite metric raises IndefiniteMetric and a degenerate
+    section DegenerateSection; over an (n, 3) block of points the result is
+    (n, m), with NaN where the metric is indefinite or the section degenerate.
+    """
     metric = curv.metric
-    if not metric.definite:
+    block = curv.point.ndim == 2
+    if not (block or metric.definite):
         raise IndefiniteMetric(f"metric not positive definite at {tuple(curv.point.tolist())}")
     gram, norms = _gram_terms(metric, u, v)
     # A zero product of norms is replaced by 1, so the threshold stays positive.
     bad = gram <= 1e-12 * np.abs(np.where(norms == 0.0, 1.0, norms))
-    if bad.any():
+    if block:
+        gram = np.where(bad | ~metric.definite[:, None], np.nan, gram)
+    elif bad.any():
         i = int(np.argmax(bad))
         raise DegenerateSection(
             f"Gram determinant {float(gram[i])} too small for pair ({u[i]}, {v[i]})"
@@ -195,11 +216,13 @@ def sectional_curvatures(curv: CurvatureAtPoint, u, v) -> np.ndarray:
     return curv.scalars(u, v, u, v) / gram
 
 
-def sectional_curvature(f: FieldPair, p, u, v, curv: CurvatureAtPoint | None = None) -> float:
-    """mu = R(u, v, u, v) / (g(u,u) g(v,v) - g(u,v)^2)."""
+def sectional_curvature(f: FieldPair, p, u, v, curv: CurvatureAtPoint | None = None):
+    """mu = R(u, v, u, v) / (g(u,u) g(v,v) - g(u,v)^2): a float at one point; over an
+    (n, 3) block, an (n,) array with NaN where the one-point call would skip."""
     if curv is None:
         curv = curvature_at(f, p)
-    return float(sectional_curvatures(curv, row(u), row(v))[0])
+    mu = sectional_curvatures(curv, row(u), row(v))
+    return mu[:, 0] if curv.point.ndim == 2 else float(mu[0])
 
 
 def orbit_spreads(

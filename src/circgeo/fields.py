@@ -34,8 +34,12 @@ class Polynomial:
         cleaned = {m: float(c) for m, c in d.items() if c != 0.0}
         return Polynomial(tuple(sorted(cleaned.items())))
 
-    def __call__(self, p) -> float:
-        return self._compiled[0](*np.asarray(p, dtype=float).tolist())
+    def __call__(self, p):
+        """The value at one point, a float, or at each row of an (n, 3) block, an (n,) array."""
+        x = np.asarray(p, dtype=float)
+        if x.ndim == 2:
+            return self._block(*np.ascontiguousarray(x.T))[0]
+        return self._compiled[0](*x.tolist())
 
     def partial(self, axis: int) -> "Polynomial":
         """Exact partial derivative along axis 0, 1 or 2."""
@@ -51,9 +55,20 @@ class Polynomial:
         return Polynomial.from_dict(out)
 
     @cached_property
+    def _tables(self) -> tuple[tuple[tuple[Monomial, float], ...], ...]:
+        """The term tables of the value and of the three partials."""
+        return (self.terms, *(self.partial(k).terms for k in range(3)))
+
+    @cached_property
     def _compiled(self) -> tuple[Callable[[float, float, float], float], ...]:
         """The value and the three partials as functions of x1, x2, x3, compiled once."""
-        return (_compile(self.terms), *(_compile(self.partial(k).terms) for k in range(3)))
+        return tuple(map(_compile, self._tables))
+
+    @cached_property
+    def _block(self) -> Callable[..., tuple[np.ndarray, ...]]:
+        """The value and the three partials at each row of a block, as one function of
+        the columns x1, x2, x3; compiled on first use, like _compiled."""
+        return _compile_block(self._tables)
 
     def gradient(self, p) -> np.ndarray:
         x = np.asarray(p, dtype=float).tolist()
@@ -63,22 +78,60 @@ class Polynomial:
         return max((sum(m) for m, _ in self.terms), default=0)
 
 
-def _compile(terms) -> Callable[[float, float, float], float]:
-    """The term table as straight-line code with the bits of 0.0 + t1 + t2 + ...
+_VARIABLES = ("x1", "x2", "x3")
 
-    x**0 (exactly 1.0) is dropped and x**1 written x (exact); x**e, Python's pow,
-    stays for e >= 2.  Coefficients are closure values, so only names and exponents
-    are compiled; lines of at most 200 terms keep the compiler's recursion shallow.
+
+def _sum_lines(terms, prefix: str, power) -> list[str]:
+    """Statements s = s + c0 * x1 * x2**2 + ... adding the terms in order.
+
+    x**0 (exactly 1.0) is dropped and x**1 written x (exact); power(x, e) writes x**e
+    for e >= 2.  Coefficients are the names prefix0, prefix1, ...; lines of at most
+    200 terms keep the compiler's recursion shallow.
     """
-    names = [f"c{k}" for k in range(len(terms))]
     summands = []
-    for c, (mono, _) in zip(names, terms):
-        powers = [x if e == 1 else f"{x}**{e}" for x, e in zip(("x1", "x2", "x3"), mono) if e]
-        summands.append(" * ".join([c, *powers]))
-    lines = [f"s = s + {' + '.join(summands[k:k + 200])}" for k in range(0, len(summands), 200)]
-    body = "".join(f"\n        {line}" for line in ["s = 0.0", *lines, "return s"])
-    exec(f"def bind({', '.join(names)}):\n    def f(x1, x2, x3):{body}\n    return f", scope := {})
-    return scope["bind"](*(coef for _, coef in terms))
+    for k, (mono, _) in enumerate(terms):
+        powers = [x if e == 1 else power(x, e) for x, e in zip(_VARIABLES, mono) if e]
+        summands.append(" * ".join([f"{prefix}{k}", *powers]))
+    return [f"s = s + {' + '.join(summands[k:k + 200])}" for k in range(0, len(summands), 200)]
+
+
+def _bind(lines: list[str], coefficients: dict[str, float], scope: dict) -> Callable:
+    """f(x1, x2, x3) running lines, with the coefficients bound as closure values, so
+    only names and exponents are compiled."""
+    body = "".join(f"\n        {line}" for line in lines)
+    header = f"def bind({', '.join(coefficients)}):\n    def f(x1, x2, x3):"
+    exec(f"{header}{body}\n    return f", scope)
+    return scope["bind"](*coefficients.values())
+
+
+def _compile(terms) -> Callable[[float, float, float], float]:
+    """The term table as straight-line code with the bits of 0.0 + t1 + t2 + ...;
+    x**e, Python's pow, stays for e >= 2."""
+    lines = ["s = 0.0", *_sum_lines(terms, "c", lambda x, e: f"{x}**{e}"), "return s"]
+    return _bind(lines, {f"c{k}": coef for k, (_, coef) in enumerate(terms)}, {})
+
+
+def _powers(x: np.ndarray, e: int) -> np.ndarray:
+    """x**e by Python's float pow, element by element: numpy's array power can round
+    the last bit differently, and the block values must equal the one-point ones."""
+    return np.array([v**e for v in x.tolist()])
+
+
+def _compile_block(tables) -> Callable[..., tuple[np.ndarray, ...]]:
+    """The term tables as one function of three (n,) columns returning one (n,) array
+    per table, each with the bits of _compile's function at every row.  A power
+    x**e (e >= 2) is computed once for all tables, by _powers; the sums start from
+    an array of +0.0, as the one-point sums start from 0.0."""
+    used = sorted({(x, e) for terms in tables for mono, _ in terms
+                   for x, e in zip(_VARIABLES, mono) if e >= 2})
+    lines = [f"{x}_{e} = powers({x}, {e})" for x, e in used]
+    coefficients = {}
+    for t, terms in enumerate(tables):
+        lines += ["s = zeros(len(x1))", *_sum_lines(terms, f"c{t}_", lambda x, e: f"{x}_{e}")]
+        lines.append(f"v{t} = s")
+        coefficients.update({f"c{t}_{k}": coef for k, (_, coef) in enumerate(terms)})
+    lines.append(f"return {', '.join(f'v{t}' for t in range(len(tables)))},")
+    return _bind(lines, coefficients, {"powers": _powers, "zeros": np.zeros})
 
 
 ScalarField = Union[Polynomial, Callable[[np.ndarray], float]]
@@ -295,28 +348,43 @@ def parse_field_spec(
     return FieldPair(polys["A"], polys["B"], grad_mode=grad_mode, fd_step=fd_step)
 
 
-def field_eval(f: FieldPair, p) -> tuple[float, float]:
-    """Values (A(p), B(p))."""
+def _rows(g: ScalarField, x: np.ndarray) -> np.ndarray:
+    """A field's values at the rows of an (n, 3) block; a callable that is not a
+    Polynomial is called one row at a time."""
+    return g(x) if isinstance(g, Polynomial) else np.array([float(g(p)) for p in x])
+
+
+def field_eval(f: FieldPair, p):
+    """Values (A(p), B(p)): floats at one point, (n,) arrays over an (n, 3) block."""
     p = np.asarray(p, dtype=float)
+    if p.ndim == 2:
+        return _rows(f.a, p), _rows(f.b, p)
     return float(f.a(p)), float(f.b(p))
 
 
-def central_differences(func, x: list[float], step: float) -> list:
+def central_differences(func, x, step: float) -> list:
     """(func(x + h_k e_k) - func(x - h_k e_k)) / (2 h_k), h_k = step * (1 + |x_k|), k = 0, 1, 2.
 
-    The one stencil of the fd field gradients and the curvature's Gamma derivatives;
-    x and func's points are lists of three floats.  StencilCollapsed if x_k +- h_k == x_k.
+    The one stencil of the fd field gradients and the curvature's Gamma derivatives.
+    x is one point, a list of three floats, or an (n, 3) array of points with h_k per
+    row; func takes points of the same kind, and its values over a block carry the
+    batch axis last.  StencilCollapsed if x_k +- h_k == x_k (at the first such row).
     """
+    block = isinstance(x, np.ndarray)
     derivatives = []
     for k in range(3):
-        h = step * (1.0 + abs(x[k]))
-        up = list(x)
-        dn = list(x)
-        up[k] += h
-        dn[k] -= h
-        if up[k] == x[k] or dn[k] == x[k]:
+        at = (slice(None), k) if block else k
+        h = step * (1.0 + abs(x[at]))
+        up = x.copy() if block else list(x)
+        dn = x.copy() if block else list(x)
+        up[at] += h
+        dn[at] -= h
+        collapsed = (up[at] == x[at]) | (dn[at] == x[at])
+        if collapsed.any() if block else collapsed:
+            point = x[np.argmax(collapsed)].tolist() if block else x
             raise StencilCollapsed(
-                f"step {step!r} vanishes against coordinate {x[k]} (axis {k}) at {tuple(x)}"
+                f"step {step!r} vanishes against coordinate {point[k]} (axis {k})"
+                f" at {tuple(point)}"
             )
         derivatives.append((func(up) - func(dn)) / (2.0 * h))
     return derivatives
@@ -333,11 +401,24 @@ def field_grad(f: FieldPair, p) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def field_jet(f: FieldPair, p) -> tuple[float, ...]:
-    """(A, B, A_1, A_2, A_3, B_1, B_2, B_3) at p as floats, A_k = dA/dx_k: the
-    values of field_eval and field_grad, for polynomials from one tolist() of p."""
+def field_jet(f: FieldPair, p) -> tuple:
+    """(A, B, A_1, A_2, A_3, B_1, B_2, B_3) at p, A_k = dA/dx_k: the values of
+    field_eval and field_grad.  At one point they are floats, for polynomials from
+    one tolist() of p; over an (n, 3) block they are (n,) arrays with the same bits
+    at every row."""
+    x = np.asarray(p, dtype=float)
+    if x.ndim == 2:
+        if f.grad_mode == "analytic":
+            columns = np.ascontiguousarray(x.T)
+            a, *grad_a = f.a._block(*columns)
+            b, *grad_b = f.b._block(*columns)
+            return (a, b, *grad_a, *grad_b)
+        grad_a, grad_b = (
+            central_differences(lambda q: _rows(g, q), x, f.fd_step) for g in (f.a, f.b)
+        )
+        return (*field_eval(f, x), *grad_a, *grad_b)
     if f.grad_mode == "analytic":
-        x1, x2, x3 = np.asarray(p, dtype=float).tolist()
+        x1, x2, x3 = x.tolist()
         a, a1, a2, a3 = f.a._compiled
         b, b1, b2, b3 = f.b._compiled
         return (a(x1, x2, x3), b(x1, x2, x3), a1(x1, x2, x3), a2(x1, x2, x3), a3(x1, x2, x3),
@@ -346,19 +427,22 @@ def field_jet(f: FieldPair, p) -> tuple[float, ...]:
     return (*field_eval(f, p), *grad_a.tolist(), *grad_b.tolist())
 
 
-def _status(a: float, b: float) -> tuple[float, bool, bool]:
-    """D = (A - B)(A + 2B), and whether D ~ 0 and g is definite."""
+def _status(a, b):
+    """D = (A - B)(A + 2B) and whether D ~ 0 (elementwise over arrays)."""
     d = (a - b) * (a + 2.0 * b)
-    return d, abs(d) < 1e-10 * (1.0 + a * a + b * b), (a - b > 0.0) and (a + 2.0 * b > 0.0)
+    return d, abs(d) < 1e-10 * (1.0 + a * a + b * b)
 
 
 def _degenerate(d: float, p) -> DegenerateMetric:
     return DegenerateMetric(f"D = {d} at point {tuple(np.asarray(p, float).tolist())}")
 
 
-def degeneracy_factor(a: float, b: float, p) -> float:
-    """D from the field values at p; DegenerateMetric when D ~ 0."""
-    d, degenerate, _ = _status(a, b)
+def degeneracy_factor(a, b, p):
+    """D from the field values at p; DegenerateMetric when D ~ 0.  Over the (n,)
+    values of an (n, 3) block, D with NaN in the rows where D ~ 0."""
+    d, degenerate = _status(a, b)
+    if isinstance(d, np.ndarray):
+        return np.where(degenerate, np.nan, d)
     if degenerate:
         raise _degenerate(d, p)
     return d
@@ -372,21 +456,43 @@ def row(v) -> np.ndarray:
 @dataclass(frozen=True)
 class MetricAtPoint:
     """The metric circ(A, B, B) at a point: the field values, D = (A - B)(A + 2B),
-    whether D ~ 0 and whether g is definite, g, and g^-1 (None when D ~ 0)."""
+    whether D ~ 0 and whether g is definite, as floats and bools at one point or
+    (n,) arrays over an (n, 3) block; g and g^-1 are built when read.
+
+    They are plain properties: on Python 3.11 a cached_property takes a lock on
+    first use, which cost more than building the 3-value circulant again.
+    """
 
     a: float
     b: float
     d: float
     degenerate: bool
     definite: bool
-    g: CirculantMatrix
-    g_inv: CirculantMatrix | None
+
+    @property
+    def g(self) -> CirculantMatrix:
+        return CirculantMatrix(self.a, self.b, self.b)
+
+    @property
+    def g_inv(self) -> CirculantMatrix | None:
+        """(A + B, -B, -B) / D, or None when D ~ 0 (at any row of a block)."""
+        if self.degenerate is not False and np.any(self.degenerate):  # cheap at one point
+            return None
+        a, b, d = self.a, self.b, self.d
+        return CirculantMatrix((a + b) / d, -b / d, -b / d)
 
     def inners(self, x, y) -> np.ndarray:
-        """g(x_n, y_n) for each row n of two (n, 3) stacks."""
+        """g(x_m, y_m) for each row m of two (m, 3) stacks; over a block, (n, m).
+
+        A block's g is one C-ordered 3x3 per point, laid out as one point's
+        dense(), because the bits of a stacked matmul depend on that layout.
+        """
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        return np.matmul(np.matmul(x[:, None, :], self.g.dense()), y[:, :, None])[:, 0, 0]
+        g = self.g.dense()
+        if g.ndim == 3:
+            g = np.ascontiguousarray(np.moveaxis(g, -1, 0))[:, None]
+        return np.matmul(np.matmul(x[:, None, :], g), y[:, :, None])[..., 0, 0]
 
     def inner(self, x, y) -> float:
         """Bilinear form g(x, y) = x^T g y."""
@@ -394,11 +500,9 @@ class MetricAtPoint:
 
 
 def domain_check(f: FieldPair, p) -> MetricAtPoint:
-    """The metric record at p, degenerate or not."""
+    """The metric record at p, degenerate or not; over an (n, 3) block, of (n,) arrays."""
     a, b = field_eval(f, p)
-    d, degenerate, definite = _status(a, b)
-    g_inv = None if degenerate else CirculantMatrix((a + b) / d, -b / d, -b / d)
-    return MetricAtPoint(a, b, d, degenerate, definite, CirculantMatrix(a, b, b), g_inv)
+    return MetricAtPoint(a, b, *_status(a, b), (a - b > 0.0) & (a + 2.0 * b > 0.0))
 
 
 def metric_at(f: FieldPair, p) -> MetricAtPoint:

@@ -1,8 +1,10 @@
-"""The stacked curvature kernels equal the per-vector formulas bit for bit.
+"""The stacked kernels equal the per-vector and per-point formulas bit for bit.
 
 Each reference below is the single-vector computation the stacked kernels
 replaced; the comparisons use ==, not a tolerance, because reports must keep
-their bytes.
+their bytes.  The block kernels (field jets, Gamma, curvature and sectional
+curvature over an (n, 3) block of points) are compared with their one-point
+calls on float.hex, so that the sign of a zero counts too.
 """
 
 import numpy as np
@@ -11,15 +13,18 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from circgeo.circulant import Q_DENSE
+from circgeo.connection import christoffel_general
 from circgeo.curvature import (
     curvature_at,
     identity_residuals,
     independence_cubic,
     orbit_spreads,
     residual_scales,
+    sectional_curvature,
     theorem3_check,
 )
-from circgeo.errors import DegenerateSection
+from circgeo.errors import DegenerateSection, PointSkipped
+from circgeo.fields import FieldPair, Polynomial, field_jet
 from circgeo.sampling import random_parallel_pair, random_point
 
 seeds = st.integers(0, 2**32 - 1)
@@ -123,3 +128,79 @@ def test_orbit_spreads_rejects_a_degenerate_section(paper_fields):
     curv = curvature_at(paper_fields, (1.5, 1.1, 1.1))
     with pytest.raises(DegenerateSection):
         orbit_spreads(curv, [[1.0, 2.0, 3.0], [1.0, 1.0, 1.0]], 1e-6, 1e-9)
+
+
+def hexes(values):
+    """float.hex() of every entry, which tells -0.0 from 0.0."""
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+# Exponents up to 6 and coefficients up to 1e6 in size: x**e for e >= 2 is where
+# numpy's array power and Python's float pow can round differently.
+wide_polynomials = st.dictionaries(
+    st.tuples(*[st.integers(0, 6)] * 3), st.floats(-1e6, 1e6), max_size=8
+).map(Polynomial.from_dict)
+coords = st.sampled_from([0.0, -0.0, 1.0, -1.0]) | st.floats(-100.0, 100.0)
+blocks = st.lists(st.tuples(coords, coords, coords), min_size=1, max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_polynomials, wide_polynomials, blocks, st.sampled_from(["analytic", "fd"]))
+def test_block_jets_match_one_point_jets(a, b, block, grad_mode):
+    f = FieldPair(a, b, grad_mode=grad_mode)
+    jets = field_jet(f, np.array(block))
+    assert all(column.shape == (len(block),) for column in jets)
+    for n, p in enumerate(block):
+        assert hexes([column[n] for column in jets]) == hexes(field_jet(f, p))
+
+
+def test_block_power_is_pythons_pow():
+    # Python's x**2 at this x is 0x1.c32631aaaf68dp+0; numpy's array power may
+    # round it to ...8cp+0, depending on the CPU, so only Python's value is named.
+    x1 = -1.3275170599102342
+    square = Polynomial.from_dict({(2, 0, 0): 1.0})
+    cube = Polynomial.from_dict({(3, 0, 0): 1.0, (0, 2, 0): 0.5})
+    f = FieldPair(square, cube)
+    block = np.array([[x1, 0.0, 0.0], [x1, x1, -0.0]])
+    assert hexes(square(block)) == hexes([x1**2, x1**2])
+    jets = field_jet(f, block)
+    for n, p in enumerate(block):
+        assert hexes([column[n] for column in jets]) == hexes(field_jet(f, p))
+
+
+exponents = st.tuples(*[st.integers(0, 3)] * 3)
+polynomials = st.dictionaries(
+    exponents, st.floats(0.125, 3.0) | st.floats(-3.0, -0.125), min_size=1, max_size=8
+).map(Polynomial.from_dict)
+
+
+def one_point(fn, *args):
+    """fn(*args), or NaN where it raises PointSkipped, as the block rows hold."""
+    try:
+        return fn(*args)
+    except PointSkipped:
+        return np.nan
+
+
+@settings(max_examples=100, deadline=None)
+@given(polynomials, polynomials, blocks, st.sampled_from(["analytic", "fd"]),
+       st.sampled_from([(1.0, 2.0, 3.0), (1.0, 1.0, 1.0), (0.5, -1.0, 2.0)]))
+def test_block_connection_and_curvature_match_one_point_calls(a, b, block, grad_mode, x):
+    assume(a != b)  # A = B is degenerate everywhere; other degenerate points stay in
+    f = FieldPair(a, b, grad_mode=grad_mode)
+    points = np.array(block)
+    qx = Q_DENSE @ np.array(x)
+    gamma = christoffel_general(f, points)
+    curv = curvature_at(f, points)
+    mu = sectional_curvature(f, points, x, qx, curv=curv)
+    assert gamma.shape == (3, 3, 3, len(block)) and mu.shape == (len(block),)
+    for n, p in enumerate(block):
+        one = one_point(christoffel_general, f, p)
+        assert hexes(gamma[..., n]) == hexes(np.broadcast_to(one, (3, 3, 3)))
+        one = one_point(curvature_at, f, p)
+        if isinstance(one, float):  # the whole row is marked
+            assert np.isnan(curv.r_down[..., n]).all() and np.isnan(mu[n])
+            continue
+        assert hexes(curv.r_up[..., n]) == hexes(one.r_up)
+        assert hexes(curv.r_down[..., n]) == hexes(one.r_down)
+        assert hexes([mu[n]]) == hexes([one_point(sectional_curvature, f, p, x, qx, one)])

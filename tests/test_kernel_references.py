@@ -1,26 +1,32 @@
-"""The per-point connection kernels equal their earlier formulas bit for bit.
+"""The per-point connection kernels and the block scan equal their earlier forms bit for bit.
 
 Each reference below is the assembly the current kernel replaced: Gamma from
 the metric-partial tensor and three transposes, the closed forms written
 item by item over numpy scalars, the metric partials from a fresh identity
 matrix, and the curvature stencil and the fd field gradient, each with its
-own step rule, on numpy arrays.  The comparisons are exact, on reprs or
-float.hex so that the sign of a zero counts too, not within a tolerance,
-because reports must keep their bytes.
+own step rule, on numpy arrays; and the scan as a loop over grid nodes
+through the one-point kernels.  The comparisons are exact, on reprs, float.hex
+(so that the sign of a zero counts too) or report bytes, not within a
+tolerance, because reports must keep their bytes.
 """
 
+import io
 import math
 import re
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from circgeo import cli
+from circgeo.circulant import Q, circ_apply
 from circgeo.connection import christoffel_closed, christoffel_general, metric_partials
-from circgeo.curvature import curvature_at
-from circgeo.errors import PointSkipped, StencilCollapsed
+from circgeo.curvature import curvature_at, sectional_curvature
+from circgeo.errors import ConfigError, PointSkipped, StencilCollapsed
 from circgeo.fields import (
     DEFAULT_FD_STEP,
     FieldPair,
@@ -233,3 +239,117 @@ def test_collapsed_stencil_names_the_reference_axis(a, b, p):
     with pytest.raises(StencilCollapsed) as exc:
         curvature_at(f, p)
     assert collapsed_axis(exc.value) == axis
+
+
+def old_cmd_scan(config):
+    """The scan as one loop over the grid nodes, each through the one-point kernels."""
+    if not config.grid:
+        raise ConfigError("scan requires a grid spec")
+    f = cli._build_fields(config)
+    points = cli.expand_grid(config.grid)
+    qx = circ_apply(Q, config.x)
+    records = []
+    for idx, p in enumerate(points):
+        with cli._in_range(p):
+            m = domain_check(f, p)
+            row = cli._record(
+                "scan", idx, p,
+                "skipped" if m.degenerate else "pass",
+                a=m.a, b=m.b, d=m.d, definite=m.definite,
+            )
+            if m.degenerate:
+                row["reason"] = "DegenerateMetric"
+            row["mu_e1"] = None
+            if not m.degenerate and m.definite:
+                try:
+                    curv = curvature_at(f, p)
+                    row["mu_e1"] = sectional_curvature(f, p, config.x, qx, curv=curv)
+                except PointSkipped:
+                    pass
+            records.append(row)
+    return cli._assemble(config, records)
+
+
+def run_scan(argv, scan, block):
+    """(exit code, stdout, stderr) of the CLI with the given scan and block size."""
+    out, err = io.StringIO(), io.StringIO()
+    with patch.object(cli, "cmd_scan", scan), patch.object(cli, "SCAN_BLOCK", block):
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_scan_matches_reference(argv, blocks=(cli.SCAN_BLOCK,)):
+    reference = run_scan(argv, old_cmd_scan, cli.SCAN_BLOCK)
+    for block in blocks:
+        assert run_scan(argv, cli.cmd_scan, block) == reference
+
+
+def poly_text(terms: dict) -> str:
+    """A polynomial as field-spec text, e.g. '- 2*x1^2*x3 + 0.5'."""
+    parts = []
+    for mono, coef in terms.items():
+        factors = [repr(abs(coef)), *(f"x{k + 1}^{e}" for k, e in enumerate(mono) if e)]
+        parts.append(f"{'-' if coef < 0 else '+'} {'*'.join(factors)}")
+    return " ".join(parts)
+
+
+QUADRATIC_PAIR = "A: x1^2 + x2^2 + x3^2 + 4/3; B: x1*x2 + x1*x3 + x2*x3 + 1/3"
+CUBIC_PAIR = (
+    "A: 6 + x1^2 + x2^2 + x3^2 + 0.3*x1*x2*x3 + 0.2*x1^3 - 0.1*x2^3 + 0.25*x3^3"
+    " + 0.5*x1*x2 - 0.4*x2*x3 + 3*x1 - 0.5*x3;"
+    " B: 0.5 + 0.2*x1 - 0.3*x2 + 0.1*x3^2 + 0.15*x1*x2*x3 - 0.05*x1^3"
+    " + 0.2*x2^2*x3 + 0.1*x1*x3^2"
+)
+# Up to degree 3, with coefficients whose simple ratios put grid nodes exactly
+# on the degenerate planes A = B and A = -2B; a constant added to A makes g
+# definite on more of the grid, and none leaves most of it indefinite.
+low_degree_terms = st.dictionaries(
+    st.tuples(*[st.integers(0, 3)] * 3).filter(lambda m: sum(m) <= 3),
+    st.sampled_from([-3.0, -2.0, -1.0, -0.5, 0.5, 1.0, 2.0, 3.0]),
+    min_size=1, max_size=5,
+)
+field_specs = st.builds(
+    lambda a, shift, b: f"A: {poly_text(a)} + {shift}; B: {poly_text(b)}",
+    low_degree_terms, st.sampled_from([0, 4, 10]), low_degree_terms,
+) | st.sampled_from(["paper-example", QUADRATIC_PAIR, CUBIC_PAIR])
+bounds = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0])
+axes = st.tuples(bounds, bounds, st.integers(1, 4))
+# About one grid in eight reaches 1e160, where x**2 overflows: exit 2 naming the node.
+grids = st.builds(
+    lambda first, rest, far: ((first[0], 1e160 if far else first[1], first[2]), *rest),
+    axes, st.tuples(axes, axes), st.sampled_from([False] * 7 + [True]),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    field_specs,
+    grids,
+    st.sampled_from(["1e-06", "1e-06", "0.001", "0.001", "1e-300"]),
+    st.sampled_from(["analytic", "fd"]),
+    st.sampled_from(["1,2,3", "1,1,1"]),
+    st.sampled_from(["json", "csv"]),
+)
+def test_block_scan_matches_per_node_scan(fields, grid, step, grad_mode, x, fmt):
+    spec = ",".join(repr(float(v)) for axis in grid for v in axis)
+    argv = ["scan", "--fields", fields, f"--grid={spec}", "--step", step, "--grad", grad_mode,
+            "--x", x, "--format", fmt]
+    # Blocks of 1 and 3 nodes put block seams inside these small grids.
+    assert_scan_matches_reference(argv, blocks=(1, 3, cli.SCAN_BLOCK))
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize(
+    "case",
+    [
+        # 1,100 nodes, so the 1,024-node block seam is crossed; definite,
+        # indefinite and degenerate nodes, as in the cubic scan golden.
+        ["--fields", CUBIC_PAIR, "--grid=-4.5,-2.803890692868853,11,-2,2,10,-2,2,10"],
+        # At (0.001, y, 0) the stencil point x3 + 0.001 lies on the plane x1 = x3
+        # where D = 0: mu_e1 is null though the node itself is definite.
+        ["--fields", "paper-example", "--grid=0.001,0.002,2,0.5,1,2,0,0.001,2", "--step", "0.001"],
+    ],
+)
+def test_block_scan_matches_per_node_scan_on_fixed_grids(case, fmt):
+    assert_scan_matches_reference(["scan", *case, "--format", fmt])
