@@ -549,7 +549,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         try:
             with open(args.config, encoding="utf-8") as fh:
                 data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: bad JSON or UTF-8, a NUL in the path
             raise ConfigError(f"cannot read config file: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError("config file must contain a JSON object")
@@ -561,7 +561,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
             try:
                 with open(text[1:], encoding="utf-8") as fh:
                     text = fh.read()
-            except OSError as exc:
+            except (OSError, ValueError) as exc:  # ValueError: bad UTF-8, a NUL in the path
                 raise ConfigError(f"cannot read fields file: {exc}") from exc
         config.set("fields", text, "--fields")
     if args.point:
@@ -607,7 +607,7 @@ def main(argv: list[str] | None = None) -> int:
             try:
                 with open(config.out, "w", encoding="utf-8") as fh:
                     fh.write(text)
-            except OSError as exc:
+            except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
                 raise ConfigError(f"cannot write output: {exc}") from exc
         else:
             sys.stdout.write(text)

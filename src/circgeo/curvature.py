@@ -73,12 +73,14 @@ def curvature_at(f: FieldPair, p) -> CurvatureAtPoint:
     """
     p = np.asarray(p, dtype=float)
     block = p.ndim == 2
-    metric = domain_check(f, p) if block else metric_at(f, p)
+    metric = domain_check(f, p)
     gamma0 = christoffel_general(f, p)
     centres = p if block else p.tolist()
     dgamma = np.array(  # [k, s, i, j]
         central_differences(lambda q: christoffel_general(f, q), centres, f.fd_step)
     )
+    if block:  # a degenerate stencil point leaves NaN in only part of its row
+        dgamma[..., np.isnan(dgamma).any(axis=(0, 1, 2, 3))] = np.nan
 
     # A block's axis stays last; transpose, because np.moveaxis costs microseconds
     # a call, which the one-point path would pay at every verified point.

@@ -36,10 +36,7 @@ class Polynomial:
 
     def __call__(self, p):
         """The value at one point, a float, or at each row of an (n, 3) block, an (n,) array."""
-        x = np.asarray(p, dtype=float)
-        if x.ndim == 2:
-            return self._block(*np.ascontiguousarray(x.T))[0]
-        return self._compiled[0](*x.tolist())
+        return self._value(*_arguments(_centres(p)))[0]
 
     def partial(self, axis: int) -> "Polynomial":
         """Exact partial derivative along axis 0, 1 or 2."""
@@ -55,24 +52,17 @@ class Polynomial:
         return Polynomial.from_dict(out)
 
     @cached_property
-    def _tables(self) -> tuple[tuple[tuple[Monomial, float], ...], ...]:
-        """The term tables of the value and of the three partials."""
-        return (self.terms, *(self.partial(k).terms for k in range(3)))
+    def _value(self) -> Callable[..., tuple]:
+        """The value alone, compiled once (see _compile)."""
+        return _compile((self.terms,))
 
     @cached_property
-    def _compiled(self) -> tuple[Callable[[float, float, float], float], ...]:
-        """The value and the three partials as functions of x1, x2, x3, compiled once."""
-        return tuple(map(_compile, self._tables))
-
-    @cached_property
-    def _block(self) -> Callable[..., tuple[np.ndarray, ...]]:
-        """The value and the three partials at each row of a block, as one function of
-        the columns x1, x2, x3; compiled on first use, like _compiled."""
-        return _compile_block(self._tables)
+    def _jet(self) -> Callable[..., tuple]:
+        """The value and the three partials, compiled once as one function."""
+        return _compile((self.terms, *(self.partial(k).terms for k in range(3))))
 
     def gradient(self, p) -> np.ndarray:
-        x = np.asarray(p, dtype=float).tolist()
-        return np.array([d(*x) for d in self._compiled[1:]])
+        return np.array(self._jet(*_arguments(_centres(p)))[1:])
 
     def degree(self) -> int:
         return max((sum(m) for m, _ in self.terms), default=0)
@@ -81,34 +71,36 @@ class Polynomial:
 _VARIABLES = ("x1", "x2", "x3")
 
 
-def _sum_lines(terms, prefix: str, power) -> list[str]:
-    """Statements s = s + c0 * x1 * x2**2 + ... adding the terms in order.
+def _compile(tables) -> Callable[..., tuple]:
+    """The term tables as one function f(x1, x2, x3, powers, zero) returning one sum per
+    table, each with the bits of zero + t1 + t2 + ... in term order.
 
-    x**0 (exactly 1.0) is dropped and x**1 written x (exact); power(x, e) writes x**e
-    for e >= 2.  Coefficients are the names prefix0, prefix1, ...; lines of at most
-    200 terms keep the compiler's recursion shallow.
+    x**0 (exactly 1.0) is dropped and x**1 written x (exact); a power x**e (e >= 2) is
+    powers(x, e), computed once for all tables.  _arguments gives one point's floats
+    with Python's pow and 0.0, or a block's columns with _powers and an array of +0.0.
+    A table with no terms returns zero itself.  Coefficients are bound as closure
+    values, so only names and exponents are compiled; lines of at most 200 terms keep
+    the compiler's recursion shallow.
     """
-    summands = []
-    for k, (mono, _) in enumerate(terms):
-        powers = [x if e == 1 else power(x, e) for x, e in zip(_VARIABLES, mono) if e]
-        summands.append(" * ".join([f"{prefix}{k}", *powers]))
-    return [f"s = s + {' + '.join(summands[k:k + 200])}" for k in range(0, len(summands), 200)]
-
-
-def _bind(lines: list[str], coefficients: dict[str, float], scope: dict) -> Callable:
-    """f(x1, x2, x3) running lines, with the coefficients bound as closure values, so
-    only names and exponents are compiled."""
+    used = sorted({(x, e) for terms in tables for mono, _ in terms
+                   for x, e in zip(_VARIABLES, mono) if e >= 2})
+    lines = [f"{x}_{e} = powers({x}, {e})" for x, e in used]
+    coefficients = {}
+    for t, terms in enumerate(tables):
+        summands = []
+        for k, (mono, coef) in enumerate(terms):
+            coefficients[f"c{t}_{k}"] = coef
+            factors = [x if e == 1 else f"{x}_{e}" for x, e in zip(_VARIABLES, mono) if e]
+            summands.append(" * ".join([f"c{t}_{k}", *factors]))
+        lines.append(f"v{t} = zero")
+        lines += [f"v{t} = v{t} + {' + '.join(summands[k:k + 200])}"
+                  for k in range(0, len(summands), 200)]
+    lines.append(f"return {', '.join(f'v{t}' for t in range(len(tables)))},")
     body = "".join(f"\n        {line}" for line in lines)
-    header = f"def bind({', '.join(coefficients)}):\n    def f(x1, x2, x3):"
-    exec(f"{header}{body}\n    return f", scope)
+    scope: dict = {}
+    exec(f"def bind({', '.join(coefficients)}):\n"
+         f"    def f(x1, x2, x3, powers, zero):{body}\n    return f", scope)
     return scope["bind"](*coefficients.values())
-
-
-def _compile(terms) -> Callable[[float, float, float], float]:
-    """The term table as straight-line code with the bits of 0.0 + t1 + t2 + ...;
-    x**e, Python's pow, stays for e >= 2."""
-    lines = ["s = 0.0", *_sum_lines(terms, "c", lambda x, e: f"{x}**{e}"), "return s"]
-    return _bind(lines, {f"c{k}": coef for k, (_, coef) in enumerate(terms)}, {})
 
 
 def _powers(x: np.ndarray, e: int) -> np.ndarray:
@@ -117,21 +109,20 @@ def _powers(x: np.ndarray, e: int) -> np.ndarray:
     return np.array([v**e for v in x.tolist()])
 
 
-def _compile_block(tables) -> Callable[..., tuple[np.ndarray, ...]]:
-    """The term tables as one function of three (n,) columns returning one (n,) array
-    per table, each with the bits of _compile's function at every row.  A power
-    x**e (e >= 2) is computed once for all tables, by _powers; the sums start from
-    an array of +0.0, as the one-point sums start from 0.0."""
-    used = sorted({(x, e) for terms in tables for mono, _ in terms
-                   for x, e in zip(_VARIABLES, mono) if e >= 2})
-    lines = [f"{x}_{e} = powers({x}, {e})" for x, e in used]
-    coefficients = {}
-    for t, terms in enumerate(tables):
-        lines += ["s = zeros(len(x1))", *_sum_lines(terms, f"c{t}_", lambda x, e: f"{x}_{e}")]
-        lines.append(f"v{t} = s")
-        coefficients.update({f"c{t}_{k}": coef for k, (_, coef) in enumerate(terms)})
-    lines.append(f"return {', '.join(f'v{t}' for t in range(len(tables)))},")
-    return _bind(lines, coefficients, {"powers": _powers, "zeros": np.zeros})
+def _centres(p):
+    """One point as a list of three floats, or an (n, 3) block as an array."""
+    x = np.asarray(p, dtype=float)
+    return x if x.ndim == 2 else x.tolist()
+
+
+def _arguments(x) -> tuple:
+    """The arguments (x1, x2, x3, powers, zero) of a compiled polynomial at _centres'
+    x: at one point its floats, pow and 0.0; over a block its contiguous columns,
+    _powers and an array of +0.0."""
+    if isinstance(x, list):
+        x1, x2, x3 = x
+        return x1, x2, x3, pow, 0.0
+    return (*np.ascontiguousarray(x.T), _powers, np.zeros(len(x)))
 
 
 ScalarField = Union[Polynomial, Callable[[np.ndarray], float]]
@@ -348,18 +339,20 @@ def parse_field_spec(
     return FieldPair(polys["A"], polys["B"], grad_mode=grad_mode, fd_step=fd_step)
 
 
-def _rows(g: ScalarField, x: np.ndarray) -> np.ndarray:
-    """A field's values at the rows of an (n, 3) block; a callable that is not a
-    Polynomial is called one row at a time."""
-    return g(x) if isinstance(g, Polynomial) else np.array([float(g(p)) for p in x])
+def _values(g: ScalarField, x):
+    """A field's value at _centres' x: a float at one point, an (n,) array over a
+    block.  A callable that is not a Polynomial is called one row at a time."""
+    if isinstance(g, Polynomial):
+        return g._value(*_arguments(x))[0]
+    if isinstance(x, np.ndarray):
+        return np.array([float(g(p)) for p in x])
+    return float(g(np.array(x)))
 
 
 def field_eval(f: FieldPair, p):
     """Values (A(p), B(p)): floats at one point, (n,) arrays over an (n, 3) block."""
-    p = np.asarray(p, dtype=float)
-    if p.ndim == 2:
-        return _rows(f.a, p), _rows(f.b, p)
-    return float(f.a(p)), float(f.b(p))
+    x = _centres(p)
+    return _values(f.a, x), _values(f.b, x)
 
 
 def central_differences(func, x, step: float) -> list:
@@ -391,40 +384,26 @@ def central_differences(func, x, step: float) -> list:
 
 
 def field_grad(f: FieldPair, p) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients (grad A, grad B) at p."""
-    p = np.asarray(p, dtype=float)
-    if f.grad_mode == "analytic":
-        return f.a.gradient(p), f.b.gradient(p)
-    x = p.tolist()
-    return tuple(
-        np.array(central_differences(lambda q: g(np.array(q)), x, f.fd_step)) for g in (f.a, f.b)
-    )
+    """Gradients (grad A, grad B) at p, from field_jet."""
+    _, _, *grad = field_jet(f, p)
+    return np.array(grad[:3]), np.array(grad[3:])
 
 
 def field_jet(f: FieldPair, p) -> tuple:
-    """(A, B, A_1, A_2, A_3, B_1, B_2, B_3) at p, A_k = dA/dx_k: the values of
-    field_eval and field_grad.  At one point they are floats, for polynomials from
-    one tolist() of p; over an (n, 3) block they are (n,) arrays with the same bits
-    at every row."""
-    x = np.asarray(p, dtype=float)
-    if x.ndim == 2:
-        if f.grad_mode == "analytic":
-            columns = np.ascontiguousarray(x.T)
-            a, *grad_a = f.a._block(*columns)
-            b, *grad_b = f.b._block(*columns)
-            return (a, b, *grad_a, *grad_b)
-        grad_a, grad_b = (
-            central_differences(lambda q: _rows(g, q), x, f.fd_step) for g in (f.a, f.b)
-        )
-        return (*field_eval(f, x), *grad_a, *grad_b)
+    """(A, B, A_1, A_2, A_3, B_1, B_2, B_3) at p, A_k = dA/dx_k: floats at one point
+    and (n,) arrays with the same bits at every row of an (n, 3) block.  A polynomial
+    gives its four from one compiled function; under "fd" the gradients are central
+    differences of the values."""
+    x = _centres(p)
     if f.grad_mode == "analytic":
-        x1, x2, x3 = x.tolist()
-        a, a1, a2, a3 = f.a._compiled
-        b, b1, b2, b3 = f.b._compiled
-        return (a(x1, x2, x3), b(x1, x2, x3), a1(x1, x2, x3), a2(x1, x2, x3), a3(x1, x2, x3),
-                b1(x1, x2, x3), b2(x1, x2, x3), b3(x1, x2, x3))
-    grad_a, grad_b = field_grad(f, p)
-    return (*field_eval(f, p), *grad_a.tolist(), *grad_b.tolist())
+        args = _arguments(x)
+        a, a1, a2, a3 = f.a._jet(*args)
+        b, b1, b2, b3 = f.b._jet(*args)
+        return a, b, a1, a2, a3, b1, b2, b3
+    grad_a, grad_b = (
+        central_differences(lambda q: _values(g, q), x, f.fd_step) for g in (f.a, f.b)
+    )
+    return (*field_eval(f, p), *grad_a, *grad_b)
 
 
 def _status(a, b):

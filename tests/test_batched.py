@@ -9,7 +9,7 @@ calls on float.hex, so that the sign of a zero counts too.
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from circgeo.circulant import Q_DENSE
@@ -166,6 +166,16 @@ def test_block_power_is_pythons_pow():
     jets = field_jet(f, block)
     for n, p in enumerate(block):
         assert hexes([column[n] for column in jets]) == hexes(field_jet(f, p))
+    # One compiled function serves both, so a power past the float range fails alike.
+    huge = FieldPair(Polynomial.from_dict({(400, 0, 0): 1.0}), square)
+    point = [10.0, 0.0, 0.0]
+    errors = []
+    for p in (point, np.array([[1.0, 0.0, 0.0], point])):
+        for call in (huge.a, lambda q: field_jet(huge, q)):
+            with pytest.raises(OverflowError) as exc:
+                call(p)
+            errors.append(str(exc.value))
+    assert len(set(errors)) == 1
 
 
 exponents = st.tuples(*[st.integers(0, 3)] * 3)
@@ -185,6 +195,10 @@ def one_point(fn, *args):
 @settings(max_examples=100, deadline=None)
 @given(polynomials, polynomials, blocks, st.sampled_from(["analytic", "fd"]),
        st.sampled_from([(1.0, 2.0, 3.0), (1.0, 1.0, 1.0), (0.5, -1.0, 2.0)]))
+# D ~ 0 at the stencil point x3 - h only: each Gamma derivative along x3 is NaN,
+# and the rest of the row must be too.
+@example(Polynomial.from_dict({(0, 0, 1): 1.0}), Polynomial.from_dict({(1, 0, 1): -3.0}),
+         [(3.0, 0.0, 1e-6)], "analytic", (1.0, 2.0, 3.0))
 def test_block_connection_and_curvature_match_one_point_calls(a, b, block, grad_mode, x):
     assume(a != b)  # A = B is degenerate everywhere; other degenerate points stay in
     f = FieldPair(a, b, grad_mode=grad_mode)

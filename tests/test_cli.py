@@ -7,7 +7,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import circgeo.cli
@@ -491,6 +491,33 @@ class TestConfig:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv, config",
+        [
+            (["--fields=@a\x00b"], None),
+            (["--config=a\x00b"], None),
+            (["--out=a\x00b"], None),
+            ([], {"out": "a\x00b"}),
+            (["--fields=@{bad}"], None),
+            (["--config={bad}"], None),
+        ],
+        ids=["fields-nul", "config-nul", "out-nul", "config-out-nul", "fields-utf8", "config-utf8"],
+    )
+    def test_nul_path_or_non_utf8_file_exits_2(self, tmp_path, capsys, argv, config):
+        # open() refuses a NUL in a path, and reading refuses bytes that are not
+        # UTF-8, with ValueError, not OSError.
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes("A: x1; B: 2 \u00b5".encode("latin-1"))
+        argv = [arg.format(bad=bad) for arg in argv]
+        if config is not None:
+            path = tmp_path / "run.json"
+            path.write_text(json.dumps(config))
+            argv = [*argv, "--config", str(path)]
+        code, captured = run(capsys, "eval", "metric", "--point", "1,0,0", *argv)
+        assert code == 2
+        assert captured.err.startswith("circgeo: error: cannot ")
+        assert captured.out == ""
+
 
 COMMANDS = [["eval", what] for what in ("metric", "christoffel", "nabla-q", "curvature", "sectional")]
 COORDS = st.floats(-1e300, 1e300, allow_nan=False)
@@ -571,3 +598,74 @@ def test_any_config_exits_0_1_or_2(command, config, arbitrary):
             assert text == ""
         elif config.get("format", "json") == "json":
             json.loads(text, parse_constant=_refuse)
+
+
+# Flag values: what each flag accepts, its edge cases, and arbitrary text.  A
+# grid has at most 4 steps per axis (arbitrary grid text has no digits), so no
+# run is large.
+TEXT = st.text(max_size=10)
+NUMBER_TEXT = st.floats(-4, 4).map(repr) | st.sampled_from(
+    ["0", "-0", "1", "-2.5", "1e-300", "1e300", "1e400", "nan", "inf", "-inf", ""]
+)
+TRIPLE_TEXT = st.lists(NUMBER_TEXT, max_size=4).map(",".join)
+GRID_TEXT = st.text(st.characters(blacklist_categories=["Nd"]), max_size=10) | st.lists(
+    st.tuples(NUMBER_TEXT, NUMBER_TEXT, st.sampled_from(["0", "1", "2", "4", "2.5", "-1", "nan"])),
+    min_size=1, max_size=3,
+).map(lambda axes: ",".join(map(",".join, axes)))
+FLAG_VALUES = {
+    "--config": TEXT,
+    "--fields": TEXT | TEXT.map("@".__add__) | st.sampled_from(
+        ["paper-example", "A: 2; B: 1", "A: x1^2 + 3; B: x2*x3", "A: x1^400; B: 1", "A: x1; B: x1"]
+    ),
+    "--point": TRIPLE_TEXT | TEXT,
+    "--grid": GRID_TEXT,
+    "--grad": st.sampled_from(["analytic", "fd"]) | TEXT,
+    "--step": st.sampled_from(["1e-6", "1e-3", "0.5", "1e-300", "0", "-1", "nan", "inf"]) | TEXT,
+    "--seed": st.sampled_from(["0", "7", "-1", str(2**64), "1.5"]) | TEXT,
+    "--x": TRIPLE_TEXT | TEXT,
+    "--format": st.sampled_from(["json", "csv"]) | TEXT,
+    "--tol": st.tuples(st.sampled_from(sorted(DEFAULT_TOLERANCES)) | TEXT, NUMBER_TEXT | TEXT)
+    .map("=".join),
+}
+# "--flag=value" keeps a value that starts with "-" a value; words never start
+# with "-", so none can abbreviate --help.
+FLAGS = st.sampled_from(sorted(FLAG_VALUES)).flatmap(
+    lambda flag: FLAG_VALUES[flag].map(lambda value: f"{flag}={value}")
+)
+WORDS = st.lists(TEXT.filter(lambda word: not word.startswith("-")), min_size=1, max_size=2)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    st.sampled_from([*COMMANDS, ["verify"], ["scan"], ["eval"], []]),
+    st.lists(FLAGS, max_size=6),
+    # One run in four puts words of any kind in place of the subcommand or last.
+    st.sampled_from([None] * 6 + ["command", "last"]),
+    WORDS,
+    st.booleans(),
+)
+def test_any_argv_exits_0_1_or_2(tmp_path, command, flags, words_at, words, to_file):
+    report = tmp_path / "report"
+    report.unlink(missing_ok=True)
+    argv = [
+        *(words if words_at == "command" else command), *flags,
+        *(words if words_at == "last" else []), *([f"--out={report}"] if to_file else []),
+    ]
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refusing the arguments
+            code = exc.code
+    assert code in (0, 1, 2)
+    text = stdout.getvalue()
+    if code == 2:
+        assert text == "" and not report.exists()
+        return
+    if to_file:
+        assert text == ""
+        text = report.read_text(encoding="utf-8")
+    formats = [flag.partition("=")[2] for flag in flags if flag.startswith("--format=")]
+    if formats[-1:] != ["csv"]:
+        json.loads(text, parse_constant=_refuse)

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circgeo.errors import DegenerateMetric, ParseError, StencilCollapsed, UnknownBuiltin
 from circgeo.fields import (
+    BUILTIN_FIELDS,
     FieldPair,
     Polynomial,
     domain_check,
@@ -174,6 +175,52 @@ def test_evaluation_bitwise_matches_reference(poly, p):
     gradient = bits(*poly.gradient(p))
     assert gradient == bits(*(poly.partial(k)(p) for k in range(3)))
     assert gradient == bits(*(term_loop(poly.partial(k), p) for k in range(3)))
+
+
+# The grammar's tokens, oversized numbers and exponents among them, and a few
+# characters outside it.  Arbitrary text and loose token strings mostly fail
+# early, so well-formed sums of such factors, joined as "A: ...; B: ...", reach
+# the checks on numbers and on the finished polynomials too.
+NUMBERS = st.one_of(
+    st.sampled_from(["0", "1/3", "0/0", "2.5", ".5", "7.", "9" * 400, "1" + "0" * 5000]),
+    st.integers(0, 10**20).map(str),
+    st.fractions(max_denominator=10**6).map(lambda q: f"{abs(q.numerator)}/{q.denominator}"),
+)
+VARIABLES = st.sampled_from(["x1", "x2", "x3"])
+EXPONENTS = st.integers(0, 9) | st.integers(0, 10**400) | st.sampled_from(["", "2.5", "-1"])
+FACTORS = st.one_of(
+    NUMBERS, VARIABLES, st.tuples(VARIABLES, EXPONENTS).map(lambda v: f"{v[0]}^{v[1]}"),
+    st.just(f"x1^{'9' * 308}"),  # two in one term overflow the exponent sum
+)
+SUMS = st.lists(
+    st.tuples(st.sampled_from(["", "+", "-", " - ", " + "]),
+              st.lists(FACTORS, min_size=1, max_size=3).map("*".join)).map("".join),
+    min_size=1, max_size=4,
+).map("".join)
+TOKENS = FACTORS | st.sampled_from([
+    "x1", "^", "*", "+", "-", "/", ";", ":", "A:", "B:", "A", "B", ".", "(", ")", "e",
+    *BUILTIN_FIELDS, "no-such-pair",
+])
+SPEC_TEXTS = st.one_of(
+    st.text(),
+    st.tuples(st.lists(TOKENS, max_size=16), st.sampled_from(["", " "])).map(
+        lambda parts: parts[1].join(parts[0])
+    ),
+    st.tuples(SUMS, SUMS | st.lists(TOKENS, max_size=6).map("".join)).map(
+        lambda ab: f"A: {ab[0]}; B: {ab[1]}"
+    ),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(SPEC_TEXTS)
+def test_parse_field_spec_is_total(text):
+    try:
+        f = parse_field_spec(text)
+    except (ParseError, UnknownBuiltin):
+        return
+    assert isinstance(f, FieldPair)
+    assert isinstance(f.a, Polynomial) and isinstance(f.b, Polynomial)
 
 
 @given(polynomials, polynomials, points, st.sampled_from(["analytic", "fd"]))
