@@ -6,8 +6,6 @@ from .circulant import (
     S,
     CirculantMatrix,
     circ_apply,
-    circ_det,
-    circ_inverse,
     circ_mul,
 )
 from .connection import (
@@ -15,7 +13,6 @@ from .connection import (
     christoffel_general,
     nabla_q,
     parallel_defect,
-    reduced_christoffel,
 )
 from .curvature import (
     CurvatureAtPoint,
@@ -47,14 +44,11 @@ __all__ = [
     "S",
     "CirculantMatrix",
     "circ_apply",
-    "circ_det",
-    "circ_inverse",
     "circ_mul",
     "christoffel_closed",
     "christoffel_general",
     "nabla_q",
     "parallel_defect",
-    "reduced_christoffel",
     "CurvatureAtPoint",
     "SectionReport",
     "curvature_at",

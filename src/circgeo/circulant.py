@@ -8,6 +8,8 @@ A circulant triple (a, b, c) stands for the row-cyclic matrix
 
 The set of invertible matrices of this shape is a commutative group under
 matrix multiplication, which is what makes the triple representation closed.
+The metric's own inverse, (A + B, -B, -B) / D, is MetricAtPoint.g_inv in
+circgeo.fields.
 """
 
 from __future__ import annotations
@@ -15,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import SingularMatrix
 
 
 @dataclass(frozen=True)
@@ -57,31 +57,6 @@ def circ_mul(m1: CirculantMatrix, m2: CirculantMatrix) -> CirculantMatrix:
         a1 * a2 + b1 * c2 + c1 * b2,
         a1 * b2 + b1 * a2 + c1 * c2,
         a1 * c2 + b1 * b2 + c1 * a2,
-    )
-
-
-def circ_det(m: CirculantMatrix) -> float:
-    """Determinant a^3 + b^3 + c^3 - 3abc of the expanded matrix."""
-    a, b, c = m.triple()
-    return a**3 + b**3 + c**3 - 3.0 * a * b * c
-
-
-def circ_inverse(m: CirculantMatrix) -> CirculantMatrix:
-    """Inverse circulant matrix via the adjugate.
-
-    Raises SingularMatrix when the determinant is below the scale-aware
-    epsilon.  For the metric shape (A, B, B) this reduces to
-    (1/D) * (A+B, -B, -B) with D = (A-B)(A+2B).
-    """
-    a, b, c = m.triple()
-    det = circ_det(m)
-    # Scale-aware threshold below which the determinant counts as zero.
-    if abs(det) < 1e-12 * (1.0 + max(abs(a), abs(b), abs(c)) ** 3):
-        raise SingularMatrix(f"circulant {m.triple()} has determinant {det}")
-    return CirculantMatrix(
-        (a * a - b * c) / det,
-        (c * c - a * b) / det,
-        (b * b - a * c) / det,
     )
 
 

@@ -41,7 +41,6 @@ from .errors import ConfigError, ParseError, PointSkipped, StencilCollapsed, Unk
 from .fields import (
     DEFAULT_FD_STEP,
     FieldPair,
-    Polynomial,
     domain_check,
     parse_field_spec,
 )
@@ -227,12 +226,7 @@ def _max_abs(values: np.ndarray) -> float:
 
 
 def _is_constant(f: FieldPair) -> bool:
-    return (
-        isinstance(f.a, Polynomial)
-        and isinstance(f.b, Polynomial)
-        and f.a.degree() == 0
-        and f.b.degree() == 0
-    )
+    return f.a.degree() == 0 and f.b.degree() == 0
 
 
 def cmd_eval(config: RunConfig, what: str) -> dict:

@@ -18,7 +18,6 @@ from __future__ import annotations
 import numpy as np
 
 from .circulant import Q_DENSE, S
-from .errors import ParallelismViolated
 from .fields import FieldPair, degeneracy_factor, field_grad, field_jet, metric_at
 
 
@@ -102,47 +101,6 @@ def nabla_q(f: FieldPair, p, gamma: np.ndarray | None = None) -> np.ndarray:
     if gamma is None:
         gamma = christoffel_general(f, p)
     return np.einsum("sia,ja->ijs", gamma, Q_DENSE) - np.einsum("aij,as->ijs", gamma, Q_DENSE)
-
-
-# Six-way degenerate groups of the reduced Christoffel symbols: which
-# (s, i, j) entries share each common value once q is parallel.
-REDUCED_GROUPS = (
-    ((0, 0, 0), (1, 0, 1), (2, 0, 2), (2, 1, 1), (0, 1, 2), (1, 2, 2)),
-    ((2, 0, 0), (0, 0, 1), (1, 0, 2), (1, 1, 1), (2, 1, 2), (0, 2, 2)),
-    ((1, 0, 0), (2, 0, 1), (0, 0, 2), (0, 1, 1), (1, 1, 2), (2, 2, 2)),
-)
-
-
-def reduced_christoffel(f: FieldPair, p) -> tuple[float, float, float]:
-    """The three common values (G1, G2, G3) under the parallelism criterion.
-
-    Raises ParallelismViolated when grad A != grad B . S at p; also verifies
-    the six-way equalities against the general-path symbols.
-    """
-    defect = parallel_defect(f, p)
-    grad_a, grad_b = field_grad(f, p)
-    # Scale-aware zero test for the defect.
-    if float(np.max(np.abs(defect))) > 1e-9 * (1.0 + float(np.max(np.abs(grad_a)))):
-        raise ParallelismViolated(f"defect {defect} at {tuple(np.asarray(p, float).tolist())}")
-    metric = metric_at(f, p)
-    a, b = metric.a, metric.b
-    (a1, a2, a3), (b1, b2, b3) = grad_a, grad_b
-    half_d = 1.0 / (2.0 * metric.d)
-    values = (
-        half_d * (a * a1 + b * (-3 * b1 + b2 + b3)),
-        half_d * (a * a2 + b * (b1 - 3 * b2 + b3)),
-        half_d * (a * a3 + b * (b1 + b2 - 3 * b3)),
-    )
-    gamma = christoffel_general(f, p)
-    tol = 1e-10 * (1.0 + np.max(np.abs(gamma)))
-    for value, group in zip(values, REDUCED_GROUPS):
-        for s, i, j in group:
-            if abs(gamma[s, i, j] - value) > tol:
-                raise RuntimeError(
-                    f"reduced group value {value} disagrees with "
-                    f"Gamma[{s},{i},{j}] = {gamma[s, i, j]}"
-                )
-    return values
 
 
 def metric_compatibility_residual(f: FieldPair, p) -> float:

@@ -5,10 +5,6 @@ class CircGeoError(Exception):
     """Base class for all circgeo errors."""
 
 
-class SingularMatrix(CircGeoError):
-    """Circulant matrix has (numerically) zero determinant."""
-
-
 class PointSkipped(CircGeoError):
     """The point (or a point its computation needs) is outside where the check applies.
 
@@ -33,10 +29,6 @@ class ParseError(CircGeoError):
 
 class UnknownBuiltin(CircGeoError):
     """Field spec names a builtin field pair that does not exist."""
-
-
-class ParallelismViolated(CircGeoError):
-    """Reduced Christoffel forms requested where grad A != grad B . S."""
 
 
 class StencilCollapsed(CircGeoError):

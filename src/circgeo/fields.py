@@ -1,19 +1,18 @@
 """Scalar field pairs (A, B) over R^3 and the metric they induce.
 
-A field is either a trivariate polynomial (parsed from text, analytic
-gradients exact) or an arbitrary smooth callable (gradients by central
-differences only).  The metric at a point is the circulant circ(A, B, B);
-its degeneracy factor is D = (A - B)(A + 2B).
+A field is a trivariate polynomial, parsed from text; its gradients are exact
+("analytic") or central differences ("fd").  The metric at a point is the
+circulant circ(A, B, B); its degeneracy factor is D = (A - B)(A + 2B).
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
@@ -124,8 +123,6 @@ def _arguments(x) -> tuple:
         return x1, x2, x3, pow, 0.0
     return (*np.ascontiguousarray(x.T), _powers, np.zeros(len(x)))
 
-
-ScalarField = Union[Polynomial, Callable[[np.ndarray], float]]
 
 #: Step of every central difference, h_k = DEFAULT_FD_STEP * (1 + |x_k|).  1e-5
 #: keeps the truncation error of the curvature itself well below 1e-6, but the
@@ -290,23 +287,21 @@ BUILTIN_FIELDS: dict[str, Callable[[], tuple[Polynomial, Polynomial]]] = {
 class FieldPair:
     """The two scalar fields defining the metric, with a gradient mode and a step.
 
-    grad_mode is "analytic" (polynomials only) or "fd" (central differences).
+    grad_mode is "analytic" (exact partials) or "fd" (central differences).
     fd_step is the step of every central difference (see central_differences):
     the curvature's always, the field gradients' under "fd".
     """
 
-    a: ScalarField
-    b: ScalarField
+    a: Polynomial
+    b: Polynomial
     grad_mode: str = "analytic"
     fd_step: float = DEFAULT_FD_STEP
 
     def __post_init__(self):
         if self.grad_mode not in ("analytic", "fd"):
             raise ValueError(f"unknown grad_mode {self.grad_mode!r}")
-        if self.grad_mode == "analytic":
-            for f in (self.a, self.b):
-                if not isinstance(f, Polynomial):
-                    raise ValueError("analytic gradients require polynomial fields")
+        if not (isinstance(self.a, Polynomial) and isinstance(self.b, Polynomial)):
+            raise ValueError("fields must be Polynomials")
 
 
 def parse_field_spec(
@@ -339,20 +334,10 @@ def parse_field_spec(
     return FieldPair(polys["A"], polys["B"], grad_mode=grad_mode, fd_step=fd_step)
 
 
-def _values(g: ScalarField, x):
-    """A field's value at _centres' x: a float at one point, an (n,) array over a
-    block.  A callable that is not a Polynomial is called one row at a time."""
-    if isinstance(g, Polynomial):
-        return g._value(*_arguments(x))[0]
-    if isinstance(x, np.ndarray):
-        return np.array([float(g(p)) for p in x])
-    return float(g(np.array(x)))
-
-
 def field_eval(f: FieldPair, p):
     """Values (A(p), B(p)): floats at one point, (n,) arrays over an (n, 3) block."""
-    x = _centres(p)
-    return _values(f.a, x), _values(f.b, x)
+    args = _arguments(_centres(p))
+    return f.a._value(*args)[0], f.b._value(*args)[0]
 
 
 def central_differences(func, x, step: float) -> list:
@@ -391,9 +376,9 @@ def field_grad(f: FieldPair, p) -> tuple[np.ndarray, np.ndarray]:
 
 def field_jet(f: FieldPair, p) -> tuple:
     """(A, B, A_1, A_2, A_3, B_1, B_2, B_3) at p, A_k = dA/dx_k: floats at one point
-    and (n,) arrays with the same bits at every row of an (n, 3) block.  A polynomial
-    gives its four from one compiled function; under "fd" the gradients are central
-    differences of the values."""
+    and (n,) arrays with the same bits at every row of an (n, 3) block.  Under
+    "analytic" each field gives its four from one compiled function; under "fd"
+    the gradients are central differences of the values."""
     x = _centres(p)
     if f.grad_mode == "analytic":
         args = _arguments(x)
@@ -401,7 +386,8 @@ def field_jet(f: FieldPair, p) -> tuple:
         b, b1, b2, b3 = f.b._jet(*args)
         return a, b, a1, a2, a3, b1, b2, b3
     grad_a, grad_b = (
-        central_differences(lambda q: _values(g, q), x, f.fd_step) for g in (f.a, f.b)
+        central_differences(lambda q: g._value(*_arguments(q))[0], x, f.fd_step)
+        for g in (f.a, f.b)
     )
     return (*field_eval(f, p), *grad_a, *grad_b)
 

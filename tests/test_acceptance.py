@@ -9,7 +9,6 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from circgeo.circulant import IDENTITY, Q, Q_DENSE, CirculantMatrix, circ_mul
 from circgeo.cli import main
@@ -22,12 +21,8 @@ from circgeo.curvature import (
     theorem3_check,
 )
 from circgeo.fields import metric_at, parse_field_spec
-from circgeo.sampling import (
-    random_defective_pair,
-    random_field_pair,
-    random_point,
-    random_vector,
-)
+from circgeo.sampling import random_point, random_vector
+from pairs import random_defective_pair, random_field_pair
 
 ERRATA = Path(__file__).resolve().parent.parent / "ERRATA.md"
 

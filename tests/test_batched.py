@@ -25,7 +25,8 @@ from circgeo.curvature import (
 )
 from circgeo.errors import DegenerateSection, PointSkipped
 from circgeo.fields import FieldPair, Polynomial, field_jet
-from circgeo.sampling import random_parallel_pair, random_point
+from circgeo.sampling import random_point
+from pairs import random_parallel_pair
 
 seeds = st.integers(0, 2**32 - 1)
 sizes = st.sampled_from([0, 1, 2, 5, 33])

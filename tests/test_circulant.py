@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -9,11 +8,8 @@ from circgeo.circulant import (
     S,
     CirculantMatrix,
     circ_apply,
-    circ_det,
-    circ_inverse,
     circ_mul,
 )
-from circgeo.errors import SingularMatrix
 
 finite = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 circulants = st.builds(CirculantMatrix, finite, finite, finite)
@@ -57,56 +53,6 @@ def test_mul_commutative_within_4ulp(m1, m2):
     for x, y in zip(ab.triple(), ba.triple()):
         mags = sum(abs(u * v) for u in m1.triple() for v in m2.triple())
         assert abs(x - y) <= 4 * np.spacing(mags + 1.0)
-
-
-def test_det_identity_and_shift():
-    assert circ_det(IDENTITY) == 1.0
-    assert circ_det(Q) == 1.0
-
-
-def test_det_derived_example():
-    # Cofactor-expansion oracle and eigenvalue form (A+2B)(A-B)^2 = 6*9 = 54.
-    m = CirculantMatrix(4, 1, 1)
-    assert circ_det(m) == 54.0
-    assert np.linalg.det(m.dense()) == pytest.approx(54.0, rel=1e-12)
-    assert (4 + 2 * 1) * (4 - 1) ** 2 == 54
-
-
-def test_det_multiplicative(rng):
-    for _ in range(500):
-        m1 = CirculantMatrix(*rng.uniform(-3, 3, 3))
-        m2 = CirculantMatrix(*rng.uniform(-3, 3, 3))
-        lhs = circ_det(circ_mul(m1, m2))
-        rhs = circ_det(m1) * circ_det(m2)
-        assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
-
-
-def test_inverse_identity_element():
-    assert circ_inverse(IDENTITY) == IDENTITY
-
-
-def test_inverse_derived_example():
-    inv = circ_inverse(CirculantMatrix(4, 1, 1))
-    assert inv.a == pytest.approx(5 / 18, abs=1e-15)
-    assert inv.b == pytest.approx(-1 / 18, abs=1e-15)
-    assert inv.c == pytest.approx(-1 / 18, abs=1e-15)
-    prod = circ_mul(CirculantMatrix(4, 1, 1), inv)
-    assert np.allclose(prod.dense(), np.eye(3), atol=1e-15)
-
-
-def test_inverse_singular():
-    with pytest.raises(SingularMatrix):
-        circ_inverse(CirculantMatrix(1, 1, 1))
-
-
-def test_inverse_random_within_1e12(rng):
-    for _ in range(500):
-        m = CirculantMatrix(*rng.uniform(-3, 3, 3))
-        if abs(circ_det(m)) <= 1e-6:
-            continue
-        prod = circ_mul(m, circ_inverse(m))
-        err = max(abs(prod.a - 1.0), abs(prod.b), abs(prod.c))
-        assert err <= 1e-12
 
 
 def test_apply_symmetric_vector_fixed():

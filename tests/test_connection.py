@@ -1,19 +1,53 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+from circgeo.circulant import S
 from circgeo.connection import (
-    REDUCED_GROUPS,
     christoffel_closed,
     christoffel_general,
     metric_compatibility_residual,
     metric_partials,
     nabla_q,
     parallel_defect,
-    reduced_christoffel,
 )
-from circgeo.errors import DegenerateMetric, ParallelismViolated
-from circgeo.fields import FieldPair, metric_at, parse_field_spec
-from circgeo.sampling import random_defective_pair, random_field_pair, random_parallel_pair, random_point
+from circgeo.errors import DegenerateMetric
+from circgeo.fields import FieldPair, field_grad, metric_at, parse_field_spec
+from circgeo.sampling import random_point
+from pairs import random_defective_pair, random_field_pair, random_parallel_pair
+
+# Where q is parallel (grad A = grad B . S), Gamma takes three values, each shared by
+# one six-way group of (s, i, j) entries (and, by symmetry, their (s, j, i) mirrors).
+REDUCED_GROUPS = (
+    ((0, 0, 0), (1, 0, 1), (2, 0, 2), (2, 1, 1), (0, 1, 2), (1, 2, 2)),
+    ((2, 0, 0), (0, 0, 1), (1, 0, 2), (1, 1, 1), (2, 1, 2), (0, 2, 2)),
+    ((1, 0, 0), (2, 0, 1), (0, 0, 2), (0, 1, 1), (1, 1, 2), (2, 2, 2)),
+)
+
+
+def reduced_values(f, p):
+    """The three group values (G1, G2, G3), from the field jet alone."""
+    metric = metric_at(f, p)
+    a, b = metric.a, metric.b
+    (a1, a2, a3), (b1, b2, b3) = field_grad(f, p)
+    half_d = 1.0 / (2.0 * metric.d)
+    return (
+        half_d * (a * a1 + b * (-3 * b1 + b2 + b3)),
+        half_d * (a * a2 + b * (b1 - 3 * b2 + b3)),
+        half_d * (a * a3 + b * (b1 + b2 - 3 * b3)),
+    )
+
+
+def group_deviation(f, p):
+    """Max |Gamma[s, i, j] - G| over the groups, relative to 1 + max |Gamma|."""
+    gamma = christoffel_general(f, p)
+    deviation = max(
+        abs(gamma[s, i, j] - value)
+        for value, group in zip(reduced_values(f, p), REDUCED_GROUPS)
+        for s, i, j in group
+    )
+    return deviation / (1.0 + np.max(np.abs(gamma)))
 
 
 def gamma_from_groups(g1, g2, g3):
@@ -24,6 +58,16 @@ def gamma_from_groups(g1, g2, g3):
             gamma[s, i, j] = value
             gamma[s, j, i] = value
     return gamma
+
+
+def exact_terms(*weighted):
+    """The sum of weight * polynomial over (weight, Polynomial) pairs in exact
+    rational arithmetic, as its nonzero terms."""
+    out = {}
+    for weight, poly in weighted:
+        for mono, coef in poly.terms:
+            out[mono] = out.get(mono, 0) + Fraction(weight) * Fraction(coef)
+    return {mono: coef for mono, coef in out.items() if coef}
 
 
 def christoffel_loop(f, p):
@@ -136,6 +180,25 @@ class TestParallelism:
             assert np.max(np.abs(parallel_defect(f, p))) <= 1e-12
             assert np.max(np.abs(nabla_q(f, p))) <= 1e-10
 
+    def test_random_parallel_pair_is_exactly_parallel(self, rng):
+        for _ in range(50):
+            f = random_parallel_pair(rng)
+            grad_a = [f.a.partial(k) for k in range(3)]
+            grad_b = [f.b.partial(k) for k in range(3)]
+            hess_b = [[g.partial(j) for j in range(3)] for g in grad_b]
+            for k in range(3):
+                # (grad A - grad B . S)_k has no terms.
+                assert not exact_terms(
+                    (1, grad_a[k]), *((-S[j, k], grad_b[j]) for j in range(3))
+                )
+            for i in range(3):
+                for j in range(i + 1, 3):
+                    # (S . Hess B)_ij = (S . Hess B)_ji
+                    assert not exact_terms(
+                        *((S[i, k], hess_b[k][j]) for k in range(3)),
+                        *((-S[j, k], hess_b[k][i]) for k in range(3)),
+                    )
+
     def test_theorem1_converse_random_pairs(self, rng):
         for _ in range(10):
             f = random_defective_pair(rng)
@@ -146,23 +209,26 @@ class TestParallelism:
 
 class TestReducedChristoffel:
     def test_paper_point(self, paper_fields):
-        g1, g2, g3 = reduced_christoffel(paper_fields, (1, 0, 0))
+        g1, g2, g3 = reduced_values(paper_fields, (1, 0, 0))
         assert g1 == pytest.approx(0.5, abs=1e-14)
         assert g2 == pytest.approx(1 / 6, abs=1e-14)
         assert g3 == pytest.approx(-1 / 6, abs=1e-14)
+        assert group_deviation(paper_fields, (1, 0, 0)) <= 1e-14
 
     def test_constant_fields(self):
         f = parse_field_spec("A: 2; B: 1")
-        assert reduced_christoffel(f, (0, 0, 0)) == (0.0, 0.0, 0.0)
+        assert reduced_values(f, (0, 0, 0)) == (0.0, 0.0, 0.0)
+        assert group_deviation(f, (0, 0, 0)) == 0.0
 
     def test_cross_check_second_point(self, paper_fields):
-        values = reduced_christoffel(paper_fields, (2, 1, 0))
-        gamma = christoffel_general(paper_fields, (2, 1, 0))
-        for value, group in zip(values, REDUCED_GROUPS):
-            for s, i, j in group:
-                assert abs(gamma[s, i, j] - value) <= 1e-10
+        assert group_deviation(paper_fields, (2, 1, 0)) <= 1e-10
+
+    def test_groups_hold_for_random_parallel_pairs(self, rng):
+        for _ in range(10):
+            f = random_parallel_pair(rng)
+            assert group_deviation(f, random_point(rng, f)) <= 1e-10
 
     def test_rejects_nonparallel_pair(self):
+        # grad A - grad B . S = (1, 0, 0): Gamma^1_11 = 1/2 but Gamma^3_22 = 0.
         f = parse_field_spec("A: x1; B: 0")
-        with pytest.raises(ParallelismViolated):
-            reduced_christoffel(f, (1, 0, 0))
+        assert group_deviation(f, (1, 0, 0)) > 0.1
