@@ -16,7 +16,6 @@ from .connection import (
 )
 from .curvature import (
     CurvatureAtPoint,
-    SectionReport,
     curvature_at,
     identity_32_residual,
     identity_residuals,
@@ -50,7 +49,6 @@ __all__ = [
     "nabla_q",
     "parallel_defect",
     "CurvatureAtPoint",
-    "SectionReport",
     "curvature_at",
     "identity_32_residual",
     "identity_residuals",

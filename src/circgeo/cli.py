@@ -212,12 +212,15 @@ def _bounded(check: str, index: int, point, residual: float, tolerance: float) -
 
 
 @contextmanager
-def _in_range(point):
-    """Turn a float overflow while working on point into a ConfigError naming it."""
+def _in_range(point, x=None):
+    """Turn a float overflow while working on point into a ConfigError naming it, or
+    naming the seed vector x if given and |x|**4 (mu's degree in x) overflows alone."""
     try:
         with np.errstate(over="raise", invalid="raise"):
             yield
     except (OverflowError, FloatingPointError) as exc:
+        if x is not None and math.hypot(*x) > sys.float_info.max ** 0.25:
+            raise ConfigError(f"x {list(x)} is out of range: {exc}") from exc
         raise ConfigError(f"point {list(point)} is out of range: {exc}") from exc
 
 
@@ -236,7 +239,7 @@ def cmd_eval(config: RunConfig, what: str) -> dict:
     records = []
     for idx, p in enumerate(points):
         try:
-            with _in_range(p):
+            with _in_range(p, config.x if what == "sectional" else None):
                 records.append(_eval_one(config, f, what, idx, p))
         except PointSkipped as exc:
             records.append(
@@ -263,22 +266,17 @@ def _eval_one(config: RunConfig, f: FieldPair, what: str, idx: int, p) -> dict:
     if what == "christoffel":
         return _record(what, idx, p, "pass", gamma=christoffel_general(f, p).tolist())
     if what == "nabla-q":
-        nq = nabla_q(f, p)
+        nq = nabla_q(christoffel_general(f, p))
         return _record(what, idx, p, "pass", max_norm=_max_abs(nq), components=nq.tolist())
     if what == "curvature":
         curv = curvature_at(f, p)
         return _record(what, idx, p, "pass", max_abs=curv.max_abs, r_down=curv.r_down.tolist())
     if what == "sectional":
-        report = theorem3_check(f, p, config.x, config.tol("spread_rel"), config.tol("spread_abs"))
-        return _record(
-            what,
-            idx,
-            p,
-            "pass" if report.passed else "fail",
-            mu=list(report.mu),
-            spread=report.spread,
-            independence=report.independence,
+        mu, spread, passed, cubic = theorem3_check(
+            f, p, config.x, config.tol("spread_rel"), config.tol("spread_abs")
         )
+        return _record(what, idx, p, "pass" if passed else "fail",
+                       mu=mu, spread=spread, independence=cubic)
     raise ConfigError(f"unknown eval target {what!r}")
 
 
@@ -315,7 +313,7 @@ def _verify_point(config, f, rng, idx, p, m, dual_tol) -> list[dict]:
     records.append(_bounded("metric-compatibility", idx, p, resid, config.tol("metric_compat")))
 
     defect = _max_abs(parallel_defect(f, p))
-    nq = _max_abs(nabla_q(f, p, general))
+    nq = _max_abs(nabla_q(general))
     if defect <= config.tol("defect_zero"):
         tol = config.tol("nabla_q")
         records.append(
@@ -433,13 +431,14 @@ def _scan_node(config: RunConfig, f: FieldPair, qx, idx: int, p) -> dict:
     """The row of one grid node, from the one-point kernels."""
     with _in_range(p):
         m = domain_check(f, p)
-        mu_e1 = None
-        if not m.degenerate and m.definite:
+    mu_e1 = None
+    if not m.degenerate and m.definite:
+        with _in_range(p, config.x):
             try:
                 mu_e1 = sectional_curvature(f, p, config.x, qx)
             except PointSkipped:
                 pass
-        return _scan_row(idx, p, m.a, m.b, m.d, m.degenerate, m.definite, mu_e1)
+    return _scan_row(idx, p, m.a, m.b, m.d, m.degenerate, m.definite, mu_e1)
 
 
 def _scan_row(idx: int, p, a, b, d, degenerate, definite, mu_e1) -> dict:

@@ -10,7 +10,8 @@ Two independent computations of the Christoffel symbols are provided:
   metric contains transcription errors; the expressions here were re-derived
   from the general formula and the corrections are listed in ERRATA.md.
 
-Both paths must agree everywhere; tests enforce this.
+Both paths must agree everywhere; tests enforce this.  ``nabla_q`` reads the
+gamma[s, i, j] array of either, so its caller evaluates Gamma once.
 """
 
 from __future__ import annotations
@@ -95,11 +96,8 @@ def parallel_defect(f: FieldPair, p) -> np.ndarray:
     return grad_a - grad_b @ S
 
 
-def nabla_q(f: FieldPair, p, gamma: np.ndarray | None = None) -> np.ndarray:
-    """nabla_i q_j^s = Gamma^s_ia q_j^a - Gamma^a_ij q_a^s as [i, j, s] (q is constant);
-    gamma is christoffel_general(f, p) when not given."""
-    if gamma is None:
-        gamma = christoffel_general(f, p)
+def nabla_q(gamma: np.ndarray) -> np.ndarray:
+    """nabla_i q_j^s = Gamma^s_ia q_j^a - Gamma^a_ij q_a^s as [i, j, s] (q is constant)."""
     return np.einsum("sia,ja->ijs", gamma, Q_DENSE) - np.einsum("aij,as->ijs", gamma, Q_DENSE)
 
 

@@ -10,7 +10,8 @@ Christoffel computation, with the field pair's fd_step.  The (0,4) tensor is
 the g-lowering of the last index: R_kjis = g_as R^a_kji.
 
 The checks contract the tensor against (n, 3) stacks of vectors, one row per
-vector; the single-vector functions are the n = 1 case of the stacked ones.
+vector.  ``sectional_curvature`` and ``theorem3_check`` build their own tensor;
+a caller that holds one calls ``sectional_curvatures`` or ``orbit_spreads``.
 """
 
 from __future__ import annotations
@@ -138,20 +139,8 @@ def independence_cubic(x) -> float:
     return 3.0 * x1 * x2 * x3 - x1**3 - x2**3 - x3**3
 
 
-@dataclass(frozen=True)
-class SectionReport:
-    """The three shift-orbit 2-sections of a seed vector and their curvatures."""
-
-    x: np.ndarray
-    sections: tuple[tuple[np.ndarray, np.ndarray], ...]
-    independence: float
-    mu: tuple[float, float, float] | None = None
-    spread: float | None = None
-    passed: bool | None = None
-
-
-def sections_of(f: FieldPair, p, x) -> SectionReport:
-    """Build the three ordered pairs {x,qx}, {qx,q2x}, {q2x,x}.
+def sections_of(f: FieldPair, p, x) -> float:
+    """The independence cubic of x, once x and p admit the sections {x,qx}, {qx,q2x}, {q2x,x}.
 
     Raises DependentOrbit when the independence cubic vanishes and
     IndefiniteMetric when the metric at p is not positive definite.
@@ -168,13 +157,7 @@ def sections_of(f: FieldPair, p, x) -> SectionReport:
         raise IndefiniteMetric(
             f"metric not positive definite at {tuple(np.asarray(p, float).tolist())}"
         )
-    qx = Q_DENSE @ x
-    q2x = Q_DENSE @ qx
-    return SectionReport(
-        x=x,
-        sections=((x, qx), (qx, q2x), (q2x, x)),
-        independence=cubic,
-    )
+    return cubic
 
 
 def _gram_terms(metric: MetricAtPoint, u, v) -> tuple[np.ndarray, np.ndarray]:
@@ -218,11 +201,10 @@ def sectional_curvatures(curv: CurvatureAtPoint, u, v) -> np.ndarray:
     return curv.scalars(u, v, u, v) / gram
 
 
-def sectional_curvature(f: FieldPair, p, u, v, curv: CurvatureAtPoint | None = None):
+def sectional_curvature(f: FieldPair, p, u, v):
     """mu = R(u, v, u, v) / (g(u,u) g(v,v) - g(u,v)^2): a float at one point; over an
     (n, 3) block, an (n,) array with NaN where the one-point call would skip."""
-    if curv is None:
-        curv = curvature_at(f, p)
+    curv = curvature_at(f, p)
     mu = sectional_curvatures(curv, row(u), row(v))
     return mu[:, 0] if curv.point.ndim == 2 else float(mu[0])
 
@@ -250,26 +232,12 @@ def orbit_spreads(
 
 
 def theorem3_check(
-    f: FieldPair,
-    p,
-    x,
-    spread_rel: float,
-    spread_abs: float,
-    curv: CurvatureAtPoint | None = None,
-) -> SectionReport:
-    """Sectional curvatures of the three orbit sections and their spread."""
-    skeleton = sections_of(f, p, x)
-    if curv is None:
-        curv = curvature_at(f, p)
-    mu, spread, passed = orbit_spreads(curv, row(skeleton.x), spread_rel, spread_abs)
-    return SectionReport(
-        x=skeleton.x,
-        sections=skeleton.sections,
-        independence=skeleton.independence,
-        mu=tuple(mu[0].tolist()),
-        spread=float(spread[0]),
-        passed=bool(passed[0]),
-    )
+    f: FieldPair, p, x, spread_rel: float, spread_abs: float
+) -> tuple[list[float], float, bool, float]:
+    """Theorem 3 at p for the seed x: (mu of its three orbit sections, spread, passed, cubic)."""
+    cubic = sections_of(f, p, x)
+    mu, spread, passed = orbit_spreads(curvature_at(f, p), row(x), spread_rel, spread_abs)
+    return mu[0].tolist(), float(spread[0]), bool(passed[0]), cubic
 
 
 def residual_scales(curv: CurvatureAtPoint, *stacks) -> np.ndarray:

@@ -15,16 +15,11 @@ LOW, HIGH = -2.0, 2.0
 MIN_ABS_D = 0.1
 
 
-def random_point(
-    rng: np.random.Generator, f: FieldPair, definite: bool = False, max_tries: int = 10_000
-) -> np.ndarray:
-    """Uniform point with |D| at least MIN_ABS_D (and optionally definite g)."""
-    for _ in range(max_tries):
+def random_point(rng: np.random.Generator, f: FieldPair) -> np.ndarray:
+    """Uniform point with |D| at least MIN_ABS_D, within 10,000 draws."""
+    for _ in range(10_000):
         p = rng.uniform(LOW, HIGH, size=3)
-        status = domain_check(f, p)
-        if abs(status.d) < MIN_ABS_D:
-            continue
-        if definite and not status.definite:
+        if abs(domain_check(f, p).d) < MIN_ABS_D:
             continue
         return p
     raise RuntimeError("could not sample an admissible point")

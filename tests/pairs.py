@@ -1,6 +1,8 @@
-"""Seeded random field pairs for the tests: generic, defective and parallel.
+"""Field pairs and points for the tests: two fixed pairs as spec text, seeded
+random pairs (generic, defective and parallel) and definite points.
 
-The CLI builds its fields from spec text only, so these generators live with
+The CLI builds its fields from spec text only and samples points with |D|
+bounded away from 0 but no definiteness asked, so these generators live with
 the tests that use them.
 """
 
@@ -9,7 +11,31 @@ from __future__ import annotations
 import numpy as np
 
 from circgeo.circulant import S
-from circgeo.fields import FieldPair, Polynomial
+from circgeo.fields import FieldPair, Polynomial, domain_check
+from circgeo.sampling import HIGH, LOW, MIN_ABS_D
+
+#: A quadratic parallel pair, definite everywhere (the scan-quadratic benchmark's).
+QUADRATIC_PAIR = "A: x1^2 + x2^2 + x3^2 + 4/3; B: x1*x2 + x1*x3 + x2*x3 + 1/3"
+#: The dense cubic pair of the verify-generic benchmark.
+CUBIC_PAIR = (
+    "A: 6 + x1^2 + x2^2 + x3^2 + 0.3*x1*x2*x3 + 0.2*x1^3 - 0.1*x2^3 + 0.25*x3^3"
+    " + 0.5*x1*x2 - 0.4*x2*x3 + 3*x1 - 0.5*x3;"
+    " B: 0.5 + 0.2*x1 - 0.3*x2 + 0.1*x3^2 + 0.15*x1*x2*x3 - 0.05*x1^3"
+    " + 0.2*x2^2*x3 + 0.1*x1*x3^2"
+)
+
+
+def random_definite_point(
+    rng: np.random.Generator, f: FieldPair, max_tries: int = 10_000
+) -> np.ndarray:
+    """A point drawn as sampling.random_point draws one, where g is also definite."""
+    for _ in range(max_tries):
+        p = rng.uniform(LOW, HIGH, size=3)
+        status = domain_check(f, p)
+        if abs(status.d) < MIN_ABS_D or not status.definite:
+            continue
+        return p
+    raise RuntimeError("could not sample a definite point")
 
 MONOMIALS_DEG2 = [
     (0, 0, 0),

@@ -26,7 +26,7 @@ from circgeo.curvature import (
 from circgeo.errors import DegenerateSection, PointSkipped
 from circgeo.fields import FieldPair, Polynomial, field_jet
 from circgeo.sampling import random_point
-from pairs import random_parallel_pair
+from pairs import random_definite_point, random_parallel_pair
 
 seeds = st.integers(0, 2**32 - 1)
 sizes = st.sampled_from([0, 1, 2, 5, 33])
@@ -36,7 +36,7 @@ def curvature_case(seed, definite=False):
     rng = np.random.default_rng(seed)
     f = random_parallel_pair(rng)
     try:
-        p = random_point(rng, f, definite=definite, max_tries=200)
+        p = random_definite_point(rng, f, max_tries=200) if definite else random_point(rng, f)
     except RuntimeError:
         assume(False)
     return rng, f, p, curvature_at(f, p)
@@ -120,9 +120,7 @@ def test_orbit_spreads_match_per_seed_loop(seed, n):
         assert mu[row].tolist() == ref_mu
         assert spread[row] == ref_spread
         assert passed[row] == ref_passed
-        report = theorem3_check(f, p, x, spread_rel=1e-6, spread_abs=1e-9, curv=curv)
-        assert list(report.mu) == ref_mu
-        assert report.spread == ref_spread and report.passed == ref_passed
+        assert theorem3_check(f, p, x, 1e-6, 1e-9)[:3] == (ref_mu, ref_spread, ref_passed)
 
 
 def test_orbit_spreads_rejects_a_degenerate_section(paper_fields):
@@ -207,7 +205,7 @@ def test_block_connection_and_curvature_match_one_point_calls(a, b, block, grad_
     qx = Q_DENSE @ np.array(x)
     gamma = christoffel_general(f, points)
     curv = curvature_at(f, points)
-    mu = sectional_curvature(f, points, x, qx, curv=curv)
+    mu = sectional_curvature(f, points, x, qx)
     assert gamma.shape == (3, 3, 3, len(block)) and mu.shape == (len(block),)
     for n, p in enumerate(block):
         one = one_point(christoffel_general, f, p)
@@ -218,4 +216,4 @@ def test_block_connection_and_curvature_match_one_point_calls(a, b, block, grad_
             continue
         assert hexes(curv.r_up[..., n]) == hexes(one.r_up)
         assert hexes(curv.r_down[..., n]) == hexes(one.r_down)
-        assert hexes([mu[n]]) == hexes([one_point(sectional_curvature, f, p, x, qx, one)])
+        assert hexes([mu[n]]) == hexes([one_point(sectional_curvature, f, p, x, qx)])

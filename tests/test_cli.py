@@ -141,8 +141,9 @@ class TestVerify:
 
     def test_one_curvature_tensor_per_point(self, tmp_path, monkeypatch):
         # Count calls through every binding: curvature_at in the CLI and in
-        # theorem3_check (when it is not handed a tensor), christoffel_general
-        # in the CLI, the curvature stencil and metric_compatibility_residual.
+        # the curvature module (sectional_curvature and theorem3_check build
+        # their own tensor; verify calls neither), christoffel_general in the
+        # CLI, the curvature stencil and metric_compatibility_residual.
         # Constant fields add the flat-baseline check, which reads the same tensor.
         calls = {"curvature_at": [], "christoffel_general": []}
 
@@ -479,6 +480,20 @@ class TestConfig:
         assert code == 2
         assert captured.err.startswith("circgeo: error: point [1e+")
         assert "out of range" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "sectional", "--point", "1.2,0.5,0.3"],  # the cubic of x overflows
+            ["scan", "--grid", "1.1,1.9,3"],  # g(x, x) g(qx, qx) overflows
+        ],
+        ids=["eval", "scan"],
+    )
+    def test_out_of_range_seed_vector_exits_2(self, capsys, argv):
+        code, captured = run(capsys, *argv, "--fields", "paper-example", "--x", "1e200,1,2")
+        assert code == 2
+        assert captured.err.startswith("circgeo: error: x [1e+200, 1.0, 2.0] is out of range")
         assert captured.out == ""
 
     def test_unwritable_output_exits_2(self, capsys):

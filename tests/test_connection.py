@@ -158,27 +158,27 @@ class TestParallelism:
         assert np.array_equal(parallel_defect(f, (0, 0, 0)), np.zeros(3))
 
     def test_nabla_q_paper_point(self, paper_fields):
-        assert np.max(np.abs(nabla_q(paper_fields, (1, 0, 0)))) <= 1e-12
+        assert np.max(np.abs(nabla_q(christoffel_general(paper_fields, (1, 0, 0))))) <= 1e-12
 
     def test_nabla_q_constant_fields_exact_zero(self):
         f = parse_field_spec("A: 2; B: 1")
-        assert np.max(np.abs(nabla_q(f, (1, 2, 3)))) == 0.0
+        assert np.max(np.abs(nabla_q(christoffel_general(f, (1, 2, 3))))) == 0.0
 
     def test_nabla_q_nonzero_when_defect_nonzero(self):
         f = parse_field_spec("A: x1; B: 0")
-        assert np.max(np.abs(nabla_q(f, (1, 0, 0)))) > 1e-6
+        assert np.max(np.abs(nabla_q(christoffel_general(f, (1, 0, 0))))) > 1e-6
 
     def test_theorem1_forward_random_points(self, paper_fields, rng):
         for _ in range(30):
             p = random_point(rng, paper_fields)
-            assert np.max(np.abs(nabla_q(paper_fields, p))) <= 1e-10
+            assert np.max(np.abs(nabla_q(christoffel_general(paper_fields, p)))) <= 1e-10
 
     def test_theorem1_forward_nonlinear_parallel_pair(self, rng):
         for _ in range(5):
             f = random_parallel_pair(rng)
             p = random_point(rng, f)
             assert np.max(np.abs(parallel_defect(f, p))) <= 1e-12
-            assert np.max(np.abs(nabla_q(f, p))) <= 1e-10
+            assert np.max(np.abs(nabla_q(christoffel_general(f, p)))) <= 1e-10
 
     def test_random_parallel_pair_is_exactly_parallel(self, rng):
         for _ in range(50):
@@ -204,7 +204,7 @@ class TestParallelism:
             f = random_defective_pair(rng)
             p = random_point(rng, f)
             assert np.max(np.abs(parallel_defect(f, p))) >= 0.1
-            assert np.max(np.abs(nabla_q(f, p))) > 1e-6
+            assert np.max(np.abs(nabla_q(christoffel_general(f, p)))) > 1e-6
 
 
 class TestReducedChristoffel:

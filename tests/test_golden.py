@@ -14,20 +14,13 @@ from pathlib import Path
 import pytest
 
 from circgeo.cli import main
+from pairs import CUBIC_PAIR, QUADRATIC_PAIR
 
 GOLDEN = Path(__file__).parent / "golden"
-QUADRATIC_PAIR = "A: x1^2 + x2^2 + x3^2 + 4/3; B: x1*x2 + x1*x3 + x2*x3 + 1/3"
-# The dense cubic pair of the verify-generic benchmark.  Its grid puts one node
-# on the degenerate surface A = B (x1 is the root there, found by bisection)
-# and about half of the others where g is indefinite, so the scan pins x**3
-# and every kind of scan row.
-CUBIC_PAIR = (
-    "A: 6 + x1^2 + x2^2 + x3^2 + 0.3*x1*x2*x3 + 0.2*x1^3 - 0.1*x2^3 + 0.25*x3^3"
-    " + 0.5*x1*x2 - 0.4*x2*x3 + 3*x1 - 0.5*x3;"
-    " B: 0.5 + 0.2*x1 - 0.3*x2 + 0.1*x3^2 + 0.15*x1*x2*x3 - 0.05*x1^3"
-    " + 0.2*x2^2*x3 + 0.1*x1*x3^2"
-)
 
+# The cubic scan's grid puts one node on the degenerate surface A = B (x1 is
+# the root there, found by bisection) and about half of the others where g is
+# indefinite, so the scan pins x**3 and every kind of scan row.
 CASES = {
     "verify_paper_example.json": [
         "verify", "--fields", "paper-example", "--grid", "1.1,1.9,3", "--seed", "7",

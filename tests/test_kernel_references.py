@@ -35,6 +35,7 @@ from circgeo.fields import (
     metric_at,
     parse_field_spec,
 )
+from pairs import CUBIC_PAIR, QUADRATIC_PAIR
 
 
 def old_metric_partials(f, p):
@@ -246,21 +247,21 @@ def old_cmd_scan(config):
     for idx, p in enumerate(points):
         with cli._in_range(p):
             m = domain_check(f, p)
-            row = cli._record(
-                "scan", idx, p,
-                "skipped" if m.degenerate else "pass",
-                a=m.a, b=m.b, d=m.d, definite=m.definite,
-            )
-            if m.degenerate:
-                row["reason"] = "DegenerateMetric"
-            row["mu_e1"] = None
-            if not m.degenerate and m.definite:
+        row = cli._record(
+            "scan", idx, p,
+            "skipped" if m.degenerate else "pass",
+            a=m.a, b=m.b, d=m.d, definite=m.definite,
+        )
+        if m.degenerate:
+            row["reason"] = "DegenerateMetric"
+        row["mu_e1"] = None
+        if not m.degenerate and m.definite:
+            with cli._in_range(p, config.x):  # a seed too large for mu's products is named
                 try:
-                    curv = curvature_at(f, p)
-                    row["mu_e1"] = sectional_curvature(f, p, config.x, qx, curv=curv)
+                    row["mu_e1"] = sectional_curvature(f, p, config.x, qx)
                 except PointSkipped:
                     pass
-            records.append(row)
+        records.append(row)
     return cli._assemble(config, records)
 
 
@@ -288,13 +289,6 @@ def poly_text(terms: dict) -> str:
     return " ".join(parts)
 
 
-QUADRATIC_PAIR = "A: x1^2 + x2^2 + x3^2 + 4/3; B: x1*x2 + x1*x3 + x2*x3 + 1/3"
-CUBIC_PAIR = (
-    "A: 6 + x1^2 + x2^2 + x3^2 + 0.3*x1*x2*x3 + 0.2*x1^3 - 0.1*x2^3 + 0.25*x3^3"
-    " + 0.5*x1*x2 - 0.4*x2*x3 + 3*x1 - 0.5*x3;"
-    " B: 0.5 + 0.2*x1 - 0.3*x2 + 0.1*x3^2 + 0.15*x1*x2*x3 - 0.05*x1^3"
-    " + 0.2*x2^2*x3 + 0.1*x1*x3^2"
-)
 # Up to degree 3, with coefficients whose simple ratios put grid nodes exactly
 # on the degenerate planes A = B and A = -2B; a constant added to A makes g
 # definite on more of the grid, and none leaves most of it indefinite.
@@ -343,6 +337,9 @@ def test_block_scan_matches_per_node_scan(fields, grid, step, grad_mode, x, fmt)
         # At (0.001, y, 0) the stencil point x3 + 0.001 lies on the plane x1 = x3
         # where D = 0: mu_e1 is null though the node itself is definite.
         ["--fields", "paper-example", "--grid=0.001,0.002,2,0.5,1,2,0,0.001,2", "--step", "0.001"],
+        # |x|**4 overflows: exit 2 naming x, from the first definite node on.
+        ["--fields", CUBIC_PAIR, "--grid=-4.5,-2.803890692868853,4,-2,2,5,-2,2,5",
+         "--x", "1e200,1,2"],
     ],
 )
 def test_block_scan_matches_per_node_scan_on_fixed_grids(case, fmt):

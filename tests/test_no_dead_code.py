@@ -1,11 +1,14 @@
-"""Every function, class, method and property in circgeo is used somewhere.
+"""Every function, class, method, property and optional parameter in circgeo is used.
 
 A definition counts as used when its name appears outside its own body: as a
 name or attribute in another definition or at module level of a ``circgeo``
 module, or as a dotted name in a string, such as the layer targets that
 ``perfbench/trace_child.py`` wraps by name.  ``__init__.py`` only re-exports,
-so it does not count as a use.  Dunders and ``main``, the console entry
-point, are exempt.
+so it does not count as a use.  A parameter with a default counts as used when
+some call in ``src/`` sets it, by keyword or by position; otherwise it is a
+second way to call the function that only the tests take.  Dunders and
+``main``, the console entry point, are exempt; dataclass fields are not
+parameters of a function and are not checked.
 """
 
 import ast
@@ -41,6 +44,32 @@ def definitions(tree):
             yield from (m for m in node.body if isinstance(m, ast.FunctionDef))
 
 
+def exempt(name):
+    return name == "main" or (name.startswith("__") and name.endswith("__"))
+
+
+def defaulted(node, bound):
+    """(name, index among a call's positional arguments or None) of each parameter
+    of node that has a default; bound is 1 for a method called on an instance."""
+    args = node.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    for i, arg in enumerate(positional[first:], first):
+        yield arg.arg, i - bound
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def sets(call, name, index):
+    """Whether call passes the parameter name, at index among positional arguments."""
+    if any(kw.arg in (name, None) for kw in call.keywords):  # None: a **mapping
+        return True
+    if index is None:
+        return False
+    return len(call.args) > index or any(isinstance(a, ast.Starred) for a in call.args)
+
+
 def test_every_definition_is_named_outside_its_own_body():
     used = defaultdict(list)  # name -> [(path, line)]
     trees = {path: ast.parse(path.read_text(), str(path)) for path in USERS}
@@ -51,9 +80,37 @@ def test_every_definition_is_named_outside_its_own_body():
     for path in MODULES:
         for node in definitions(trees[path]):
             name = node.name
-            if name == "main" or (name.startswith("__") and name.endswith("__")):
+            if exempt(name):
                 continue
             body = range(node.lineno, node.end_lineno + 1)
             if all(p == path and line in body for p, line in used[name]):
                 unused.append(f"{path.name}:{node.lineno} {name}")
     assert not unused, f"defined but never used: {unused}"
+
+
+def test_every_default_is_overridden_by_some_call_in_src():
+    calls = defaultdict(list)  # callee name -> [ast.Call]
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in MODULES}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls[name].append(node)
+    functions = []  # (path, node, bound)
+    for path, tree in trees.items():
+        methods = {}
+        for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+            for m in cls.body:
+                if isinstance(m, ast.FunctionDef):
+                    static = any(getattr(d, "id", None) == "staticmethod" for d in m.decorator_list)
+                    methods[m] = 0 if static else 1
+        functions += [(path, node, methods.get(node, 0)) for node in ast.walk(tree)
+                      if isinstance(node, ast.FunctionDef) and not exempt(node.name)]
+    never_set = [
+        f"{path.name}:{node.lineno} {node.name}({name}=...)"
+        for path, node, bound in functions
+        for name, index in defaulted(node, bound)
+        if not any(sets(call, name, index) for call in calls[node.name])
+    ]
+    assert not never_set, f"defaults that no call in src/ overrides: {never_set}"

@@ -3,8 +3,9 @@
 sympy derives g^-1 and Gamma with A, B and their first partials A_k, B_k as
 symbols, re-derives the three ERRATA.md lines, and gives the exact values
 that christoffel_general, christoffel_closed and the metric record must
-reproduce at rational points.  The module is skipped only where sympy is not
-installed; CI installs it.
+reproduce at rational points.  It also proves Theorem 1 for all fields at
+once: nabla q = 0 exactly where grad A = grad B . S.  The module is skipped
+only where sympy is not installed; CI installs it.
 """
 
 from pathlib import Path
@@ -14,6 +15,7 @@ import pytest
 
 sp = pytest.importorskip("sympy")
 
+from circgeo.circulant import Q_DENSE, S  # noqa: E402
 from circgeo.connection import christoffel_closed, christoffel_general  # noqa: E402
 from circgeo.fields import domain_check, parse_field_spec  # noqa: E402
 from sympy.parsing.sympy_parser import (  # noqa: E402
@@ -50,6 +52,36 @@ GAMMA = [
     ]
     for s in range(3)
 ]
+
+
+def test_theorem1_nabla_q_vanishes_exactly_where_grad_a_is_grad_b_s():
+    """Theorem 1, both directions, wherever D != 0.
+
+    nabla_i q_j^s = Gamma^s_ia q_j^a - Gamma^a_ij q_a^s is linear in the six
+    gradient entries: nabla q = M (A_1, A_2, A_3, B_1, B_2, B_3) with M a
+    27 x 6 matrix over Q(A, B).  The three gradients with grad A = grad B . S
+    (the columns of K) satisfy M K = 0, so rank M <= 3.  The minor of M on
+    the rows nabla_1 q_1^3, nabla_2 q_2^1, nabla_3 q_3^2 and the columns A_k is
+    (A^3 - B^3) / (8 D^3), which is not 0 for real A != B, so rank M = 3 where
+    D != 0 and the kernel of M is exactly {grad A = grad B . S}.
+    """
+    q = sp.Matrix(3, 3, lambda i, j: int(Q_DENSE[i, j]))
+    grad = sp.Matrix([*DA, *DB])
+    nabla = sp.Matrix([
+        sum(GAMMA[s][i][a] * q[j, a] - GAMMA[a][i][j] * q[a, s] for a in range(3))
+        for i in range(3) for j in range(3) for s in range(3)
+    ])  # row 9 i + 3 j + s
+    m = nabla.jacobian(grad)
+    assert sp.simplify(nabla - m * grad) == sp.zeros(27, 1)
+    assert all(sp.diff(entry, x) == 0 for entry in m for x in grad)
+
+    kernel = sp.Matrix.vstack(sp.Matrix(3, 3, lambda i, j: int(S[j, i])), sp.eye(3))
+    assert kernel.rank() == 3
+    assert sp.simplify(m * kernel) == sp.zeros(27, 3)
+    minor = m.extract([2, 12, 25], [0, 1, 2]).det()
+    assert sp.simplify(minor - (A**3 - B**3) / (8 * D**3)) == 0
+    # A^2 + AB + B^2 > 0 unless A = B = 0, so A^3 - B^3 = 0 only where A = B.
+    assert sp.factor(A**3 - B**3) == (A - B) * (A**2 + A * B + B**2)
 
 
 def errata_line(text):
