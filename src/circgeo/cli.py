@@ -37,7 +37,7 @@ from .curvature import (
     sectional_curvature,
     theorem3_check,
 )
-from .errors import ConfigError, ParseError, PointSkipped, StencilCollapsed, UnknownBuiltin
+from .errors import ConfigError, ParseError, PointSkipped, StencilCollapsed
 from .fields import (
     DEFAULT_FD_STEP,
     FieldPair,
@@ -240,11 +240,10 @@ def cmd_eval(config: RunConfig, what: str) -> dict:
     for idx, p in enumerate(points):
         try:
             with _in_range(p, config.x if what == "sectional" else None):
-                records.append(_eval_one(config, f, what, idx, p))
+                record = _eval_one(config, f, what, idx, p)
         except PointSkipped as exc:
-            records.append(
-                _record(what, idx, p, "skipped", reason=type(exc).__name__, detail=str(exc))
-            )
+            record = _record(what, idx, p, "skipped", reason=type(exc).__name__, detail=str(exc))
+        records += _finite_records([record])
     return _assemble(config, records)
 
 
@@ -288,16 +287,15 @@ def cmd_verify(config: RunConfig) -> dict:
     records = []
     for idx, p in enumerate(points):
         with _in_range(p):
-            m = domain_check(f, p)
-            if m.degenerate:
-                records.append(_record("all", idx, p, "skipped", reason="DegenerateMetric", d=m.d))
-                continue
-            records.extend(_verify_point(config, f, rng, idx, p, m, dual_tol))
-    records.sort(key=lambda r: (r["point_index"], r["check"]))
+            point_records = _verify_point(config, f, rng, idx, p, dual_tol)
+        records += _finite_records(sorted(point_records, key=lambda r: r["check"]))
     return _assemble(config, records)
 
 
-def _verify_point(config, f, rng, idx, p, m, dual_tol) -> list[dict]:
+def _verify_point(config, f, rng, idx, p, dual_tol) -> list[dict]:
+    m = domain_check(f, p)
+    if m.degenerate:
+        return [_record("all", idx, p, "skipped", reason="DegenerateMetric", d=m.d)]
     prod = circ_mul(m.g, m.g_inv)
     resid = max(
         abs(prod.a - IDENTITY.a), abs(prod.b - IDENTITY.b), abs(prod.c - IDENTITY.c)
@@ -406,10 +404,11 @@ def cmd_scan(config: RunConfig) -> dict:
         block = points[start:start + SCAN_BLOCK]
         try:
             with np.errstate(over="raise", invalid="raise"):
-                records.extend(_scan_block(config, f, qx, start, block))
+                records += _finite_records(_scan_block(config, f, qx, start, block))
         except (FloatingPointError, OverflowError, StencilCollapsed):
             # Node by node, as the error then names the first node it belongs to.
-            records.extend(_scan_node(config, f, qx, start + i, p) for i, p in enumerate(block))
+            for i, p in enumerate(block):
+                records += _finite_records([_scan_node(config, f, qx, start + i, p)])
     return _assemble(config, records)
 
 
@@ -453,7 +452,7 @@ def _scan_row(idx: int, p, a, b, d, degenerate, definite, mu_e1) -> dict:
 def _build_fields(config: RunConfig) -> FieldPair:
     try:
         return parse_field_spec(config.fields, grad_mode=config.grad_mode, fd_step=config.fd_step)
-    except (ParseError, UnknownBuiltin) as exc:
+    except ParseError as exc:
         raise ConfigError(f"bad field spec: {exc}") from exc
 
 
@@ -463,10 +462,17 @@ def _finite(value) -> bool:
     return not isinstance(value, list) or all(map(_finite, value))
 
 
-def _assemble(config: RunConfig, records: list[dict]) -> dict:
+def _finite_records(records: list[dict]) -> list[dict]:
+    """records, or a ConfigError naming the first that is not finite.  Run on each
+    point's records (a scan block's rows) as they are made: Python floats overflow
+    to inf silently, and the first such point is the one to name."""
     for r in records:
         if not _finite(list(r.values())):
             raise ConfigError(f"point {r['point']} is out of range: {r['check']} is not finite")
+    return records
+
+
+def _assemble(config: RunConfig, records: list[dict]) -> dict:
     summary = {
         "pass_count": sum(1 for r in records if r["status"] == "pass"),
         "fail_count": sum(1 for r in records if r["status"] == "fail"),

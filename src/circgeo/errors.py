@@ -17,18 +17,14 @@ class DegenerateMetric(PointSkipped):
 
 
 class ParseError(CircGeoError):
-    """Malformed field-specification text.
+    """Malformed field-specification text, or a builtin name that does not exist.
 
-    Carries the character offset where parsing failed.
+    Carries the character offset where parsing failed (0 for an unknown builtin name).
     """
 
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
         self.position = position
-
-
-class UnknownBuiltin(CircGeoError):
-    """Field spec names a builtin field pair that does not exist."""
 
 
 class StencilCollapsed(CircGeoError):

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .circulant import CirculantMatrix
-from .errors import DegenerateMetric, ParseError, StencilCollapsed, UnknownBuiltin
+from .errors import DegenerateMetric, ParseError, StencilCollapsed
 
 Monomial = tuple[int, int, int]
 
@@ -272,15 +272,8 @@ def parse_polynomial(text: str, base: int = 0) -> Polynomial:
     return _PolyParser(text, base).parse()
 
 
-def _paper_example() -> tuple[Polynomial, Polynomial]:
-    a = Polynomial.from_dict({(1, 0, 0): 4.0, (0, 1, 0): 2.0})
-    b = Polynomial.from_dict({(1, 0, 0): 1.0, (0, 1, 0): 2.0, (0, 0, 1): 3.0})
-    return a, b
-
-
-BUILTIN_FIELDS: dict[str, Callable[[], tuple[Polynomial, Polynomial]]] = {
-    "paper-example": _paper_example,
-}
+#: Builtin field pairs: a spec that is one of these names stands for its text.
+BUILTIN_FIELDS = {"paper-example": "A: 4*x1 + 2*x2; B: x1 + 2*x2 + 3*x3"}
 
 
 @dataclass(frozen=True)
@@ -308,13 +301,11 @@ def parse_field_spec(
     text: str, grad_mode: str = "analytic", fd_step: float = DEFAULT_FD_STEP
 ) -> FieldPair:
     """Build a FieldPair from spec text or a builtin name."""
-    stripped = text.strip()
-    if ":" not in stripped:
-        if stripped in BUILTIN_FIELDS:
-            a, b = BUILTIN_FIELDS[stripped]()
-            return FieldPair(a, b, grad_mode=grad_mode, fd_step=fd_step)
-        raise UnknownBuiltin(f"unknown builtin field pair {stripped!r}")
-
+    if ":" not in text:
+        name = text.strip()
+        if name not in BUILTIN_FIELDS:
+            raise ParseError(f"unknown builtin field pair {name!r}", 0)
+        text = BUILTIN_FIELDS[name]
     parts = text.split(";")
     if len(parts) != 2:
         raise ParseError("expected exactly one ';' separating A and B", len(text))

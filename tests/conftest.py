@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from circgeo import parse_field_spec
+from circgeo.fields import parse_field_spec
 
 
 @pytest.fixture

@@ -3,7 +3,9 @@ import csv
 import io
 import json
 import os
+import shlex
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -321,6 +323,20 @@ class TestScan:
         assert {"a", "b", "d", "definite", "mu_e1"} <= set(rows[0])
 
 
+def readme_examples() -> list[list[str]]:
+    """The commands of README.md's `Examples:` block, each split into words."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    block = readme.read_text(encoding="utf-8").split("Examples:\n\n```sh\n", 1)[1]
+    return [shlex.split(line) for line in block.split("```", 1)[0].splitlines()]
+
+
+@pytest.mark.parametrize("words", readme_examples(), ids=lambda words: words[1])
+def test_readme_examples_exit_0(tmp_path, monkeypatch, words):
+    monkeypatch.chdir(tmp_path)  # the verify example writes report.json
+    assert words[0] == "circgeo"
+    assert main(words[1:]) == 0
+
+
 class TestConfig:
     def test_bad_field_spec_exits_2(self, capsys):
         code, captured = run(capsys, "eval", "metric", "--fields", "A: $$; B: 0", "--point", "1,0,0")
@@ -480,6 +496,24 @@ class TestConfig:
         assert code == 2
         assert captured.err.startswith("circgeo: error: point [1e+")
         assert "out of range" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--point", "1e160,-1e160,0", "--point", "1e160,-1e160,1e200"],
+            ["eval", "metric", "--point", "1e160,-1e160,0", "--point", "1e160,-1e160,1e200"],
+            ["eval", "christoffel", "--point", "1e160,-1e160,0", "--point", "1e160,-1e160,1e200"],
+            ["scan", "--grid=1e160,1e160,1,-1e160,-1e160,1,0,1e200,2"],  # the block is redone node by node
+        ],
+        ids=["verify", "eval-metric", "eval-christoffel", "scan"],
+    )
+    def test_first_point_out_of_range_is_named(self, capsys, argv):
+        # The first point's Python-float products overflow to inf without raising;
+        # the second point's x3**2 raises.  The first is the one to name.
+        code, captured = run(capsys, *argv, "--fields", "A: 3*x1*x2 - 2; B: 1 + x3^2")
+        assert code == 2
+        assert captured.err.startswith("circgeo: error: point [1e+160, -1e+160, 0.0] is out of range")
         assert captured.out == ""
 
     @pytest.mark.parametrize(

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circgeo.errors import DegenerateMetric, ParseError, StencilCollapsed, UnknownBuiltin
+from circgeo.errors import DegenerateMetric, ParseError, StencilCollapsed
 from circgeo.fields import (
     BUILTIN_FIELDS,
     FieldPair,
@@ -25,8 +25,9 @@ class TestParsing:
         assert field_eval(paper_fields, (0, 0, 1)) == (0.0, 3.0)
 
     def test_unknown_builtin(self):
-        with pytest.raises(UnknownBuiltin):
+        with pytest.raises(ParseError, match="unknown builtin field pair 'no-such-pair'") as exc:
             parse_field_spec("no-such-pair")
+        assert exc.value.position == 0
 
     def test_constant_zero_pair(self):
         f = parse_field_spec("A: 0; B: 0")
@@ -212,7 +213,7 @@ SPEC_TEXTS = st.one_of(
 def test_parse_field_spec_is_total(text):
     try:
         f = parse_field_spec(text)
-    except (ParseError, UnknownBuiltin):
+    except ParseError:
         return
     assert isinstance(f, FieldPair)
     assert isinstance(f.a, Polynomial) and isinstance(f.b, Polynomial)

@@ -261,7 +261,7 @@ def old_cmd_scan(config):
                     row["mu_e1"] = sectional_curvature(f, p, config.x, qx)
                 except PointSkipped:
                     pass
-        records.append(row)
+        records += cli._finite_records([row])
     return cli._assemble(config, records)
 
 

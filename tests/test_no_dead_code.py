@@ -3,12 +3,12 @@
 A definition counts as used when its name appears outside its own body: as a
 name or attribute in another definition or at module level of a ``circgeo``
 module, or as a dotted name in a string, such as the layer targets that
-``perfbench/trace_child.py`` wraps by name.  ``__init__.py`` only re-exports,
-so it does not count as a use.  A parameter with a default counts as used when
-some call in ``src/`` sets it, by keyword or by position; otherwise it is a
-second way to call the function that only the tests take.  Dunders and
-``main``, the console entry point, are exempt; dataclass fields are not
-parameters of a function and are not checked.
+``perfbench/trace_child.py`` wraps by name.  ``__init__.py`` holds only its
+docstring, so that each name is imported from its own module.  A parameter
+with a default counts as used when some call in ``src/`` sets it, by keyword
+or by position; otherwise it is a second way to call the function that only
+the tests take.  Dunders and ``main``, the console entry point, are exempt;
+dataclass fields are not parameters of a function and are not checked.
 """
 
 import ast
@@ -17,7 +17,8 @@ from collections import defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted(p for p in (ROOT / "src" / "circgeo").glob("*.py") if p.name != "__init__.py")
+PACKAGE = ROOT / "src" / "circgeo"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 USERS = [*MODULES, ROOT / "perfbench" / "trace_child.py"]
 DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
 
@@ -114,3 +115,9 @@ def test_every_default_is_overridden_by_some_call_in_src():
         if not any(sets(call, name, index) for call in calls[node.name])
     ]
     assert not never_set, f"defaults that no call in src/ overrides: {never_set}"
+
+
+def test_package_init_is_only_its_docstring():
+    body = ast.parse((PACKAGE / "__init__.py").read_text()).body
+    assert len(body) == 1 and isinstance(body[0], ast.Expr), "a second import path"
+    assert isinstance(body[0].value, ast.Constant) and isinstance(body[0].value.value, str)
