@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
-import io
 import json
 import math
 import sys
@@ -252,16 +251,8 @@ def _eval_one(config: RunConfig, f: FieldPair, what: str, idx: int, p) -> dict:
         m = domain_check(f, p)
         if m.degenerate:
             return _record(what, idx, p, "skipped", reason="DegenerateMetric", d=m.d)
-        return _record(
-            what,
-            idx,
-            p,
-            "pass",
-            g=list(m.g.triple()),
-            g_inv=list(m.g_inv.triple()),
-            d=m.d,
-            definite=m.definite,
-        )
+        return _record(what, idx, p, "pass", g=list(m.g.triple()), g_inv=list(m.g_inv.triple()),
+                       d=m.d, definite=m.definite)
     if what == "christoffel":
         return _record(what, idx, p, "pass", gamma=christoffel_general(f, p).tolist())
     if what == "nabla-q":
@@ -482,19 +473,18 @@ def _assemble(config: RunConfig, records: list[dict]) -> dict:
     return {"config": config.echo(), "records": records, "summary": summary}
 
 
-def render_json(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
+def render_json(report: dict, fh) -> None:
+    json.dump(report, fh, sort_keys=True, indent=2, allow_nan=False)
+    fh.write("\n")
 
 
-def render_csv(report: dict) -> str:
+def render_csv(report: dict, fh) -> None:
     records = report["records"]
     keys = sorted({k for r in records for k in r})
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(keys)
     for r in records:
         writer.writerow([_csv_cell(r.get(k)) for k in keys])
-    return buf.getvalue()
 
 
 def _csv_cell(value):
@@ -601,15 +591,19 @@ def main(argv: list[str] | None = None) -> int:
             report = cmd_verify(config)
         else:
             report = cmd_scan(config)
-        text = render_csv(report) if config.format == "csv" else render_json(report)
+        render = render_csv if config.format == "csv" else render_json
         if config.out:
             try:
-                with open(config.out, "w", encoding="utf-8") as fh:
-                    fh.write(text)
+                fh = open(config.out, "w", encoding="utf-8")
             except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
                 raise ConfigError(f"cannot write output: {exc}") from exc
+            try:
+                with fh:
+                    render(report, fh)
+            except OSError as exc:  # a full disk
+                raise ConfigError(f"cannot write output: {exc}") from exc
         else:
-            sys.stdout.write(text)
+            render(report, sys.stdout)
     except ConfigError as exc:
         print(f"circgeo: error: {exc}", file=sys.stderr)
         return 2

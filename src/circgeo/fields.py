@@ -300,8 +300,8 @@ class FieldPair:
 def parse_field_spec(
     text: str, grad_mode: str = "analytic", fd_step: float = DEFAULT_FD_STEP
 ) -> FieldPair:
-    """Build a FieldPair from spec text or a builtin name."""
-    if ":" not in text:
+    """Build a FieldPair from spec text, or from a builtin name: text with no ':' or ';'."""
+    if ":" not in text and ";" not in text:
         name = text.strip()
         if name not in BUILTIN_FIELDS:
             raise ParseError(f"unknown builtin field pair {name!r}", 0)

@@ -5,6 +5,7 @@ import json
 import os
 import shlex
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,16 @@ from hypothesis import strategies as st
 import circgeo.cli
 import circgeo.connection
 import circgeo.curvature
-from circgeo.cli import DEFAULT_TOLERANCES, MAX_GRID_NODES, expand_grid, main
+from circgeo.cli import (
+    DEFAULT_TOLERANCES,
+    MAX_GRID_NODES,
+    build_parser,
+    cmd_scan,
+    config_from_args,
+    expand_grid,
+    main,
+    render_json,
+)
 from circgeo.errors import ConfigError
 
 
@@ -323,6 +333,25 @@ class TestScan:
         assert {"a", "b", "d", "definite", "mu_e1"} <= set(rows[0])
 
 
+def test_render_json_never_holds_the_document(tmp_path):
+    args = build_parser().parse_args([
+        "scan",
+        "--fields", "A: x1^2 + x2^2 + x3^2 + 4/3; B: x1*x2 + x1*x3 + x2*x3 + 1/3",
+        "--grid=-1.5,1.5,10",
+    ])
+    report = cmd_scan(config_from_args(args))
+    out = tmp_path / "report.json"
+    with out.open("w", encoding="utf-8") as fh:
+        tracemalloc.start()
+        try:
+            render_json(report, fh)
+        finally:
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+    # json.dumps would hold the whole text, and its pieces, at once.
+    assert peak < out.stat().st_size / 2
+
+
 def readme_examples() -> list[list[str]]:
     """The commands of README.md's `Examples:` block, each split into words."""
     readme = Path(__file__).resolve().parent.parent / "README.md"
@@ -342,6 +371,21 @@ class TestConfig:
         code, captured = run(capsys, "eval", "metric", "--fields", "A: $$; B: 0", "--point", "1,0,0")
         assert code == 2
         assert "bad field spec" in captured.err
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("A 4*x1; B x2", "missing ':' in field definition (at position 0)"),
+            ("paper-exampel", "unknown builtin field pair 'paper-exampel' (at position 0)"),
+        ],
+        ids=["missing-colon", "misspelt-builtin"],
+    )
+    def test_field_spec_error_names_the_fault(self, capsys, spec, message):
+        # Text with a ';' is a spec, not a builtin name, even without a ':'.
+        code, captured = run(capsys, "eval", "metric", "--fields", spec, "--point", "1,2,3")
+        assert code == 2
+        assert captured.err == f"circgeo: error: bad field spec: {message}\n"
+        assert captured.out == ""
 
     def test_unknown_tolerance_exits_2(self, capsys):
         code, _ = run(capsys, "verify", "--fields", "paper-example", "--tol", "nope=1")
@@ -531,7 +575,7 @@ class TestConfig:
         assert captured.out == ""
 
     def test_unwritable_output_exits_2(self, capsys):
-        code, _ = run(
+        code, captured = run(
             capsys,
             "eval", "metric",
             "--fields", "paper-example",
@@ -539,6 +583,30 @@ class TestConfig:
             "--out", "/nonexistent-dir/report.json",
         )
         assert code == 2
+        assert captured.err.startswith("circgeo: error: cannot write output")
+        assert captured.out == ""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_disk_exits_2(self, capsys):
+        # The report is encoded into the file, so the write fails after open().
+        code, captured = run(
+            capsys, "eval", "metric", "--fields", "paper-example", "--point", "1,0,0",
+            "--out", "/dev/full",
+        )
+        assert code == 2
+        assert captured.err.startswith("circgeo: error: cannot write output")
+        assert captured.out == ""
+
+    def test_stopped_run_keeps_existing_output(self, tmp_path, capsys):
+        # Writing starts only once the report is complete.
+        out = tmp_path / "report.json"
+        out.write_bytes(b"an earlier report\n")
+        code, captured = run(
+            capsys, "verify", "--point", "1e170,1,1", "--fields", "paper-example", "--out", str(out)
+        )
+        assert code == 2
+        assert "out of range" in captured.err
+        assert out.read_bytes() == b"an earlier report\n"
 
     @pytest.mark.parametrize(
         "argv, config",
