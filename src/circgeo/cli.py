@@ -36,17 +36,11 @@ from .curvature import (
     sectional_curvature,
     theorem3_check,
 )
-from .errors import ConfigError, ParseError, PointSkipped, StencilCollapsed
-from .fields import (
-    DEFAULT_FD_STEP,
-    FieldPair,
-    domain_check,
-    parse_field_spec,
-)
+from .errors import ConfigError, ParseError, PointSkipped
+from .fields import FieldPair, domain_check, parse_field_spec
 
 DEFAULT_TOLERANCES = {
     "dual_path": 1e-9,
-    "dual_path_fd": 1e-5,
     "defect_zero": 1e-9,
     "nabla_q": 1e-10,
     "nabla_q_nonzero": 1e-6,
@@ -78,10 +72,6 @@ def _is_real(v) -> bool:
         return False
 
 
-def _is_positive(v) -> bool:
-    return _is_real(v) and v > 0
-
-
 def _is_count(v, most=MAX_GRID_NODES) -> bool:
     return isinstance(v, int) and not isinstance(v, bool) and 0 <= v <= most
 
@@ -101,7 +91,7 @@ def _is_grid(v) -> bool:
 
 def _is_tolerances(v) -> bool:
     return isinstance(v, dict) and all(
-        k in DEFAULT_TOLERANCES and _is_positive(t) for k, t in v.items()
+        k in DEFAULT_TOLERANCES and _is_real(t) and t > 0 for k, t in v.items()
     )
 
 
@@ -119,8 +109,6 @@ CONFIG_KEYS = {
         None, lambda v: v is None or _is_grid(v),
         "[min, max, steps] with whole steps, nine numbers or three such triples",
     ),
-    "grad_mode": ("analytic", lambda v: v in ("analytic", "fd"), '"analytic" or "fd"'),
-    "fd_step": (DEFAULT_FD_STEP, _is_positive, "a positive finite number"),
     "seed": (0, lambda v: _is_count(v, math.inf), "a non-negative integer"),
     "x": ([1.0, 2.0, 3.0], _is_triple, "three finite numbers"),
     "n_points": (10, _is_count, _COUNT),
@@ -194,7 +182,7 @@ def resolve_points(config: RunConfig, f: FieldPair, rng: np.random.Generator) ->
         return [
             [float(c) for c in sampling.random_point(rng, f)] for _ in range(config.n_points)
         ]
-    except RuntimeError as exc:
+    except (RuntimeError, OverflowError) as exc:  # OverflowError: a power past the float range
         raise ConfigError(f"could not sample admissible points: {exc}") from exc
 
 
@@ -274,16 +262,15 @@ def cmd_verify(config: RunConfig) -> dict:
     f = _build_fields(config)
     rng = np.random.default_rng(config.seed)
     points = resolve_points(config, f, rng)
-    dual_tol = config.tol("dual_path" if config.grad_mode == "analytic" else "dual_path_fd")
     records = []
     for idx, p in enumerate(points):
         with _in_range(p):
-            point_records = _verify_point(config, f, rng, idx, p, dual_tol)
+            point_records = _verify_point(config, f, rng, idx, p)
         records += _finite_records(sorted(point_records, key=lambda r: r["check"]))
     return _assemble(config, records)
 
 
-def _verify_point(config, f, rng, idx, p, dual_tol) -> list[dict]:
+def _verify_point(config, f, rng, idx, p) -> list[dict]:
     m = domain_check(f, p)
     if m.degenerate:
         return [_record("all", idx, p, "skipped", reason="DegenerateMetric", d=m.d)]
@@ -296,7 +283,7 @@ def _verify_point(config, f, rng, idx, p, dual_tol) -> list[dict]:
     general = christoffel_general(f, p)
     closed = christoffel_closed(f, p)
     resid = _max_abs(general - closed)
-    records.append(_bounded("christoffel-dual-path", idx, p, resid, dual_tol))
+    records.append(_bounded("christoffel-dual-path", idx, p, resid, config.tol("dual_path")))
 
     resid = metric_compatibility_residual(f, p)
     records.append(_bounded("metric-compatibility", idx, p, resid, config.tol("metric_compat")))
@@ -396,7 +383,7 @@ def cmd_scan(config: RunConfig) -> dict:
         try:
             with np.errstate(over="raise", invalid="raise"):
                 records += _finite_records(_scan_block(config, f, qx, start, block))
-        except (FloatingPointError, OverflowError, StencilCollapsed):
+        except (FloatingPointError, OverflowError):
             # Node by node, as the error then names the first node it belongs to.
             for i, p in enumerate(block):
                 records += _finite_records([_scan_node(config, f, qx, start + i, p)])
@@ -442,7 +429,7 @@ def _scan_row(idx: int, p, a, b, d, degenerate, definite, mu_e1) -> dict:
 
 def _build_fields(config: RunConfig) -> FieldPair:
     try:
-        return parse_field_spec(config.fields, grad_mode=config.grad_mode, fd_step=config.fd_step)
+        return parse_field_spec(config.fields)
     except ParseError as exc:
         raise ConfigError(f"bad field spec: {exc}") from exc
 
@@ -508,8 +495,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--fields", help="field spec text, @file, or builtin name")
         sp.add_argument("--point", action="append", help="x,y,z (repeatable)")
         sp.add_argument("--grid", help="min,max,steps (3 or 9 comma-separated values)")
-        sp.add_argument("--grad", choices=("analytic", "fd"))
-        sp.add_argument("--step", type=float, help="finite-difference step")
         sp.add_argument("--seed", type=int)
         sp.add_argument("--x", help="seed tangent vector x,y,z for sectional checks")
         sp.add_argument("--out", help="output path (default stdout)")
@@ -562,10 +547,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     if args.x:
         config.set("x", _floats(args.x, "--x"), "--x")
     # Flags whose parsed value is already the config value.
-    for flag, key in (
-        ("grad", "grad_mode"), ("step", "fd_step"), ("seed", "seed"), ("out", "out"),
-        ("format", "format"),
-    ):
+    for flag, key in (("seed", "seed"), ("out", "out"), ("format", "format")):
         if getattr(args, flag) is not None:
             config.set(key, getattr(args, flag), f"--{flag}")
     if args.tol:
@@ -606,9 +588,6 @@ def main(argv: list[str] | None = None) -> int:
             render(report, sys.stdout)
     except ConfigError as exc:
         print(f"circgeo: error: {exc}", file=sys.stderr)
-        return 2
-    except StencilCollapsed as exc:
-        print(f"circgeo: error: --step {config.fd_step!r} is too small: {exc}", file=sys.stderr)
         return 2
     return 0 if report["summary"]["fail_count"] == 0 else 1
 

@@ -6,7 +6,7 @@ The (1,3) curvature is assembled from the standard coordinate formula
               + Gamma^s_ka Gamma^a_ji - Gamma^s_ja Gamma^a_ki
 
 with the Gamma derivatives taken by central differences of the general-path
-Christoffel computation, with the field pair's fd_step.  The (0,4) tensor is
+Christoffel computation, with the fixed step FD_STEP.  The (0,4) tensor is
 the g-lowering of the last index: R_kjis = g_as R^a_kji.
 
 The checks contract the tensor against (n, 3) stacks of vectors, one row per
@@ -23,12 +23,20 @@ import numpy as np
 from .circulant import Q, Q_DENSE, circ_mul
 from .connection import christoffel_general
 from .errors import DegenerateSection, DependentOrbit, IndefiniteMetric
-from .fields import FieldPair, MetricAtPoint, central_differences, domain_check, metric_at, row
+from .fields import FieldPair, MetricAtPoint, domain_check, metric_at, row
 
 #: The shift applied twice, q^2: (x1, x2, x3) -> (x3, x1, x2).  Built from the
 #: circulant product, since a matrix product at import starts BLAS and adds
 #: its buffers to the resident size of runs that never need them.
 Q2_DENSE = circ_mul(Q, Q).dense()
+
+#: Step of the curvature stencil, h_k = FD_STEP * (1 + |x_k|).  1e-5 keeps the
+#: truncation error of the curvature itself well below 1e-6, but the orbit-section
+#: spread inherits the pair-symmetry defect of the differenced tensor and needs the
+#: finer step to stay inside its tolerance.  h_k >= 1e-6 |x_k| (and h_k = 1e-6 at
+#: x_k = 0) is far above half an ulp of x_k, about 1.1e-16 |x_k|, so x_k +- h_k
+#: never rounds back to x_k.
+FD_STEP = 1e-6
 
 
 def _norms(v: np.ndarray) -> np.ndarray:
@@ -62,15 +70,33 @@ class CurvatureAtPoint:
         return float(np.max(np.abs(self.r_down)))
 
 
-def curvature_at(f: FieldPair, p) -> CurvatureAtPoint:
-    """Curvature by central differencing of the Christoffel symbols with step f.fd_step.
+def central_differences(func, x) -> list:
+    """(func(x + h_k e_k) - func(x - h_k e_k)) / (2 h_k), h_k = FD_STEP * (1 + |x_k|), k = 0, 1, 2.
 
-    Every stencil point p +- h_k e_k must differ from p (StencilCollapsed
-    otherwise, as when the step is below the coordinate's precision) and must
-    itself be nondegenerate (DegenerateMetric otherwise).  Over an (n, 3) block
-    of points, Gamma is evaluated once at the centres and once per stencil block,
-    each row of the tensors has the bits of the one-point call, and the rows
-    where that call would raise DegenerateMetric are NaN.
+    x is one point, a list of three floats, or an (n, 3) array of points with h_k per
+    row; func takes points of the same kind, and its values over a block carry the
+    batch axis last.
+    """
+    block = isinstance(x, np.ndarray)
+    derivatives = []
+    for k in range(3):
+        at = (slice(None), k) if block else k
+        h = FD_STEP * (1.0 + abs(x[at]))
+        up = x.copy() if block else list(x)
+        dn = x.copy() if block else list(x)
+        up[at] += h
+        dn[at] -= h
+        derivatives.append((func(up) - func(dn)) / (2.0 * h))
+    return derivatives
+
+
+def curvature_at(f: FieldPair, p) -> CurvatureAtPoint:
+    """Curvature by central differencing of the Christoffel symbols (see FD_STEP).
+
+    Every stencil point p +- h_k e_k must itself be nondegenerate (DegenerateMetric
+    otherwise).  Over an (n, 3) block of points, Gamma is evaluated once at the
+    centres and once per stencil block, each row of the tensors has the bits of the
+    one-point call, and the rows where that call would raise DegenerateMetric are NaN.
     """
     p = np.asarray(p, dtype=float)
     block = p.ndim == 2
@@ -78,7 +104,7 @@ def curvature_at(f: FieldPair, p) -> CurvatureAtPoint:
     gamma0 = christoffel_general(f, p)
     centres = p if block else p.tolist()
     dgamma = np.array(  # [k, s, i, j]
-        central_differences(lambda q: christoffel_general(f, q), centres, f.fd_step)
+        central_differences(lambda q: christoffel_general(f, q), centres)
     )
     if block:  # a degenerate stencil point leaves NaN in only part of its row
         dgamma[..., np.isnan(dgamma).any(axis=(0, 1, 2, 3))] = np.nan

@@ -27,10 +27,6 @@ class ParseError(CircGeoError):
         self.position = position
 
 
-class StencilCollapsed(CircGeoError):
-    """A finite-difference step is too small to move a coordinate: p + h == p."""
-
-
 class DependentOrbit(PointSkipped):
     """Seed vector x has x, qx, q^2x linearly dependent (cubic vanishes)."""
 

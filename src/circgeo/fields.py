@@ -1,8 +1,8 @@
 """Scalar field pairs (A, B) over R^3 and the metric they induce.
 
-A field is a trivariate polynomial, parsed from text; its gradients are exact
-("analytic") or central differences ("fd").  The metric at a point is the
-circulant circ(A, B, B); its degeneracy factor is D = (A - B)(A + 2B).
+A field is a trivariate polynomial, parsed from text; its gradients are exact.
+The metric at a point is the circulant circ(A, B, B); its degeneracy factor is
+D = (A - B)(A + 2B).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .circulant import CirculantMatrix
-from .errors import DegenerateMetric, ParseError, StencilCollapsed
+from .errors import DegenerateMetric, ParseError
 
 Monomial = tuple[int, int, int]
 
@@ -122,13 +122,6 @@ def _arguments(x) -> tuple:
         x1, x2, x3 = x
         return x1, x2, x3, pow, 0.0
     return (*np.ascontiguousarray(x.T), _powers, np.zeros(len(x)))
-
-
-#: Step of every central difference, h_k = DEFAULT_FD_STEP * (1 + |x_k|).  1e-5
-#: keeps the truncation error of the curvature itself well below 1e-6, but the
-#: orbit-section spread inherits the pair-symmetry defect of the differenced
-#: tensor and needs the finer step to stay inside its tolerance.
-DEFAULT_FD_STEP = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -278,28 +271,17 @@ BUILTIN_FIELDS = {"paper-example": "A: 4*x1 + 2*x2; B: x1 + 2*x2 + 3*x3"}
 
 @dataclass(frozen=True)
 class FieldPair:
-    """The two scalar fields defining the metric, with a gradient mode and a step.
-
-    grad_mode is "analytic" (exact partials) or "fd" (central differences).
-    fd_step is the step of every central difference (see central_differences):
-    the curvature's always, the field gradients' under "fd".
-    """
+    """The two scalar fields defining the metric."""
 
     a: Polynomial
     b: Polynomial
-    grad_mode: str = "analytic"
-    fd_step: float = DEFAULT_FD_STEP
 
     def __post_init__(self):
-        if self.grad_mode not in ("analytic", "fd"):
-            raise ValueError(f"unknown grad_mode {self.grad_mode!r}")
         if not (isinstance(self.a, Polynomial) and isinstance(self.b, Polynomial)):
             raise ValueError("fields must be Polynomials")
 
 
-def parse_field_spec(
-    text: str, grad_mode: str = "analytic", fd_step: float = DEFAULT_FD_STEP
-) -> FieldPair:
+def parse_field_spec(text: str) -> FieldPair:
     """Build a FieldPair from spec text, or from a builtin name: text with no ':' or ';'."""
     if ":" not in text and ";" not in text:
         name = text.strip()
@@ -322,41 +304,13 @@ def parse_field_spec(
         offset += len(part) + 1
     if set(polys) != {"A", "B"}:
         raise ParseError("spec must define both A and B", 0)
-    return FieldPair(polys["A"], polys["B"], grad_mode=grad_mode, fd_step=fd_step)
+    return FieldPair(polys["A"], polys["B"])
 
 
 def field_eval(f: FieldPair, p):
     """Values (A(p), B(p)): floats at one point, (n,) arrays over an (n, 3) block."""
     args = _arguments(_centres(p))
     return f.a._value(*args)[0], f.b._value(*args)[0]
-
-
-def central_differences(func, x, step: float) -> list:
-    """(func(x + h_k e_k) - func(x - h_k e_k)) / (2 h_k), h_k = step * (1 + |x_k|), k = 0, 1, 2.
-
-    The one stencil of the fd field gradients and the curvature's Gamma derivatives.
-    x is one point, a list of three floats, or an (n, 3) array of points with h_k per
-    row; func takes points of the same kind, and its values over a block carry the
-    batch axis last.  StencilCollapsed if x_k +- h_k == x_k (at the first such row).
-    """
-    block = isinstance(x, np.ndarray)
-    derivatives = []
-    for k in range(3):
-        at = (slice(None), k) if block else k
-        h = step * (1.0 + abs(x[at]))
-        up = x.copy() if block else list(x)
-        dn = x.copy() if block else list(x)
-        up[at] += h
-        dn[at] -= h
-        collapsed = (up[at] == x[at]) | (dn[at] == x[at])
-        if collapsed.any() if block else collapsed:
-            point = x[np.argmax(collapsed)].tolist() if block else x
-            raise StencilCollapsed(
-                f"step {step!r} vanishes against coordinate {point[k]} (axis {k})"
-                f" at {tuple(point)}"
-            )
-        derivatives.append((func(up) - func(dn)) / (2.0 * h))
-    return derivatives
 
 
 def field_grad(f: FieldPair, p) -> tuple[np.ndarray, np.ndarray]:
@@ -367,20 +321,12 @@ def field_grad(f: FieldPair, p) -> tuple[np.ndarray, np.ndarray]:
 
 def field_jet(f: FieldPair, p) -> tuple:
     """(A, B, A_1, A_2, A_3, B_1, B_2, B_3) at p, A_k = dA/dx_k: floats at one point
-    and (n,) arrays with the same bits at every row of an (n, 3) block.  Under
-    "analytic" each field gives its four from one compiled function; under "fd"
-    the gradients are central differences of the values."""
-    x = _centres(p)
-    if f.grad_mode == "analytic":
-        args = _arguments(x)
-        a, a1, a2, a3 = f.a._jet(*args)
-        b, b1, b2, b3 = f.b._jet(*args)
-        return a, b, a1, a2, a3, b1, b2, b3
-    grad_a, grad_b = (
-        central_differences(lambda q: g._value(*_arguments(q))[0], x, f.fd_step)
-        for g in (f.a, f.b)
-    )
-    return (*field_eval(f, p), *grad_a, *grad_b)
+    and (n,) arrays with the same bits at every row of an (n, 3) block.  Each field
+    gives its four from one compiled function."""
+    args = _arguments(_centres(p))
+    a, a1, a2, a3 = f.a._jet(*args)
+    b, b1, b2, b3 = f.b._jet(*args)
+    return a, b, a1, a2, a3, b1, b2, b3
 
 
 def _status(a, b):

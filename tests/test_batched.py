@@ -144,9 +144,9 @@ blocks = st.lists(st.tuples(coords, coords, coords), min_size=1, max_size=6)
 
 
 @settings(max_examples=200, deadline=None)
-@given(wide_polynomials, wide_polynomials, blocks, st.sampled_from(["analytic", "fd"]))
-def test_block_jets_match_one_point_jets(a, b, block, grad_mode):
-    f = FieldPair(a, b, grad_mode=grad_mode)
+@given(wide_polynomials, wide_polynomials, blocks)
+def test_block_jets_match_one_point_jets(a, b, block):
+    f = FieldPair(a, b)
     jets = field_jet(f, np.array(block))
     assert all(column.shape == (len(block),) for column in jets)
     for n, p in enumerate(block):
@@ -192,15 +192,15 @@ def one_point(fn, *args):
 
 
 @settings(max_examples=100, deadline=None)
-@given(polynomials, polynomials, blocks, st.sampled_from(["analytic", "fd"]),
+@given(polynomials, polynomials, blocks,
        st.sampled_from([(1.0, 2.0, 3.0), (1.0, 1.0, 1.0), (0.5, -1.0, 2.0)]))
 # D ~ 0 at the stencil point x3 - h only: each Gamma derivative along x3 is NaN,
 # and the rest of the row must be too.
 @example(Polynomial.from_dict({(0, 0, 1): 1.0}), Polynomial.from_dict({(1, 0, 1): -3.0}),
-         [(3.0, 0.0, 1e-6)], "analytic", (1.0, 2.0, 3.0))
-def test_block_connection_and_curvature_match_one_point_calls(a, b, block, grad_mode, x):
+         [(3.0, 0.0, 1e-6)], (1.0, 2.0, 3.0))
+def test_block_connection_and_curvature_match_one_point_calls(a, b, block, x):
     assume(a != b)  # A = B is degenerate everywhere; other degenerate points stay in
-    f = FieldPair(a, b, grad_mode=grad_mode)
+    f = FieldPair(a, b)
     points = np.array(block)
     qx = Q_DENSE @ np.array(x)
     gamma = christoffel_general(f, points)

@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import os
+import re
 import shlex
 import tempfile
 import tracemalloc
@@ -352,10 +353,12 @@ def test_render_json_never_holds_the_document(tmp_path):
     assert peak < out.stat().st_size / 2
 
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
 def readme_examples() -> list[list[str]]:
     """The commands of README.md's `Examples:` block, each split into words."""
-    readme = Path(__file__).resolve().parent.parent / "README.md"
-    block = readme.read_text(encoding="utf-8").split("Examples:\n\n```sh\n", 1)[1]
+    block = README.read_text(encoding="utf-8").split("Examples:\n\n```sh\n", 1)[1]
     return [shlex.split(line) for line in block.split("```", 1)[0].splitlines()]
 
 
@@ -364,6 +367,19 @@ def test_readme_examples_exit_0(tmp_path, monkeypatch, words):
     monkeypatch.chdir(tmp_path)  # the verify example writes report.json
     assert words[0] == "circgeo"
     assert main(words[1:]) == 0
+
+
+def test_readme_names_every_flag_and_config_key():
+    # The CLI section names each option of every subcommand and nothing else, and
+    # its config table has one row per CONFIG_KEYS key.
+    section = README.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+    subcommands = next(a for a in build_parser()._actions if a.choices).choices.values()
+    options = {o for sp in subcommands for a in sp._actions for o in a.option_strings}
+    assert named == options - {"-h", "--help"}
+    table = section.split("| key | flag | value |\n| --- | --- | --- |\n", 1)[1].split("\n\n", 1)[0]
+    keys = [re.match(r"\| `(\w+)` \|", line).group(1) for line in table.splitlines()]
+    assert sorted(keys) == sorted(circgeo.cli.CONFIG_KEYS)
 
 
 class TestConfig:
@@ -436,7 +452,6 @@ class TestConfig:
             ),
             pytest.param(["verify", "--tol", "spread_rel=nan"], None, id="tol-nan"),
             pytest.param(["verify", "--tol", "spread_rel=inf"], None, id="tol-inf"),
-            pytest.param(["verify", "--step", "nan"], None, id="step-nan"),
             pytest.param(["verify", "--seed", "-1"], None, id="seed-negative"),
             pytest.param(["verify", "--grid", "nan,1,3"], None, id="grid-nan"),
             pytest.param(["scan", "--grid", "1.1,1.9,2.5"], None, id="grid-fractional-steps"),
@@ -450,8 +465,6 @@ class TestConfig:
             pytest.param(["verify"], {"grid": ["a", "b", "c"]}, id="config-grid-str"),
             pytest.param(["scan"], {"grid": [0, 1, 2.5]}, id="config-grid-fractional-steps"),
             pytest.param(["verify"], {"seed": 1.5}, id="config-seed-float"),
-            pytest.param(["verify"], {"fd_step": 0}, id="config-fd_step-zero"),
-            pytest.param(["verify"], {"grad_mode": "exact"}, id="config-grad_mode"),
             pytest.param(
                 ["verify"], {"tolerances": {"spread_rel": "abc"}}, id="config-tolerance-str"
             ),
@@ -498,32 +511,37 @@ class TestConfig:
         assert captured.out == ""
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, config, message",
         [
-            ["eval", "curvature", "--point", "1.2,1.5,1.7"],
-            ["verify", "--point", "1.2,1.5,1.7"],
-            ["scan", "--grid", "1.2,1.7,2"],
+            ([], {"grad_mode": "analytic"}, "unknown config key 'grad_mode'"),
+            ([], {"fd_step": 1e-6}, "unknown config key 'fd_step'"),
+            (["--tol", "dual_path_fd=1e-5"], None, "--tol must be"),
+            (["--grad", "analytic"], None, "unrecognized arguments: --grad analytic"),
+            (["--step", "1e-6"], None, "unrecognized arguments: --step 1e-6"),
         ],
-        ids=["eval", "verify", "scan"],
+        ids=["config-grad_mode", "config-fd_step", "tol-dual_path_fd", "flag-grad", "flag-step"],
     )
-    def test_collapsed_stencil_exits_2(self, capsys, argv):
-        code, captured = run(capsys, *argv, "--fields", "paper-example", "--step", "1e-300")
+    def test_gradient_mode_and_step_inputs_exit_2(self, tmp_path, capsys, argv, config, message):
+        # Gradients are always exact and the curvature stencil's step is fixed.
+        if config is not None:
+            path = tmp_path / "run.json"
+            path.write_text(json.dumps(config))
+            argv = [*argv, "--config", str(path)]
+        try:
+            code = main(["verify", "--fields", "paper-example", *argv])
+        except SystemExit as exc:  # argparse refusing the flag
+            code = exc.code
+        captured = capsys.readouterr()
         assert code == 2
-        assert "--step" in captured.err
+        assert message in captured.err
+        assert captured.out == ""
 
-    def test_collapsed_gradient_stencil_exits_2(self, capsys):
-        # The fd gradient stencil collapses before any curvature is built;
-        # this used to print an all-zero Christoffel table with status pass.
-        code, captured = run(
-            capsys,
-            "eval", "christoffel",
-            "--grad", "fd",
-            "--step", "1e-300",
-            "--point", "1.2,1.5,1.7",
-            "--fields", "A: x1^2 + x2; B: x1*x3",
-        )
+    @pytest.mark.parametrize("command", [["verify"], ["eval", "metric"]], ids=["verify", "eval"])
+    def test_sampled_point_out_of_range_exits_2(self, capsys, command):
+        # With no --point or --grid the points are sampled, and x1**2000 overflows there.
+        code, captured = run(capsys, *command, "--fields", "A: x1^2000; B: 1")
         assert code == 2
-        assert "--step" in captured.err
+        assert captured.err.startswith("circgeo: error: could not sample admissible points")
         assert captured.out == ""
 
     @pytest.mark.parametrize(
@@ -672,8 +690,6 @@ VALID = {
     "fields": st.sampled_from(["paper-example", "A: 2; B: 1", "A: x1^2 + 3; B: x2*x3"]),
     "points": st.lists(TRIPLE, min_size=1, max_size=3),
     "grid": st.tuples(st.floats(-4, 4), st.floats(-4, 4), st.integers(1, 3)).map(list),
-    "grad_mode": st.sampled_from(["analytic", "fd"]),
-    "fd_step": st.sampled_from([1e-6, 1e-3, 0.5, 1e-300]),
     "seed": st.integers(0, 2**64),
     "x": TRIPLE,
     "n_points": st.integers(0, 4),
@@ -736,8 +752,6 @@ FLAG_VALUES = {
     ),
     "--point": TRIPLE_TEXT | TEXT,
     "--grid": GRID_TEXT,
-    "--grad": st.sampled_from(["analytic", "fd"]) | TEXT,
-    "--step": st.sampled_from(["1e-6", "1e-3", "0.5", "1e-300", "0", "-1", "nan", "inf"]) | TEXT,
     "--seed": st.sampled_from(["0", "7", "-1", str(2**64), "1.5"]) | TEXT,
     "--x": TRIPLE_TEXT | TEXT,
     "--format": st.sampled_from(["json", "csv"]) | TEXT,

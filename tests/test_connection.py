@@ -13,7 +13,7 @@ from circgeo.connection import (
     parallel_defect,
 )
 from circgeo.errors import DegenerateMetric
-from circgeo.fields import FieldPair, field_grad, metric_at, parse_field_spec
+from circgeo.fields import field_grad, metric_at, parse_field_spec
 from circgeo.sampling import random_point
 from pairs import random_defective_pair, random_field_pair, random_parallel_pair
 
@@ -124,14 +124,6 @@ class TestChristoffel:
                 p = random_point(rng, f)
                 diff = christoffel_closed(f, p) - christoffel_general(f, p)
                 assert np.max(np.abs(diff)) <= 1e-9
-
-    def test_dual_path_agreement_fd_mode(self, rng):
-        f_an = parse_field_spec("A: x1^2 + x2; B: x3 - x1*x2")
-        f_fd = FieldPair(f_an.a, f_an.b, grad_mode="fd")
-        for _ in range(20):
-            p = random_point(rng, f_fd)
-            diff = christoffel_closed(f_fd, p) - christoffel_general(f_fd, p)
-            assert np.max(np.abs(diff)) <= 1e-5
 
     def test_metric_compatibility(self, paper_fields, rng):
         for _ in range(20):

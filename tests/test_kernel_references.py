@@ -3,17 +3,15 @@
 Each reference below is the assembly the current kernel replaced: Gamma from
 the metric-partial tensor and three transposes, the closed forms written
 item by item over numpy scalars, the metric partials from a fresh identity
-matrix, and the curvature stencil and the fd field gradient, each with its
-own step rule, on numpy arrays; and the scan as a loop over grid nodes
-through the one-point kernels.  The comparisons are exact, on reprs, float.hex
-(so that the sign of a zero counts too) or report bytes, not within a
-tolerance, because reports must keep their bytes.
+matrix, and the curvature stencil with its own step rule on numpy arrays;
+and the scan as a loop over grid nodes through the one-point kernels.  The
+comparisons are exact, on reprs, float.hex (so that the sign of a zero counts
+too) or report bytes, not within a tolerance, because reports must keep their
+bytes.
 """
 
 import io
-import re
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import replace
 from unittest.mock import patch
 
 import numpy as np
@@ -21,13 +19,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from circgeo import cli
+from circgeo import cli, curvature
 from circgeo.circulant import Q, circ_apply
 from circgeo.connection import christoffel_closed, christoffel_general, metric_partials
 from circgeo.curvature import curvature_at, sectional_curvature
-from circgeo.errors import ConfigError, PointSkipped, StencilCollapsed
+from circgeo.errors import ConfigError, PointSkipped
 from circgeo.fields import (
-    DEFAULT_FD_STEP,
     FieldPair,
     Polynomial,
     domain_check,
@@ -105,23 +102,6 @@ def old_curvature_at(f, p, h=1e-6):
     return r_up, r_down
 
 
-def old_fd_gradient(func, p: np.ndarray, step: float) -> np.ndarray:
-    grad = np.empty(3)
-    for k in range(3):
-        h = step * (1.0 + abs(p[k]))
-        up = p.copy()
-        dn = p.copy()
-        up[k] += h
-        dn[k] -= h
-        if up[k] == p[k] or dn[k] == p[k]:
-            raise StencilCollapsed(
-                f"gradient step {step!r} vanishes against coordinate {p[k]} (axis {k})"
-                f" at {tuple(p.tolist())}"
-            )
-        grad[k] = (func(up) - func(dn)) / (2.0 * h)
-    return grad
-
-
 def outcome(fn, *args):
     """fn(*args) as nested lists, or the skip it raised as (type name, text)."""
     try:
@@ -166,10 +146,10 @@ points = st.one_of(
 
 
 @settings(max_examples=200, deadline=None)
-@given(polynomials, polynomials, points, st.sampled_from(["analytic", "fd"]))
-def test_connection_kernels_match_references(a, b, p, grad_mode):
+@given(polynomials, polynomials, points)
+def test_connection_kernels_match_references(a, b, p):
     assume(a != b)  # A = B is degenerate everywhere; other degenerate points stay in
-    assert_kernels_match(FieldPair(a, b, grad_mode=grad_mode), p)
+    assert_kernels_match(FieldPair(a, b), p)
 
 
 # Paper-example has dA/dx3 = 0 everywhere, so one gradient entry is exactly 0;
@@ -186,54 +166,21 @@ def hexes(*arrays):
     return [float(v).hex() for a in arrays for v in np.ravel(a)]
 
 
-def collapsed_axis(exc: StencilCollapsed) -> int:
-    return int(re.search(r"axis (\d)", str(exc)).group(1))
-
-
 steps = st.floats(1e-8, 1e-3)
 
 
-@settings(max_examples=200, deadline=None)
-@given(polynomials, polynomials, points, steps)
-def test_fd_gradient_matches_reference(a, b, p, step):
-    x = np.asarray(p, dtype=float)
-    grads = field_grad(FieldPair(a, b, grad_mode="fd", fd_step=step), p)
-    assert hexes(*grads) == hexes(old_fd_gradient(a, x, step), old_fd_gradient(b, x, step))
-
-
 @settings(max_examples=100, deadline=None)
-@given(polynomials, polynomials, points, steps, st.sampled_from(["analytic", "fd"]))
-def test_curvature_matches_reference_at_other_steps(a, b, p, h, grad_mode):
-    assume(a != b and h != DEFAULT_FD_STEP)
-    f = FieldPair(a, b, grad_mode=grad_mode, fd_step=h)
-    new, old = outcome(new_curvature, f, p), outcome(old_curvature_at, f, p, h)
+@given(polynomials, polynomials, points, steps)
+def test_curvature_matches_reference_at_other_steps(a, b, p, h):
+    assume(a != b and h != curvature.FD_STEP)
+    f = FieldPair(a, b)
+    with patch.object(curvature, "FD_STEP", h):
+        new = outcome(new_curvature, f, p)
+    old = outcome(old_curvature_at, f, p, h)
     if isinstance(old, tuple):  # the same skip
         assert new == old
     else:
         assert hexes(*new) == hexes(*old)
-
-
-@settings(max_examples=100, deadline=None)
-@given(polynomials, polynomials, points)
-def test_collapsed_stencil_names_the_reference_axis(a, b, p):
-    # A step of 1e-300 vanishes against every coordinate but the tiny ones.
-    x = np.asarray(p, dtype=float)
-    try:
-        old_fd_gradient(a, x, 1e-300)
-    except StencilCollapsed as exc:
-        axis = collapsed_axis(exc)
-    else:
-        axis = None
-    assume(axis is not None and a != b)
-    f = FieldPair(a, b, grad_mode="fd", fd_step=1e-300)
-    with pytest.raises(StencilCollapsed) as exc:
-        field_grad(f, p)
-    assert collapsed_axis(exc.value) == axis
-    f = replace(f, grad_mode="analytic")
-    assume(not domain_check(f, p).degenerate)
-    with pytest.raises(StencilCollapsed) as exc:
-        curvature_at(f, p)
-    assert collapsed_axis(exc.value) == axis
 
 
 def old_cmd_scan(config):
@@ -314,15 +261,12 @@ grids = st.builds(
 @given(
     field_specs,
     grids,
-    st.sampled_from(["1e-06", "1e-06", "0.001", "0.001", "1e-300"]),
-    st.sampled_from(["analytic", "fd"]),
     st.sampled_from(["1,2,3", "1,1,1"]),
     st.sampled_from(["json", "csv"]),
 )
-def test_block_scan_matches_per_node_scan(fields, grid, step, grad_mode, x, fmt):
+def test_block_scan_matches_per_node_scan(fields, grid, x, fmt):
     spec = ",".join(repr(float(v)) for axis in grid for v in axis)
-    argv = ["scan", "--fields", fields, f"--grid={spec}", "--step", step, "--grad", grad_mode,
-            "--x", x, "--format", fmt]
+    argv = ["scan", "--fields", fields, f"--grid={spec}", "--x", x, "--format", fmt]
     # Blocks of 1 and 3 nodes put block seams inside these small grids.
     assert_scan_matches_reference(argv, blocks=(1, 3, cli.SCAN_BLOCK))
 
@@ -334,9 +278,9 @@ def test_block_scan_matches_per_node_scan(fields, grid, step, grad_mode, x, fmt)
         # 1,100 nodes, so the 1,024-node block seam is crossed; definite,
         # indefinite and degenerate nodes, as in the cubic scan golden.
         ["--fields", CUBIC_PAIR, "--grid=-4.5,-2.803890692868853,11,-2,2,10,-2,2,10"],
-        # At (0.001, y, 0) the stencil point x3 + 0.001 lies on the plane x1 = x3
+        # At (1e-6, y, 0) the stencil point x3 + h_3 = 1e-6 lies on the plane x1 = x3
         # where D = 0: mu_e1 is null though the node itself is definite.
-        ["--fields", "paper-example", "--grid=0.001,0.002,2,0.5,1,2,0,0.001,2", "--step", "0.001"],
+        ["--fields", "paper-example", "--grid=1e-6,2e-6,2,0.5,1,2,0,1e-6,2"],
         # |x|**4 overflows: exit 2 naming x, from the first definite node on.
         ["--fields", CUBIC_PAIR, "--grid=-4.5,-2.803890692868853,4,-2,2,5,-2,2,5",
          "--x", "1e200,1,2"],
