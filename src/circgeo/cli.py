@@ -25,6 +25,7 @@ from .connection import (
     metric_compatibility_residual,
     nabla_q,
     parallel_defect,
+    parallel_everywhere,
 )
 from .curvature import (
     curvature_at,
@@ -46,8 +47,6 @@ DEFAULT_TOLERANCES = {
     "nabla_q_nonzero": 1e-6,
     "metric_inverse": 1e-12,
     "metric_compat": 1e-9,
-    "flat_gamma": 1e-14,
-    "flat_curvature": 1e-10,
     "identity_rel": 1e-7,
     "spread_rel": 1e-6,
     "spread_abs": 1e-9,
@@ -89,12 +88,6 @@ def _is_grid(v) -> bool:
     return len(v) == 3 and all(_is_triple(t) and float(t[2]).is_integer() for t in v)
 
 
-def _is_tolerances(v) -> bool:
-    return isinstance(v, dict) and all(
-        k in DEFAULT_TOLERANCES and _is_real(t) and t > 0 for k, t in v.items()
-    )
-
-
 _COUNT = f"an integer from 0 to {MAX_GRID_NODES}"
 
 # Config key -> (default, accepts value, what it must be).  A config file
@@ -110,14 +103,16 @@ CONFIG_KEYS = {
         "[min, max, steps] with whole steps, nine numbers or three such triples",
     ),
     "seed": (0, lambda v: _is_count(v, math.inf), "a non-negative integer"),
-    "x": ([1.0, 2.0, 3.0], _is_triple, "three finite numbers"),
+    "x": ([1.0, 2.0, 3.0], lambda v: _is_triple(v) and math.hypot(*v) <= sys.float_info.max ** 0.25,
+          "three finite numbers whose norm**4 (mu's degree in x) is a finite float"),
     "n_points": (10, _is_count, _COUNT),
     "n_vectors": (20, _is_count, _COUNT),
     "n_seeds": (20, _is_count, _COUNT),
     "out": (None, lambda v: v is None or isinstance(v, str), "a path"),
     "format": ("json", lambda v: v in ("json", "csv"), '"json" or "csv"'),
     "tolerances": (
-        {}, _is_tolerances, "an object mapping tolerance names to positive finite numbers",
+        {}, lambda v: isinstance(v, dict),
+        "an object mapping tolerance names to positive finite numbers",
     ),
 }
 
@@ -136,6 +131,13 @@ class RunConfig:
         _, accepts, expected = CONFIG_KEYS[key]
         if not accepts(value):
             raise ConfigError(f"{source} must be {expected}, got {value!r}")
+        if key == "tolerances":  # name the first entry refused
+            for name, t in value.items():
+                if name not in DEFAULT_TOLERANCES:
+                    known = ", ".join(sorted(DEFAULT_TOLERANCES))
+                    raise ConfigError(f"{source} names unknown tolerance {name!r} (known: {known})")
+                if not (_is_real(t) and t > 0):
+                    raise ConfigError(f"{source}: {name!r} must be positive and finite, got {t!r}")
         setattr(self, key, value)
 
     def tol(self, name: str) -> float:
@@ -199,15 +201,12 @@ def _bounded(check: str, index: int, point, residual: float, tolerance: float) -
 
 
 @contextmanager
-def _in_range(point, x=None):
-    """Turn a float overflow while working on point into a ConfigError naming it, or
-    naming the seed vector x if given and |x|**4 (mu's degree in x) overflows alone."""
+def _in_range(point):
+    """Turn a float overflow while working on point into a ConfigError naming it."""
     try:
         with np.errstate(over="raise", invalid="raise"):
             yield
     except (OverflowError, FloatingPointError) as exc:
-        if x is not None and math.hypot(*x) > sys.float_info.max ** 0.25:
-            raise ConfigError(f"x {list(x)} is out of range: {exc}") from exc
         raise ConfigError(f"point {list(point)} is out of range: {exc}") from exc
 
 
@@ -226,7 +225,7 @@ def cmd_eval(config: RunConfig, what: str) -> dict:
     records = []
     for idx, p in enumerate(points):
         try:
-            with _in_range(p, config.x if what == "sectional" else None):
+            with _in_range(p):
                 record = _eval_one(config, f, what, idx, p)
         except PointSkipped as exc:
             record = _record(what, idx, p, "skipped", reason=type(exc).__name__, detail=str(exc))
@@ -249,28 +248,27 @@ def _eval_one(config: RunConfig, f: FieldPair, what: str, idx: int, p) -> dict:
     if what == "curvature":
         curv = curvature_at(f, p)
         return _record(what, idx, p, "pass", max_abs=curv.max_abs, r_down=curv.r_down.tolist())
-    if what == "sectional":
-        mu, spread, passed, cubic = theorem3_check(
-            f, p, config.x, config.tol("spread_rel"), config.tol("spread_abs")
-        )
-        return _record(what, idx, p, "pass" if passed else "fail",
-                       mu=mu, spread=spread, independence=cubic)
-    raise ConfigError(f"unknown eval target {what!r}")
+    mu, spread, passed, cubic = theorem3_check(
+        f, p, config.x, config.tol("spread_rel"), config.tol("spread_abs")
+    )
+    return _record(what, idx, p, "pass" if passed else "fail",
+                   mu=mu, spread=spread, independence=cubic)
 
 
 def cmd_verify(config: RunConfig) -> dict:
     f = _build_fields(config)
     rng = np.random.default_rng(config.seed)
     points = resolve_points(config, f, rng)
+    parallel = parallel_everywhere(f, config.tol("defect_zero"))
     records = []
     for idx, p in enumerate(points):
         with _in_range(p):
-            point_records = _verify_point(config, f, rng, idx, p)
+            point_records = _verify_point(config, f, rng, idx, p, parallel)
         records += _finite_records(sorted(point_records, key=lambda r: r["check"]))
     return _assemble(config, records)
 
 
-def _verify_point(config, f, rng, idx, p) -> list[dict]:
+def _verify_point(config, f, rng, idx, p, parallel) -> list[dict]:
     m = domain_check(f, p)
     if m.degenerate:
         return [_record("all", idx, p, "skipped", reason="DegenerateMetric", d=m.d)]
@@ -296,11 +294,15 @@ def _verify_point(config, f, rng, idx, p) -> list[dict]:
             _record("theorem1-parallel", idx, p, "pass" if nq <= tol else "fail",
                     defect=defect, nabla_q=nq, tolerance=tol)
         )
+        # The curvature checks need q parallel around p, not only at p.
+        skip = {} if parallel else {"reason": "q is not parallel near the point"}
         try:
-            curv = curvature_at(f, p)
+            curv = curvature_at(f, p) if parallel else None
         except PointSkipped as exc:  # p is not degenerate, but a stencil point is
+            skip = {"reason": type(exc).__name__, "detail": str(exc)}
+        if skip:
             records.extend(
-                _record(check, idx, p, "skipped", reason=type(exc).__name__, detail=str(exc))
+                _record(check, idx, p, "skipped", **skip)
                 for check in ("identity-3.1", "identity-3.2", "identity-3.6", "theorem3-spread")
             )
         else:
@@ -318,17 +320,13 @@ def _verify_point(config, f, rng, idx, p) -> list[dict]:
         )
 
     if _is_constant(f):
-        # Constant fields have defect 0 and the metric of p at every stencil
-        # point, so the parallel branch above has built curv.
-        gamma_max = _max_abs(general)
-        curv_max = curv.max_abs
-        g_tol = config.tol("flat_gamma")
-        c_tol = config.tol("flat_curvature")
-        ok = gamma_max <= g_tol and curv_max <= c_tol
+        # Constant fields have defect 0 and the metric of p at every stencil point, so
+        # the parallel branch above has built curv.  Their partial tables are empty, so
+        # t, Gamma, dGamma and R are exact zeros: flat means 0.0, with no tolerance.
+        gamma_max, curv_max = _max_abs(general), curv.max_abs
         records.append(
-            _record("flat-baseline", idx, p, "pass" if ok else "fail",
-                    gamma_max=gamma_max, curvature_max=curv_max,
-                    tolerance=min(g_tol, c_tol))
+            _record("flat-baseline", idx, p, "pass" if gamma_max == curv_max == 0.0 else "fail",
+                    gamma_max=gamma_max, curvature_max=curv_max)
         )
     return records
 
@@ -408,9 +406,8 @@ def _scan_node(config: RunConfig, f: FieldPair, qx, idx: int, p) -> dict:
     """The row of one grid node, from the one-point kernels."""
     with _in_range(p):
         m = domain_check(f, p)
-    mu_e1 = None
-    if not m.degenerate and m.definite:
-        with _in_range(p, config.x):
+        mu_e1 = None
+        if not m.degenerate and m.definite:
             try:
                 mu_e1 = sectional_curvature(f, p, config.x, qx)
             except PointSkipped:

@@ -96,6 +96,17 @@ def parallel_defect(f: FieldPair, p) -> np.ndarray:
     return grad_a - grad_b @ S
 
 
+def parallel_everywhere(f: FieldPair, tol: float) -> bool:
+    """Whether each coefficient of the polynomials grad A - (grad B) . S is within tol,
+    so that q is parallel around every point, as the curvature identities need."""
+    residual = [dict(f.a.partial(j).terms) for j in range(3)]
+    for k, row in enumerate(S.tolist()):  # Python floats overflow to inf without a warning
+        for mono, coef in f.b.partial(k).terms:
+            for j, s in enumerate(row):
+                residual[j][mono] = residual[j].get(mono, 0.0) - s * coef
+    return all(abs(c) <= tol for r in residual for c in r.values())
+
+
 def nabla_q(gamma: np.ndarray) -> np.ndarray:
     """nabla_i q_j^s = Gamma^s_ia q_j^a - Gamma^a_ij q_a^s as [i, j, s] (q is constant)."""
     return np.einsum("sia,ja->ijs", gamma, Q_DENSE) - np.einsum("aij,as->ijs", gamma, Q_DENSE)

@@ -222,7 +222,8 @@ def sectional_curvatures(curv: CurvatureAtPoint, u, v) -> np.ndarray:
     elif bad.any():
         i = int(np.argmax(bad))
         raise DegenerateSection(
-            f"Gram determinant {float(gram[i])} too small for pair ({u[i]}, {v[i]})"
+            f"Gram determinant {float(gram[i])} too small for pair"
+            f" ({tuple(u[i].tolist())}, {tuple(v[i].tolist())})"
         )
     return curv.scalars(u, v, u, v) / gram
 

@@ -87,7 +87,7 @@ def test_criterion_4_flat_baseline():
         curv_max = max(curv_max, float(np.max(np.abs(curvature_at(f, p).r_up))))
     report(
         4,
-        gamma_max <= 1e-14 and curv_max <= 1e-10,
+        gamma_max == curv_max == 0.0,
         f"max |Gamma| {gamma_max:.3e}, max |R| {curv_max:.3e}",
     )
 

@@ -30,6 +30,9 @@ from circgeo.cli import (
 from circgeo.errors import ConfigError
 
 
+CURVATURE_CHECKS = ("identity-3.1", "identity-3.2", "identity-3.6", "theorem3-spread")
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     return code, capsys.readouterr()
@@ -90,17 +93,23 @@ class TestEval:
 
     def test_sectional_degenerate_section_skipped(self, tmp_path):
         # x and qx are nearly parallel, so the section's Gram determinant is tiny.
-        code, report = run_json(
-            tmp_path,
-            "eval", "sectional",
-            "--fields", "paper-example",
-            "--point", "1.5,1.1,1.1",
-            "--x", "1,1,1.000003",
-        )
+        # The detail gives the pair as Python floats, whatever numpy's print options.
+        with np.printoptions(precision=3):
+            code, report = run_json(
+                tmp_path,
+                "eval", "sectional",
+                "--fields", "paper-example",
+                "--point", "1.5,1.1,1.1",
+                "--x", "1,1,1.0000031234567",
+            )
         assert code == 0
         (rec,) = report["records"]
         assert rec["status"] == "skipped"
         assert rec["reason"] == "DegenerateSection"
+        assert rec["detail"] == (
+            "Gram determinant 1.559783413540572e-09 too small for pair"
+            " ((1.0, 1.0, 1.0000031234567), (1.0, 1.0000031234567, 1.0))"
+        )
 
     def test_curvature_and_nabla_q(self, tmp_path):
         code, report = run_json(
@@ -144,6 +153,39 @@ class TestVerify:
         checks = {r["check"]: r for r in report["records"]}
         assert checks["theorem1-converse"]["status"] == "pass"
         assert checks["theorem1-converse"]["nabla_q"] > 1e-6
+
+    @pytest.mark.parametrize(
+        "fields, point, branch",
+        [
+            # grad A - (grad B) . S is (2 x1, 0, 0): zero at the point, not around it.
+            (
+                "A: 4*x1 + 2*x2 + x1^2; B: x1 + 2*x2 + 3*x3", "0,1.2,0.3",
+                {"theorem1-parallel": ("pass", None),
+                 **dict.fromkeys(CURVATURE_CHECKS, ("skipped", "q is not parallel near the point"))},
+            ),
+            # Decimal coefficients: the defect rounds to 5.6e-17, within defect_zero.
+            (
+                "A: 0.3*x1 + 0.1*x2 + 0.1*x3 + 2; B: 0.1*x1 + 0.2*x2 + 0.2*x3", "0.5,0.2,0.1",
+                dict.fromkeys(("theorem1-parallel", *CURVATURE_CHECKS), ("pass", None)),
+            ),
+            # A defect of 0.01 is neither zero nor large enough for the converse.
+            (
+                "A: 4.01*x1 + 2*x2; B: x1 + 2*x2 + 3*x3", "1.5,1.2,1.1",
+                {"theorem1-parallel": ("skipped", "defect neither zero nor large")},
+            ),
+        ],
+        ids=["parallel-at-the-point-only", "parallel-up-to-rounding", "small-defect"],
+    )
+    def test_theorem1_and_curvature_branches(self, tmp_path, fields, point, branch):
+        code, report = run_json(tmp_path, "verify", "--fields", fields, "--point", point)
+        assert code == 0
+        checks = {r["check"]: (r["status"], r.get("reason")) for r in report["records"]}
+        assert checks == {
+            **dict.fromkeys(
+                ("christoffel-dual-path", "metric-compatibility", "metric-inverse"), ("pass", None)
+            ),
+            **branch,
+        }
 
     def test_summary_counts_consistent(self, tmp_path):
         code, report = run_json(
@@ -393,8 +435,11 @@ class TestConfig:
         [
             ("A 4*x1; B x2", "missing ':' in field definition (at position 0)"),
             ("paper-exampel", "unknown builtin field pair 'paper-exampel' (at position 0)"),
+            ("A: 3/x1; B: 1", "expected denominator after '/' (at position 5)"),
+            ("C: x1; B: 1", "expected field name 'A' or 'B', got 'C' (at position 0)"),
+            ("A: x1; A: x2", "spec must define both A and B (at position 0)"),
         ],
-        ids=["missing-colon", "misspelt-builtin"],
+        ids=["missing-colon", "misspelt-builtin", "variable-denominator", "field-name", "twice-A"],
     )
     def test_field_spec_error_names_the_fault(self, capsys, spec, message):
         # Text with a ';' is a spec, not a builtin name, even without a ':'.
@@ -403,9 +448,24 @@ class TestConfig:
         assert captured.err == f"circgeo: error: bad field spec: {message}\n"
         assert captured.out == ""
 
-    def test_unknown_tolerance_exits_2(self, capsys):
-        code, _ = run(capsys, "verify", "--fields", "paper-example", "--tol", "nope=1")
+    def test_unknown_tolerance_exits_2(self, capsys, tmp_path):
+        # The message names the first entry refused, and whether --tol or the
+        # config file's tolerances gave it.
+        code, captured = run(capsys, "verify", "--fields", "paper-example", "--tol", "nope=1")
         assert code == 2
+        assert captured.err == (
+            "circgeo: error: --tol names unknown tolerance 'nope' (known: defect_zero, dual_path,"
+            " identity_rel, metric_compat, metric_inverse, nabla_q, nabla_q_nonzero, spread_abs,"
+            " spread_rel)\n"
+        )
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"tolerances": {"spread_rel": 1e-6, "nabla_q": -1}}))
+        code, captured = run(capsys, "verify", "--config", str(config))
+        assert code == 2
+        assert captured.err == (
+            "circgeo: error: config key 'tolerances': 'nabla_q' must be positive and finite,"
+            " got -1\n"
+        )
 
     def test_bad_point_exits_2(self, capsys):
         code, _ = run(capsys, "eval", "metric", "--fields", "paper-example", "--point", "1,2")
@@ -459,10 +519,14 @@ class TestConfig:
             pytest.param(["verify"], {"n_points": True}, id="config-n_points-bool"),
             pytest.param(["verify"], {"x": [1, 2]}, id="config-x-short"),
             pytest.param(["verify"], {"x": [float("nan"), 0, 0]}, id="config-x-nan"),
+            # An integer too large for a float is not a finite number.
+            pytest.param(["verify"], {"x": [10**400, 1, 2]}, id="config-x-huge-int"),
             pytest.param(["verify"], {"points": [[1, 0]]}, id="config-points-short"),
             # An empty list names no point; it is not a request to sample some.
             pytest.param(["verify"], {"points": []}, id="config-points-empty"),
             pytest.param(["verify"], {"grid": ["a", "b", "c"]}, id="config-grid-str"),
+            pytest.param(["verify"], {"grid": "1,2,3"}, id="config-grid-not-list"),
+            pytest.param(["verify"], [1, 2], id="config-not-object"),
             pytest.param(["scan"], {"grid": [0, 1, 2.5]}, id="config-grid-fractional-steps"),
             pytest.param(["verify"], {"seed": 1.5}, id="config-seed-float"),
             pytest.param(
@@ -515,14 +579,23 @@ class TestConfig:
         [
             ([], {"grad_mode": "analytic"}, "unknown config key 'grad_mode'"),
             ([], {"fd_step": 1e-6}, "unknown config key 'fd_step'"),
-            (["--tol", "dual_path_fd=1e-5"], None, "--tol must be"),
+            (["--tol", "dual_path_fd=1e-5"], None, "--tol names unknown tolerance 'dual_path_fd'"),
             (["--grad", "analytic"], None, "unrecognized arguments: --grad analytic"),
             (["--step", "1e-6"], None, "unrecognized arguments: --step 1e-6"),
+            (["--tol", "flat_gamma=1e-14"], None, "--tol names unknown tolerance 'flat_gamma'"),
+            (
+                [], {"tolerances": {"flat_curvature": 1e-10}},
+                "config key 'tolerances' names unknown tolerance 'flat_curvature'",
+            ),
         ],
-        ids=["config-grad_mode", "config-fd_step", "tol-dual_path_fd", "flag-grad", "flag-step"],
+        ids=[
+            "config-grad_mode", "config-fd_step", "tol-dual_path_fd", "flag-grad", "flag-step",
+            "tol-flat_gamma", "config-flat_curvature",
+        ],
     )
     def test_gradient_mode_and_step_inputs_exit_2(self, tmp_path, capsys, argv, config, message):
-        # Gradients are always exact and the curvature stencil's step is fixed.
+        # Gradients are always exact, the curvature stencil's step is fixed, and
+        # flatness is exact: the knobs that chose otherwise are gone.
         if config is not None:
             path = tmp_path / "run.json"
             path.write_text(json.dumps(config))
@@ -536,10 +609,19 @@ class TestConfig:
         assert message in captured.err
         assert captured.out == ""
 
-    @pytest.mark.parametrize("command", [["verify"], ["eval", "metric"]], ids=["verify", "eval"])
-    def test_sampled_point_out_of_range_exits_2(self, capsys, command):
-        # With no --point or --grid the points are sampled, and x1**2000 overflows there.
-        code, captured = run(capsys, *command, "--fields", "A: x1^2000; B: 1")
+    @pytest.mark.parametrize(
+        "command, fields",
+        [
+            # With no --point or --grid the points are sampled, and x1**2000 overflows there.
+            (["verify"], "A: x1^2000; B: 1"),
+            (["eval", "metric"], "A: x1^2000; B: 1"),
+            # D = 0 everywhere, so no draw is admissible.
+            (["verify"], "A: 1; B: 1"),
+        ],
+        ids=["verify", "eval", "verify-degenerate-everywhere"],
+    )
+    def test_sampled_point_out_of_range_exits_2(self, capsys, command, fields):
+        code, captured = run(capsys, *command, "--fields", fields)
         assert code == 2
         assert captured.err.startswith("circgeo: error: could not sample admissible points")
         assert captured.out == ""
@@ -581,15 +663,20 @@ class TestConfig:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["eval", "sectional", "--point", "1.2,0.5,0.3"],  # the cubic of x overflows
-            ["scan", "--grid", "1.1,1.9,3"],  # g(x, x) g(qx, qx) overflows
+            ["eval", "sectional", "--point", "1.2,0.5,0.3"],  # the cubic of x would overflow
+            ["scan", "--grid", "1.1,1.9,3"],  # g(x, x) g(qx, qx) would overflow
+            ["verify", "--point", "1.2,0.5,0.3"],
         ],
-        ids=["eval", "scan"],
+        ids=["eval", "scan", "verify"],
     )
     def test_out_of_range_seed_vector_exits_2(self, capsys, argv):
+        # |x|**4 is not a finite float: refused with the config, before any point.
         code, captured = run(capsys, *argv, "--fields", "paper-example", "--x", "1e200,1,2")
         assert code == 2
-        assert captured.err.startswith("circgeo: error: x [1e+200, 1.0, 2.0] is out of range")
+        assert captured.err == (
+            "circgeo: error: --x must be three finite numbers whose norm**4 (mu's degree"
+            " in x) is a finite float, got [1e+200, 1.0, 2.0]\n"
+        )
         assert captured.out == ""
 
     def test_unwritable_output_exits_2(self, capsys):

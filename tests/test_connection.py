@@ -1,7 +1,11 @@
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import exact
 
 from circgeo.circulant import S
 from circgeo.connection import (
@@ -11,11 +15,20 @@ from circgeo.connection import (
     metric_partials,
     nabla_q,
     parallel_defect,
+    parallel_everywhere,
 )
 from circgeo.errors import DegenerateMetric
-from circgeo.fields import field_grad, metric_at, parse_field_spec
+from circgeo.fields import domain_check, field_grad, metric_at, parse_field_spec
 from circgeo.sampling import random_point
-from pairs import random_defective_pair, random_field_pair, random_parallel_pair
+from pairs import (
+    CUBIC_PAIR,
+    QUADRATIC_PAIR,
+    random_defective_pair,
+    random_field_pair,
+    random_parallel_pair,
+)
+
+GOLDEN = Path(__file__).parent / "golden"
 
 # Where q is parallel (grad A = grad B . S), Gamma takes three values, each shared by
 # one six-way group of (s, i, j) entries (and, by symmetry, their (s, j, i) mirrors).
@@ -191,6 +204,22 @@ class TestParallelism:
                         *((-S[j, k], hess_b[k][i]) for k in range(3)),
                     )
 
+    def test_parallel_everywhere(self, paper_fields, rng):
+        assert parallel_everywhere(paper_fields, 0.0)
+        assert parallel_everywhere(parse_field_spec("A: 2; B: 1"), 0.0)
+        assert all(parallel_everywhere(random_parallel_pair(rng), 0.0) for _ in range(10))
+        assert not any(parallel_everywhere(random_defective_pair(rng), 1e-9) for _ in range(10))
+        # grad A - (grad B) . S is (2 x1, 0, 0): zero on the plane x1 = 0, and not everywhere.
+        f = parse_field_spec("A: 4*x1 + 2*x2 + x1^2; B: x1 + 2*x2 + 3*x3")
+        assert np.array_equal(parallel_defect(f, (0, 1.2, 0.3)), np.zeros(3))
+        assert not parallel_everywhere(f, 1e-9)
+        # Parallel up to the rounding of decimal coefficients.
+        f = parse_field_spec("A: 0.3*x1 + 0.1*x2 + 0.1*x3 + 2; B: 0.1*x1 + 0.2*x2 + 0.2*x3")
+        assert parallel_everywhere(f, 1e-9)
+        # Coefficients in range whose residual overflows: not parallel, and no warning.
+        big = "15" + "0" * 307
+        assert not parallel_everywhere(parse_field_spec(f"A: {big}*x1; B: {big}*x1 + 1"), 1e-9)
+
     def test_theorem1_converse_random_pairs(self, rng):
         for _ in range(10):
             f = random_defective_pair(rng)
@@ -224,3 +253,65 @@ class TestReducedChristoffel:
         # grad A - grad B . S = (1, 0, 0): Gamma^1_11 = 1/2 but Gamma^3_22 = 0.
         f = parse_field_spec("A: x1; B: 0")
         assert group_deviation(f, (1, 0, 0)) > 0.1
+
+
+def _entries(nested) -> list:
+    """The entries of a 3x3x3 nested list (or array) in row-major order."""
+    return [v for matrix in nested for row in matrix for v in row]
+
+
+def assert_within_rounding(f, p, gammas, nablas):
+    """Each of gammas (Christoffel arrays) and nablas (nabla q arrays) at p is within
+    32 eps kappa max|Gamma| of its exact value (tests/exact.py), entry by entry, where
+    kappa = max(|A + 2B|, |A - B|) / min(|A + 2B|, |A - B|) is the condition number of g."""
+    a, b, gamma, nq = exact.connection(f, p)
+    kappa = max(abs(a + 2 * b), abs(a - b)) / min(abs(a + 2 * b), abs(a - b))
+    bound = 32 * Fraction(np.finfo(float).eps) * kappa * max(map(abs, _entries(gamma)))
+    for computed, want in [*((g, gamma) for g in gammas), *((n, nq) for n in nablas)]:
+        for c, e in zip(_entries(np.asarray(computed).tolist()), _entries(want), strict=True):
+            assert abs(Fraction(c) - e) <= bound, (p, c, e)
+
+
+class TestExactOracle:
+    """Both Christoffel paths and nabla q against exact rational values."""
+
+    def test_golden_reports(self):
+        gamma_report = json.loads((GOLDEN / "eval_christoffel.json").read_text())
+        nq_report = json.loads((GOLDEN / "eval_nabla-q.json").read_text())
+        f = parse_field_spec(gamma_report["config"]["fields"])
+        checked = 0
+        for rg, rq in zip(gamma_report["records"], nq_report["records"], strict=True):
+            assert rg["point"] == rq["point"] and rg["status"] == rq["status"]
+            if rg["status"] == "pass":
+                p = rg["point"]
+                general = christoffel_general(f, p)
+                gammas = [rg["gamma"], general, christoffel_closed(f, p)]
+                assert_within_rounding(f, p, gammas, [rq["components"], nabla_q(general)])
+                checked += 1
+        assert checked
+
+    @pytest.mark.parametrize(
+        "spec", ["paper-example", QUADRATIC_PAIR, CUBIC_PAIR], ids=["paper", "quadratic", "cubic"]
+    )
+    def test_uniform_points(self, spec):
+        f = parse_field_spec(spec)
+        rng = np.random.default_rng(8)
+        for _ in range(100):
+            p = random_point(rng, f)
+            general = christoffel_general(f, p)
+            assert_within_rounding(f, p, [general, christoffel_closed(f, p)], [nabla_q(general)])
+
+    def test_points_near_the_plane_a_equals_b(self, paper_fields):
+        # A - B = 3 (x1 - x3): x3 is set 1e-9 to 1e-1 from the plane x1 = x3, which
+        # takes kappa to about 1e10.
+        rng = np.random.default_rng(9)
+        checked = 0
+        while checked < 100:
+            p = rng.uniform(-2.0, 2.0, size=3)
+            p[2] = p[0] + rng.choice([-1.0, 1.0]) * np.sqrt(2.0) * 10 ** rng.uniform(-9, -1)
+            if domain_check(paper_fields, p).degenerate:
+                continue
+            general = christoffel_general(paper_fields, p)
+            gammas = [general, christoffel_closed(paper_fields, p)]
+            assert_within_rounding(paper_fields, p, gammas, [nabla_q(general)])
+            checked += 1

@@ -203,7 +203,7 @@ def old_cmd_scan(config):
             row["reason"] = "DegenerateMetric"
         row["mu_e1"] = None
         if not m.degenerate and m.definite:
-            with cli._in_range(p, config.x):  # a seed too large for mu's products is named
+            with cli._in_range(p):
                 try:
                     row["mu_e1"] = sectional_curvature(f, p, config.x, qx)
                 except PointSkipped:
@@ -281,9 +281,10 @@ def test_block_scan_matches_per_node_scan(fields, grid, x, fmt):
         # At (1e-6, y, 0) the stencil point x3 + h_3 = 1e-6 lies on the plane x1 = x3
         # where D = 0: mu_e1 is null though the node itself is definite.
         ["--fields", "paper-example", "--grid=1e-6,2e-6,2,0.5,1,2,0,1e-6,2"],
-        # |x|**4 overflows: exit 2 naming x, from the first definite node on.
+        # x is just inside its bound (|x|**4 finite) and mu's products overflow:
+        # exit 2 naming the first definite node.
         ["--fields", CUBIC_PAIR, "--grid=-4.5,-2.803890692868853,4,-2,2,5,-2,2,5",
-         "--x", "1e200,1,2"],
+         "--x", "1e77,1,2"],
     ],
 )
 def test_block_scan_matches_per_node_scan_on_fixed_grids(case, fmt):
