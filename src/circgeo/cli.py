@@ -60,6 +60,11 @@ MAX_GRID_NODES = 1_000_000
 #: any grid size.
 SCAN_BLOCK = 1024
 
+#: Points per block of verify.  The curvature suite of a block's points is one
+#: tensor block and one stacked contraction; a larger block saves little time
+#: and holds more memory.
+VERIFY_BLOCK = 32
+
 
 def _is_real(v) -> bool:
     """A finite int or float (JSON true/false excluded)."""
@@ -261,17 +266,44 @@ def cmd_verify(config: RunConfig) -> dict:
     points = resolve_points(config, f, rng)
     parallel = parallel_everywhere(f, config.tol("defect_zero"))
     records = []
-    for idx, p in enumerate(points):
-        with _in_range(p):
-            point_records = _verify_point(config, f, rng, idx, p, parallel)
-        records += _finite_records(sorted(point_records, key=lambda r: r["check"]))
+    for start in range(0, len(points), VERIFY_BLOCK):
+        block = points[start:start + VERIFY_BLOCK]
+        state = rng.bit_generator.state
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                records += _verify_block(config, f, rng, parallel, start, block)
+        except (ConfigError, FloatingPointError, OverflowError):
+            # Point by point from the same draws, as the error then names the first
+            # point it belongs to.
+            rng.bit_generator.state = state
+            for i, p in enumerate(block):
+                with _in_range(p):
+                    records += _verify_block(config, f, rng, parallel, start + i, [p])
     return _assemble(config, records)
 
 
-def _verify_point(config, f, rng, idx, p, parallel) -> list[dict]:
+def _verify_block(config, f, rng, parallel, start, block) -> list[dict]:
+    """The records of consecutive points, the first of index start, each point's sorted
+    by check: every point classified alone, then the curvature suite of those that
+    take it, over the block at once."""
+    classified = [_classify(config, f, parallel, start + i, p) for i, p in enumerate(block)]
+    by_point = [records for records, _ in classified]
+    curved = [(start + i, p, gamma_max)
+              for i, (p, (_, gamma_max)) in enumerate(zip(block, classified))
+              if gamma_max is not None]
+    if curved:
+        for r in _curvature_suite(config, f, rng, curved):
+            by_point[r["point_index"] - start].append(r)
+    return [r for records in by_point
+            for r in _finite_records(sorted(records, key=lambda r: r["check"]))]
+
+
+def _classify(config, f, parallel, idx, p) -> tuple[list[dict], float | None]:
+    """The point's records up to Theorem 1, and max |Gamma| if it takes the curvature
+    suite (the flat baseline reads it), else None."""
     m = domain_check(f, p)
     if m.degenerate:
-        return [_record("all", idx, p, "skipped", reason="DegenerateMetric", d=m.d)]
+        return [_record("all", idx, p, "skipped", reason="DegenerateMetric", d=m.d)], None
     prod = circ_mul(m.g, m.g_inv)
     resid = max(
         abs(prod.a - IDENTITY.a), abs(prod.b - IDENTITY.b), abs(prod.c - IDENTITY.c)
@@ -295,18 +327,9 @@ def _verify_point(config, f, rng, idx, p, parallel) -> list[dict]:
                     defect=defect, nabla_q=nq, tolerance=tol)
         )
         # The curvature checks need q parallel around p, not only at p.
-        skip = {} if parallel else {"reason": "q is not parallel near the point"}
-        try:
-            curv = curvature_at(f, p) if parallel else None
-        except PointSkipped as exc:  # p is not degenerate, but a stencil point is
-            skip = {"reason": type(exc).__name__, "detail": str(exc)}
-        if skip:
-            records.extend(
-                _record(check, idx, p, "skipped", **skip)
-                for check in ("identity-3.1", "identity-3.2", "identity-3.6", "theorem3-spread")
-            )
-        else:
-            records.extend(_verify_curvature(config, rng, idx, p, m.definite, curv))
+        if parallel:
+            return records, _max_abs(general)
+        records += _skipped_curvature(idx, p, "q is not parallel near the point")
     elif defect >= 0.1:
         tol = config.tol("nabla_q_nonzero")
         records.append(
@@ -318,55 +341,116 @@ def _verify_point(config, f, rng, idx, p, parallel) -> list[dict]:
             _record("theorem1-parallel", idx, p, "skipped",
                     reason="defect neither zero nor large", defect=defect, nabla_q=nq)
         )
-
-    if _is_constant(f):
-        # Constant fields have defect 0 and the metric of p at every stencil point, so
-        # the parallel branch above has built curv.  Their partial tables are empty, so
-        # t, Gamma, dGamma and R are exact zeros: flat means 0.0, with no tolerance.
-        gamma_max, curv_max = _max_abs(general), curv.max_abs
-        records.append(
-            _record("flat-baseline", idx, p, "pass" if gamma_max == curv_max == 0.0 else "fail",
-                    gamma_max=gamma_max, curvature_max=curv_max)
-        )
-    return records
+    return records, None
 
 
-def _verify_curvature(config, rng, idx, p, definite, curv) -> list[dict]:
+def _skipped_curvature(idx, p, why: PointSkipped | str) -> list[dict]:
+    skip = {"reason": why} if isinstance(why, str) else {
+        "reason": type(why).__name__, "detail": str(why)}
+    return [_record(check, idx, p, "skipped", **skip)
+            for check in ("identity-3.1", "identity-3.2", "identity-3.6", "theorem3-spread")]
+
+
+def _curvature_suite(config, f, rng, curved: list) -> list[dict]:
+    """The curvature records of the points (index, point, max |Gamma|) that take the
+    suite: one tensor block, the random draws in point order, and the checks
+    contracted over the block at once."""
+    indices, points, gamma_max = zip(*curved)
+    try:
+        # A block of one point, as a failed block is redone, takes the one-point
+        # kernels: the float error they meet first is the one to report.
+        if len(points) == 1:
+            curv = curvature_at(f, points[0]).take(None)
+        else:
+            curv = curvature_at(f, np.array(points))
+    except PointSkipped as exc:  # p is not degenerate, but a stencil point is
+        return _skipped_curvature(indices[0], points[0], exc)
+    records = []
+    rows = []
+    for n, nan in enumerate(np.isnan(curv.r_down).any(axis=(0, 1, 2, 3)).tolist()):
+        if nan:
+            try:  # the one-point call names the degenerate stencil point
+                curvature_at(f, points[n])
+            except PointSkipped as exc:
+                records += _skipped_curvature(indices[n], points[n], exc)
+                continue
+        rows.append(n)
+    if not rows:
+        return records
+    curv = curv.take(rows)
+    definite = curv.metric.definite.tolist()
+
+    # Per point, n_vectors draws of four vectors, then its orbit seeds if g is definite.
+    vectors, seeds = [], []
+    for d in definite:
+        vectors.append(rng.uniform(sampling.LOW, sampling.HIGH, size=(config.n_vectors, 4, 3)))
+        seeds.append(_orbit_seeds(rng, config.n_seeds) if d else None)
+
     rel = config.tol("identity_rel")
     resid32, scale32 = identity_32_residual(curv)
-    records = [_bounded("identity-3.2", idx, p, resid32, rel * scale32)]
-
-    # Row i of x, y, z, u is the i-th of the n_vectors draws of four vectors.
-    vectors = rng.uniform(sampling.LOW, sampling.HIGH, size=(config.n_vectors, 4, 3))
-    x, y, z, u = np.moveaxis(vectors, 1, 0).copy()
+    # Row (k, i) of x, y, z, u is the i-th of point k's draws of four vectors.
+    x, y, z, u = np.moveaxis(np.array(vectors), 2, 0).copy()
     r31, r36 = identity_residuals(curv, x, y, z, u)
     scale = np.maximum(residual_scales(curv, x, y, z, u), 1e-300)
-    # Python max from 0.0 keeps the first of equal values, as a running max does.
-    records.append(_bounded("identity-3.1", idx, p, max([0.0, *(r31 / scale).tolist()]), rel))
-    records.append(_bounded("identity-3.6", idx, p, max([0.0, *(r36 / scale).tolist()]), rel))
-
-    if definite:
-        # Seeds are drawn one at a time: the scalar cubic decides acceptance.
-        seeds = []
-        tries = 0
-        while len(seeds) < config.n_seeds and tries < 100 * config.n_seeds:
-            tries += 1
-            x = sampling.random_vector(rng)
-            if abs(independence_cubic(x)) <= 0.1 * float(np.linalg.norm(x)) ** 3:
-                continue
-            seeds.append(x)
-        _, spread, passed = orbit_spreads(
-            curv, np.reshape(seeds, (-1, 3)), config.tol("spread_rel"), config.tol("spread_abs")
-        )
-        records.append(
-            _record("theorem3-spread", idx, p, "pass" if passed.all() else "fail",
-                    worst_spread=max([0.0, *spread.tolist()]), seeds=len(seeds))
-        )
-    else:
-        records.append(
-            _record("theorem3-spread", idx, p, "skipped", reason="IndefiniteMetric")
-        )
+    ratios31, ratios36 = (r31 / scale).tolist(), (r36 / scale).tolist()
+    spreads = _theorem3_spreads(config, curv, seeds)
+    for k, n in enumerate(rows):
+        idx, p = indices[n], points[n]
+        # Python max from 0.0 keeps the first of equal values, as a running max does.
+        records += [
+            _bounded("identity-3.2", idx, p, float(resid32[k]), rel * float(scale32[k])),
+            _bounded("identity-3.1", idx, p, max([0.0, *ratios31[k]]), rel),
+            _bounded("identity-3.6", idx, p, max([0.0, *ratios36[k]]), rel),
+        ]
+        if definite[k]:
+            worst, passed, count = spreads[k]
+            records.append(_record("theorem3-spread", idx, p, "pass" if passed else "fail",
+                                   worst_spread=worst, seeds=count))
+        else:
+            records.append(_record("theorem3-spread", idx, p, "skipped", reason="IndefiniteMetric"))
+        if _is_constant(f):
+            # Constant fields have defect 0 and the metric of p at every stencil point.
+            # Their partial tables are empty, so t, Gamma, dGamma and R are exact zeros:
+            # flat means 0.0, with no tolerance.
+            gamma, curv_max = gamma_max[n], float(curv.max_abs[k])
+            records.append(_record("flat-baseline", idx, p,
+                                   "pass" if gamma == curv_max == 0.0 else "fail",
+                                   gamma_max=gamma, curvature_max=curv_max))
     return records
+
+
+def _orbit_seeds(rng: np.random.Generator, n_seeds: int) -> list[np.ndarray]:
+    """Up to n_seeds random vectors whose orbits span, from at most 100 * n_seeds draws.
+
+    Each draw is accepted alone by the scalar cubic.  The draws come as many at a
+    time as seeds are missing (at most the draws left), the stream of drawing them
+    one at a time, since each missing seed takes at least one draw.
+    """
+    seeds = []
+    tries = 0
+    while len(seeds) < n_seeds and tries < 100 * n_seeds:
+        need = min(n_seeds - len(seeds), 100 * n_seeds - tries)
+        for x in rng.uniform(sampling.LOW, sampling.HIGH, size=(need, 3)):
+            tries += 1
+            if abs(independence_cubic(x)) > 0.1 * float(np.linalg.norm(x)) ** 3:
+                seeds.append(x)
+    return seeds
+
+
+def _theorem3_spreads(config, curv, seeds) -> dict:
+    """Row k of curv -> (worst spread, all within tolerance, seed count) for each row
+    with seeds, contracted together per seed count: one group unless a try budget ran out."""
+    counts = {k: len(s) for k, s in enumerate(seeds) if s is not None}
+    spreads = {}
+    for m in sorted(set(counts.values())):
+        rows = [k for k, c in counts.items() if c == m]
+        stack = np.reshape([seeds[k] for k in rows], (len(rows), m, 3))
+        _, spread, passed = orbit_spreads(
+            curv.take(rows), stack, config.tol("spread_rel"), config.tol("spread_abs")
+        )
+        for k, s, ok in zip(rows, spread.tolist(), passed.tolist()):
+            spreads[k] = (max([0.0, *s]), all(ok), m)
+    return spreads
 
 
 def cmd_scan(config: RunConfig) -> dict:

@@ -9,9 +9,11 @@ with the Gamma derivatives taken by central differences of the general-path
 Christoffel computation, with the fixed step FD_STEP.  The (0,4) tensor is
 the g-lowering of the last index: R_kjis = g_as R^a_kji.
 
-The checks contract the tensor against (n, 3) stacks of vectors, one row per
-vector.  ``sectional_curvature`` and ``theorem3_check`` build their own tensor;
-a caller that holds one calls ``sectional_curvatures`` or ``orbit_spreads``.
+The checks contract the tensor against (m, 3) stacks of vectors, one row per
+vector.  Over a block of n points they take stacks shared by every point, or
+(n, m, 3) stacks with each point's own m vectors, and return (n, m).
+``sectional_curvature`` and ``theorem3_check`` build their own tensor; a caller
+that holds one calls ``sectional_curvatures`` or ``orbit_spreads``.
 """
 
 from __future__ import annotations
@@ -41,7 +43,12 @@ FD_STEP = 1e-6
 
 def _norms(v: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row, summed as np.linalg.norm sums one vector."""
-    return np.sqrt(np.matmul(v[:, None, :], v[:, :, None])[:, 0, 0])
+    return np.sqrt(np.matmul(v[..., None, :], v[..., :, None])[..., 0, 0])
+
+
+def _per_point(values: np.ndarray):
+    """A float at one point, or the (n,) array of a block."""
+    return values if values.ndim else float(values)
 
 
 @dataclass(frozen=True)
@@ -58,16 +65,40 @@ class CurvatureAtPoint:
     metric: MetricAtPoint
 
     def scalars(self, x, y, z, u) -> np.ndarray:
-        """R(x_m, y_m, z_m, u_m) for each row m of four (m, 3) stacks; over a block, (n, m)."""
-        return np.einsum("kjis...,mk,mj,mi,ms->...m", self.r_down, x, y, z, u)
+        """R(x_m, y_m, z_m, u_m) for each row m of four (m, 3) stacks; over a block, (n, m)
+        from shared stacks or (n, m, 3) ones.
+
+        The sum runs over (k, j, i, s) in C order from 0.0, each term ((((R x) y) z) u):
+        the bits numpy's einsum gives these operands, in an order that does not hang on
+        einsum's choice of loops, and in about half its time over verify's blocks.  Like
+        einsum, it overflows to inf without raising.
+        """
+        r = self.r_down[..., None]  # a block's point axis meets the stacks' first
+        total = 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k, j, i, s in np.ndindex(3, 3, 3, 3):
+                total = total + r[k, j, i, s] * x[..., k] * y[..., j] * z[..., i] * u[..., s]
+        return total
 
     def scalar(self, x, y, z, u) -> float:
         """The (0,4) evaluation R(x, y, z, u)."""
         return float(self.scalars(row(x), row(y), row(z), row(u))[0])
 
     @property
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.r_down)))
+    def max_abs(self):
+        """max |R_kjis|: a float at one point, (n,) over a block."""
+        return _per_point(np.max(np.abs(self.r_down), axis=(0, 1, 2, 3)))
+
+    def take(self, rows) -> "CurvatureAtPoint":
+        """The curvature at the points of a block that rows, a list of indices, names;
+        at one point, rows=None gives it as a block of one point."""
+        m = self.metric
+        metric = MetricAtPoint(
+            *(np.asarray(v)[rows] for v in (m.a, m.b, m.d, m.degenerate, m.definite))
+        )
+        return CurvatureAtPoint(
+            self.r_up[..., rows], self.r_down[..., rows], self.point[rows], metric
+        )
 
 
 def central_differences(func, x) -> list:
@@ -123,35 +154,38 @@ def curvature_at(f: FieldPair, p) -> CurvatureAtPoint:
 
 
 def identity_residuals(curv: CurvatureAtPoint, x, y, z, u) -> tuple[np.ndarray, np.ndarray]:
-    """Residuals of identities 3.1 and 3.6 for each row of four (n, 3) stacks.
+    """Residuals of identities 3.1 and 3.6 for each row of four (m, 3) stacks, or of
+    (n, m, 3) stacks over a block.
 
     3.1 is |R(x, y, q^2 z, u) - R(x, y, z, q u)|; 3.6 is the larger of
     |R(x, y, z, u) - R(x, y, q z, q u)| and |R(x, y, z, u) - R(x, y, q^2 z, q^2 u)|.
     """
     qz, q2z = z @ Q_DENSE.T, z @ Q2_DENSE.T
     qu, q2u = u @ Q_DENSE.T, u @ Q2_DENSE.T
-    n = len(x)
     r = curv.scalars(
-        np.concatenate([x] * 5),
-        np.concatenate([y] * 5),
-        np.concatenate([q2z, z, z, qz, q2z]),
-        np.concatenate([u, qu, u, qu, q2u]),
-    ).reshape(5, n)
-    r31 = np.abs(r[0] - r[1])
-    r36 = np.maximum(np.abs(r[2] - r[3]), np.abs(r[2] - r[4]))
+        np.concatenate([x] * 5, axis=-2),
+        np.concatenate([y] * 5, axis=-2),
+        np.concatenate([q2z, z, z, qz, q2z], axis=-2),
+        np.concatenate([u, qu, u, qu, q2u], axis=-2),
+    )
+    r = r.reshape(*r.shape[:-1], 5, x.shape[-2])
+    r31 = np.abs(r[..., 0, :] - r[..., 1, :])
+    r36 = np.maximum(np.abs(r[..., 2, :] - r[..., 3, :]), np.abs(r[..., 2, :] - r[..., 4, :]))
     return r31, r36
 
 
-def identity_32_residual(curv: CurvatureAtPoint) -> tuple[float, float]:
-    """Residual of identity 3.2 on the (1,3) tensor, and the scale it is read against.
+def identity_32_residual(curv: CurvatureAtPoint):
+    """Residual of identity 3.2 on the (1,3) tensor, and the scale it is read against:
+    floats at one point, (n,) arrays over a block.
 
     The residual is max |R^s_kja q_ia - q_as R^a_kji|; the scale is the larger
     of max |R_kjis| and max |R^s_kji| (at least 1e-300).
     """
-    lhs = np.einsum("skja,ia->skji", curv.r_up, Q_DENSE)
-    rhs = np.einsum("akji,as->skji", curv.r_up, Q_DENSE)
-    residual = float(np.max(np.abs(lhs - rhs)))
-    return residual, max(curv.max_abs, float(np.max(np.abs(curv.r_up))), 1e-300)
+    lhs = np.einsum("skja...,ia->skji...", curv.r_up, Q_DENSE)
+    rhs = np.einsum("akji...,as->skji...", curv.r_up, Q_DENSE)
+    residual = np.max(np.abs(lhs - rhs), axis=(0, 1, 2, 3))
+    r_up_max = np.max(np.abs(curv.r_up), axis=(0, 1, 2, 3))
+    return _per_point(residual), _per_point(np.maximum(np.maximum(curv.max_abs, r_up_max), 1e-300))
 
 
 def circ_apply_q2(v) -> np.ndarray:
@@ -188,8 +222,8 @@ def sections_of(f: FieldPair, p, x) -> float:
 
 def _gram_terms(metric: MetricAtPoint, u, v) -> tuple[np.ndarray, np.ndarray]:
     """Per row pair: g(u,u) g(v,v) - g(u,v)^2 and the product g(u,u) g(v,v)."""
-    n = len(u)
-    inners = metric.inners(np.concatenate([u, v, u]), np.concatenate([u, v, v]))
+    n = u.shape[-2]
+    inners = metric.inners(np.concatenate([u, v, u], axis=-2), np.concatenate([u, v, v], axis=-2))
     uu, vv, uv = inners[..., :n], inners[..., n:2 * n], inners[..., 2 * n:]
     norms = uu * vv
     # Python's float ** 2 goes through libm pow, which is not always the
@@ -207,8 +241,9 @@ def sectional_curvatures(curv: CurvatureAtPoint, u, v) -> np.ndarray:
     """mu = R(u, v, u, v) / (g(u,u) g(v,v) - g(u,v)^2) for each row of two (m, 3) stacks.
 
     At one point an indefinite metric raises IndefiniteMetric and a degenerate
-    section DegenerateSection; over an (n, 3) block of points the result is
-    (n, m), with NaN where the metric is indefinite or the section degenerate.
+    section DegenerateSection; over an (n, 3) block of points, with shared or
+    (n, m, 3) stacks, the result is (n, m), with NaN where the metric is
+    indefinite or the section degenerate.
     """
     metric = curv.metric
     block = curv.point.ndim == 2
@@ -239,22 +274,24 @@ def sectional_curvature(f: FieldPair, p, u, v):
 def orbit_spreads(
     curv: CurvatureAtPoint, seeds, spread_rel: float, spread_abs: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Theorem 3 for each row x of an (n, 3) stack of seeds.
+    """Theorem 3 for each row x of an (m, 3) stack of seeds, or of an (n, m, 3) one
+    over a block.
 
-    Returns the sectional curvatures mu (n, 3) of the sections {x, qx},
-    {qx, q^2x}, {q^2x, x}, their largest pairwise difference (n,), and
-    whether it is within spread_rel * max|mu| + spread_abs (n,).  The seeds'
-    orbits must span (see sections_of).
+    Returns the sectional curvatures mu (m, 3) of the sections {x, qx},
+    {qx, q^2x}, {q^2x, x}, their largest pairwise difference (m,), and
+    whether it is within spread_rel * max|mu| + spread_abs (m,); over a block
+    each gains a leading axis n.  The seeds' orbits must span (see sections_of).
     """
     x = np.asarray(seeds, dtype=float)
     qx = x @ Q_DENSE.T
     q2x = qx @ Q_DENSE.T
     mu = sectional_curvatures(
-        curv, np.concatenate([x, qx, q2x]), np.concatenate([qx, q2x, x])
-    ).reshape(3, len(x)).T
-    m0, m1, m2 = mu.T
+        curv, np.concatenate([x, qx, q2x], axis=-2), np.concatenate([qx, q2x, x], axis=-2)
+    )
+    mu = mu.reshape(*mu.shape[:-1], 3, x.shape[-2]).swapaxes(-1, -2)
+    m0, m1, m2 = mu[..., 0], mu[..., 1], mu[..., 2]
     spread = np.maximum(np.maximum(np.abs(m0 - m1), np.abs(m0 - m2)), np.abs(m1 - m2))
-    tol = spread_rel * np.abs(mu).max(axis=1) + spread_abs
+    tol = spread_rel * np.abs(mu).max(axis=-1) + spread_abs
     return mu, spread, spread <= tol
 
 
@@ -268,11 +305,12 @@ def theorem3_check(
 
 
 def residual_scales(curv: CurvatureAtPoint, *stacks) -> np.ndarray:
-    """Magnitude reference for identity residual tolerances, per row of (n, 3) stacks."""
+    """Magnitude reference for identity residual tolerances, per row of (m, 3) stacks,
+    or of (n, m, 3) stacks over a block."""
     prod = 1.0
     for v in stacks:
         prod = prod * _norms(v)
-    return curv.max_abs * prod
+    return np.asarray(curv.max_abs)[..., None] * prod
 
 
 def residual_scale(curv: CurvatureAtPoint, *vectors) -> float:

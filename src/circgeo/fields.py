@@ -161,10 +161,11 @@ def _number(convert, raw, pos: int):
 
 
 def _fits(coef: float, mono: Monomial) -> bool:
-    """Whether a term's coefficient and those of its partials, which scale it by
-    one exponent each and merge no terms, are finite floats."""
+    """Whether three times a term's coefficient and those of its partials, which scale
+    it by one exponent each and merge no terms, are finite floats: the Christoffel
+    symbols sum three partials of the metric."""
     try:
-        return coef == 0.0 or math.isfinite(coef * max(1, *mono))
+        return coef == 0.0 or math.isfinite(3.0 * abs(coef) * max(1, *mono))
     except OverflowError:  # an exponent past the float range
         return False
 
@@ -213,7 +214,8 @@ class _PolyParser:
         for mono, coef in out.items():
             if not _fits(coef, mono):
                 raise ParseError(
-                    "coefficient or its derivative too large for a float", first_pos[mono]
+                    "coefficient too large: three times it or its derivative is not a float",
+                    first_pos[mono],
                 )
         return Polynomial.from_dict(out)
 
@@ -384,17 +386,18 @@ class MetricAtPoint:
         return CirculantMatrix((a + b) / d, -b / d, -b / d)
 
     def inners(self, x, y) -> np.ndarray:
-        """g(x_m, y_m) for each row m of two (m, 3) stacks; over a block, (n, m).
+        """g(x_m, y_m) for each row m of two (m, 3) stacks; over a block, (n, m) from
+        shared stacks or (n, m, 3) ones.
 
-        A block's g is one C-ordered 3x3 per point, laid out as one point's
-        dense(), because the bits of a stacked matmul depend on that layout.
+        A block's g is an (n, 3, 3) array, C-ordered so that each point's 3x3 is
+        laid out as one point's dense(): the bits of a stacked matmul depend on it.
         """
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         g = self.g.dense()
         if g.ndim == 3:
             g = np.ascontiguousarray(np.moveaxis(g, -1, 0))[:, None]
-        return np.matmul(np.matmul(x[:, None, :], g), y[:, :, None])[..., 0, 0]
+        return np.matmul(np.matmul(x[..., None, :], g), y[..., :, None])[..., 0, 0]
 
     def inner(self, x, y) -> float:
         """Bilinear form g(x, y) = x^T g y."""

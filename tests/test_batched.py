@@ -16,6 +16,7 @@ from circgeo.circulant import Q_DENSE
 from circgeo.connection import christoffel_general
 from circgeo.curvature import (
     curvature_at,
+    identity_32_residual,
     identity_residuals,
     independence_cubic,
     orbit_spreads,
@@ -217,3 +218,56 @@ def test_block_connection_and_curvature_match_one_point_calls(a, b, block, x):
         assert hexes(curv.r_up[..., n]) == hexes(one.r_up)
         assert hexes(curv.r_down[..., n]) == hexes(one.r_down)
         assert hexes([mu[n]]) == hexes([one_point(sectional_curvature, f, p, x, qx)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(seeds, st.sampled_from([1, 2, 7]), st.sampled_from([0, 1, 3, 20]))
+def test_paired_block_kernels_match_one_point_calls(seed, n, m):
+    # Over a block, each point contracts its own m vectors: (n, m, 3) stacks, as
+    # verify's curvature suite draws them.  Every row has the one-point bits.
+    rng = np.random.default_rng(seed)
+    f = random_parallel_pair(rng)
+    try:
+        points = np.array([random_definite_point(rng, f, max_tries=200) for _ in range(n)])
+    except RuntimeError:
+        assume(False)
+    block = curvature_at(f, points)
+    assume(not np.isnan(block.r_down).any())
+    x, y, z, u = rng.uniform(-2.0, 2.0, size=(4, n, m, 3))
+    orbit_seeds = []
+    for candidates in rng.uniform(-2.0, 2.0, size=(n, 10 * m + 10, 3)):
+        spanning = [v for v in candidates
+                    if abs(independence_cubic(v)) > 0.1 * float(np.linalg.norm(v)) ** 3][:m]
+        assume(len(spanning) == m)
+        orbit_seeds.append(spanning)
+    orbit_seeds = np.reshape(orbit_seeds, (n, m, 3))
+
+    scalars = block.scalars(x, y, z, u)
+    inners = block.metric.inners(x, y)
+    r31, r36 = identity_residuals(block, x, y, z, u)
+    scales = residual_scales(block, x, y, z, u)
+    resid32, scale32 = identity_32_residual(block)
+    mu, spread, passed = orbit_spreads(block, orbit_seeds, 1e-6, 1e-9)
+    assert scalars.shape == inners.shape == r31.shape == scales.shape == (n, m)
+    assert mu.shape == (n, m, 3) and resid32.shape == (n,)
+    for k, p in enumerate(points):
+        one = curvature_at(f, p)
+        vectors = (x[k], y[k], z[k], u[k])
+        assert hexes(scalars[k]) == hexes(one.scalars(*vectors))
+        assert hexes(inners[k]) == hexes(one.metric.inners(x[k], y[k]))
+        assert hexes([r31[k], r36[k]]) == hexes(identity_residuals(one, *vectors))
+        assert hexes(scales[k]) == hexes(residual_scales(one, *vectors))
+        assert hexes([resid32[k], scale32[k], block.max_abs[k]]) == hexes(
+            [*identity_32_residual(one), one.max_abs]
+        )
+        try:
+            ref = orbit_spreads(one, orbit_seeds[k], 1e-6, 1e-9)
+        except DegenerateSection:  # the block row holds NaN instead
+            assert np.isnan(mu[k]).any()
+            continue
+        assert hexes(mu[k]) == hexes(ref[0])
+        assert hexes(spread[k]) == hexes(ref[1])
+        assert passed[k].tolist() == ref[2].tolist()
+        # Taking rows of a block, or one point as a block of one, keeps the bits.
+        for taken in (block.take([k]), one.take(None)):
+            assert hexes(taken.scalars(*(v[None] for v in vectors))[0]) == hexes(scalars[k])

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import circgeo.cli
 import circgeo.connection
 import circgeo.curvature
+import circgeo.sampling
 from circgeo.cli import (
     DEFAULT_TOLERANCES,
     MAX_GRID_NODES,
@@ -195,18 +196,20 @@ class TestVerify:
         assert s["pass_count"] + s["fail_count"] + s["skipped_count"] == s["total"]
 
     def test_one_curvature_tensor_per_point(self, tmp_path, monkeypatch):
-        # Count calls through every binding: curvature_at in the CLI and in
-        # the curvature module (sectional_curvature and theorem3_check build
-        # their own tensor; verify calls neither), christoffel_general in the
-        # CLI, the curvature stencil and metric_compatibility_residual.
-        # Constant fields add the flat-baseline check, which reads the same tensor.
+        # Count the points of every call through every binding: curvature_at in
+        # the CLI and in the curvature module (sectional_curvature and
+        # theorem3_check build their own tensor; verify calls neither),
+        # christoffel_general in the CLI, the curvature stencil and
+        # metric_compatibility_residual.  A call over an (n, 3) block counts n
+        # rows, a call at one point one.  Constant fields add the flat-baseline
+        # check, which reads the same tensor.
         calls = {"curvature_at": [], "christoffel_general": []}
 
         def counting(name, module):
             original = getattr(module, name)
 
             def wrapper(*args, **kwargs):
-                calls[name].append(args[1])
+                calls[name].append(len(args[1]) if np.ndim(args[1]) == 2 else 1)
                 return original(*args, **kwargs)
 
             return wrapper
@@ -230,12 +233,50 @@ class TestVerify:
             assert code == 0
             reached = [r for r in report["records"] if r["check"] == "identity-3.2"]
             assert len(reached) == n_reached
-            assert len(calls["curvature_at"]) == len(reached)
-            # The finite-difference stencil takes 7 Christoffel evaluations per
-            # tensor; each verified point takes 2 more (dual path, compatibility).
+            assert sum(calls["curvature_at"]) == len(reached)
+            # The finite-difference stencil takes 7 Christoffel rows per tensor
+            # row; each verified point takes 2 more (dual path, compatibility).
             verified = [r for r in report["records"] if r["check"] == "metric-inverse"]
             assert len(verified) == n_reached
-            assert len(calls["christoffel_general"]) == 7 * len(reached) + 2 * len(verified)
+            assert sum(calls["christoffel_general"]) == 7 * len(reached) + 2 * len(verified)
+
+    def test_error_in_a_block_names_its_first_point(self, capsys):
+        # Point 0 passes.  Point 1, in the same block, overflows only in Theorem 3's
+        # tolerance spread_rel * max|mu|, where its |mu| exceeds 1.8.  The block is
+        # redone point by point, so the message is that of a point-by-point run.
+        argv = ("verify", "--fields", "paper-example", "--seed", "3", "--tol", "spread_rel=1e308",
+                "--point", "1.2,0.5,0.3")
+        code, captured = run(capsys, *argv)
+        assert code == 0
+        code, captured = run(capsys, *argv, "--point", "1.5,1.2,1.49")
+        assert code == 2
+        assert captured.err == (
+            "circgeo: error: point [1.5, 1.2, 1.49] is out of range: overflow encountered in"
+            " multiply\n"
+        )
+        assert captured.out == ""
+
+    def test_failed_block_is_redone_from_its_draws(self, tmp_path, monkeypatch):
+        # At point 1, D = (A - B)(A + 2B) overflows in the block kernels, while the
+        # one-point kernels carry on (with failing checks); point 2 then draws its
+        # vectors and seeds from where the block began, as a point-by-point run does.
+        argv = ("verify", "--fields", "A: 2 + 4*x1 + 2*x2; B: 1 + x1 + 2*x2 + 3*x3",
+                "--point", "1.2,0.5,0.3", "--point=-1.3,0.25,5e156", "--point", "1.5,1.2,1.3",
+                "--seed", "23")
+        blocks = []
+        original = circgeo.cli._verify_block
+
+        def counting(config, f, rng, parallel, start, block):
+            blocks.append(len(block))
+            return original(config, f, rng, parallel, start, block)
+
+        monkeypatch.setattr(circgeo.cli, "_verify_block", counting)
+        code, report = run_json(tmp_path, *argv)
+        assert code == 1 and blocks == [3, 1, 1, 1]
+        monkeypatch.setattr(circgeo.cli, "VERIFY_BLOCK", 1)
+        assert run_json(tmp_path, *argv, name="one.json") == (code, report)
+        assert {(r["point_index"], r["status"]) for r in report["records"]
+                if r["check"] == "theorem3-spread"} == {(0, "pass"), (1, "skipped"), (2, "pass")}
 
     # Each point lies 1e-6 * (1 + x1) from the plane x1 = x3, so the curvature
     # stencil point p - h e1 is degenerate while p is not.  At the first point
@@ -268,6 +309,41 @@ class TestVerify:
         )
         assert code == 1
         assert report["summary"]["fail_count"] >= 1
+
+
+def one_at_a_time_seeds(rng, n_seeds):
+    """The orbit seeds as verify drew them one vector at a time."""
+    seeds = []
+    tries = 0
+    while len(seeds) < n_seeds and tries < 100 * n_seeds:
+        tries += 1
+        x = circgeo.sampling.random_vector(rng)
+        if abs(circgeo.cli.independence_cubic(x)) <= 0.1 * float(np.linalg.norm(x)) ** 3:
+            continue
+        seeds.append(x)
+    return seeds
+
+
+@pytest.mark.parametrize("n_seeds", [0, 1, 3, 20])
+@pytest.mark.parametrize("accepts", ["cubic", "rarely", "never"])
+def test_bulk_seed_draws_replay_one_at_a_time(monkeypatch, n_seeds, accepts):
+    # "rarely" accepts about 1 draw in 200, so small budgets run out part way;
+    # "never" spends the whole budget of 100 draws per seed.
+    if accepts != "cubic":
+        monkeypatch.setattr(circgeo.cli, "independence_cubic",
+                            lambda x: 1e9 if accepts == "rarely" and x[0] > 1.98 else 0.0)
+    for seed in range(6):
+        bulk_rng, one_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        bulk = circgeo.cli._orbit_seeds(bulk_rng, n_seeds)
+        one = one_at_a_time_seeds(one_rng, n_seeds)
+        assert [hexes(x) for x in bulk] == [hexes(x) for x in one]
+        assert bulk_rng.bit_generator.state == one_rng.bit_generator.state
+        if accepts == "never":
+            assert bulk == []
+
+
+def hexes(values):
+    return [float(v).hex() for v in np.ravel(values)]
 
 
 class TestDeterminism:
@@ -447,6 +523,21 @@ class TestConfig:
         assert code == 2
         assert captured.err == f"circgeo: error: bad field spec: {message}\n"
         assert captured.out == ""
+
+    def test_coefficient_past_the_connection_range_exits_2(self, capsys):
+        # Each partial of 1.5e308*x1 is finite, but Gamma sums three of them: the
+        # spec is refused, naming the coefficient, before any point blames itself.
+        spec = f"A: 15{'0' * 307}*x1; B: 1"
+        code, captured = run(capsys, "eval", "christoffel", "--fields", spec, "--point", "0,0,0")
+        assert code == 2
+        assert captured.err == (
+            "circgeo: error: bad field spec: coefficient too large: three times it or its"
+            " derivative is not a float (at position 3)\n"
+        )
+        # Below a third of the largest float, a coefficient is accepted.
+        code, captured = run(capsys, "eval", "metric", "--fields", f"A: 5{'0' * 307}*x1; B: 1",
+                             "--point", "0,0,0")
+        assert code == 0
 
     def test_unknown_tolerance_exits_2(self, capsys, tmp_path):
         # The message names the first entry refused, and whether --tol or the

@@ -216,9 +216,11 @@ class TestParallelism:
         # Parallel up to the rounding of decimal coefficients.
         f = parse_field_spec("A: 0.3*x1 + 0.1*x2 + 0.1*x3 + 2; B: 0.1*x1 + 0.2*x2 + 0.2*x3")
         assert parallel_everywhere(f, 1e-9)
-        # Coefficients in range whose residual overflows: not parallel, and no warning.
-        big = "15" + "0" * 307
-        assert not parallel_everywhere(parse_field_spec(f"A: {big}*x1; B: {big}*x1 + 1"), 1e-9)
+        # Coefficients in range whose residual, 4 * 5e307, overflows: not parallel,
+        # and no warning.  (1.5e308 itself is refused: three times it is not a float.)
+        big = "5" + "0" * 307
+        f = parse_field_spec(f"A: {big}*x1; B: {big}*x1 - {big}*x2 - {big}*x3")
+        assert not parallel_everywhere(f, 1e-9)
 
     def test_theorem1_converse_random_pairs(self, rng):
         for _ in range(10):

@@ -76,10 +76,14 @@ class TestParsing:
             (f"1{'0' * 308}*x1 + 1{'0' * 308}*x1 + 3", 0),  # the sum
             (f"1{'0' * 200}*1{'0' * 200}*x1 - 1{'0' * 200}*1{'0' * 200}*x1", 0),  # inf - inf
             (f"x1^{'9' * 308}*x1^{'9' * 308}", 0),  # the exponent sum
+            # Gamma sums three partials: 3 * 1.5e308 is past the float range.
+            (f"2 + 15{'0' * 307}*x1", 4),
+            (f"x2 + 7{'0' * 307}", 5),
         ],
         ids=[
             "coefficient", "quotient", "exponent-digits",
             "derivative", "product", "sum", "inf-minus-inf", "exponent-sum",
+            "three-partials", "three-times-a-constant",
         ],
     )
     def test_number_beyond_float_range(self, text, position):

@@ -4,6 +4,9 @@ Each file under tests/golden/ was written by the CLI before the speedup that
 followed it was made; any change to a report's bytes fails here.  The
 quadratic verify runs the batched curvature checks with odd vector and seed
 counts; the empty-batches verify runs them with no vectors and no seeds.
+The blocks verify spans more than one block of curvature points, and the
+mixed-block verify puts a stencil skip, a definite and an indefinite point
+in one block.
 The overrides verify, the eval reports and the CSV scan pin the config echo:
 config-file tolerances under a --tol override, --x, --fields @file, and
 every eval target at a definite and a skipped point.
@@ -24,6 +27,16 @@ GOLDEN = Path(__file__).parent / "golden"
 CASES = {
     "verify_paper_example.json": [
         "verify", "--fields", "paper-example", "--grid", "1.1,1.9,3", "--seed", "7",
+    ],
+    # 100 curvature points, more than one block of them.
+    "verify_paper_example_blocks.json": [
+        "verify", "--fields", "paper-example", "--grid", "1.1,1.9,5", "--seed", "7",
+    ],
+    # One block holding a point whose curvature stencil meets the plane x1 = x3
+    # (skipped), a definite point and an indefinite one.
+    "verify_mixed_block.json": [
+        "verify", "--fields", "paper-example", "--point", "0.1,0.05,0.0999989",
+        "--point", "1.2,0.5,0.3", "--point", "1.5,1.2,1.9", "--seed", "3",
     ],
     "scan_quadratic.json": ["scan", "--fields", QUADRATIC_PAIR, "--grid=-1.5,1.5,5"],
     "scan_cubic.json": [
