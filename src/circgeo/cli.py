@@ -12,6 +12,7 @@ import copy
 import csv
 import json
 import math
+import os
 import sys
 from contextlib import contextmanager
 
@@ -356,20 +357,12 @@ def _curvature_suite(config, f, rng, curved: list) -> list[dict]:
     suite: one tensor block, the random draws in point order, and the checks
     contracted over the block at once."""
     indices, points, gamma_max = zip(*curved)
-    try:
-        # A block of one point, as a failed block is redone, takes the one-point
-        # kernels: the float error they meet first is the one to report.
-        if len(points) == 1:
-            curv = curvature_at(f, points[0]).take(None)
-        else:
-            curv = curvature_at(f, np.array(points))
-    except PointSkipped as exc:  # p is not degenerate, but a stencil point is
-        return _skipped_curvature(indices[0], points[0], exc)
+    curv = curvature_at(f, np.array(points))
     records = []
     rows = []
     for n, nan in enumerate(np.isnan(curv.r_down).any(axis=(0, 1, 2, 3)).tolist()):
         if nan:
-            try:  # the one-point call names the degenerate stencil point
+            try:  # p is not degenerate, but a stencil point is: the one-point call names it
                 curvature_at(f, points[n])
             except PointSkipped as exc:
                 records += _skipped_curvature(indices[n], points[n], exc)
@@ -666,7 +659,14 @@ def main(argv: list[str] | None = None) -> int:
             except OSError as exc:  # a full disk
                 raise ConfigError(f"cannot write output: {exc}") from exc
         else:
-            render(report, sys.stdout)
+            try:
+                render(report, sys.stdout)
+                sys.stdout.flush()
+            except OSError as exc:  # a reader that closed the pipe
+                # What stdout still buffers would fail again as the interpreter exits.
+                with open(os.devnull, "wb") as null:
+                    os.dup2(null.fileno(), sys.stdout.fileno())
+                raise ConfigError(f"cannot write output: {exc}") from exc
     except ConfigError as exc:
         print(f"circgeo: error: {exc}", file=sys.stderr)
         return 2

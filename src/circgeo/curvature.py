@@ -89,34 +89,29 @@ class CurvatureAtPoint:
         """max |R_kjis|: a float at one point, (n,) over a block."""
         return _per_point(np.max(np.abs(self.r_down), axis=(0, 1, 2, 3)))
 
-    def take(self, rows) -> "CurvatureAtPoint":
-        """The curvature at the points of a block that rows, a list of indices, names;
-        at one point, rows=None gives it as a block of one point."""
+    def take(self, rows: list[int]) -> "CurvatureAtPoint":
+        """The curvature at the points of a block that rows, a list of indices, names."""
         m = self.metric
-        metric = MetricAtPoint(
-            *(np.asarray(v)[rows] for v in (m.a, m.b, m.d, m.degenerate, m.definite))
-        )
+        metric = MetricAtPoint(*(v[rows] for v in (m.a, m.b, m.d, m.degenerate, m.definite)))
         return CurvatureAtPoint(
             self.r_up[..., rows], self.r_down[..., rows], self.point[rows], metric
         )
 
 
-def central_differences(func, x) -> list:
+def central_differences(func, x: np.ndarray) -> list:
     """(func(x + h_k e_k) - func(x - h_k e_k)) / (2 h_k), h_k = FD_STEP * (1 + |x_k|), k = 0, 1, 2.
 
-    x is one point, a list of three floats, or an (n, 3) array of points with h_k per
-    row; func takes points of the same kind, and its values over a block carry the
-    batch axis last.
+    x is one point, an array of three floats, or an (n, 3) array of points, and one
+    path serves both: x[..., k] is the point's k-th coordinate or the block's k-th
+    column, so h_k is one float or one per row.  func takes points of the same kind,
+    and its values over a block carry the batch axis last.
     """
-    block = isinstance(x, np.ndarray)
     derivatives = []
     for k in range(3):
-        at = (slice(None), k) if block else k
-        h = FD_STEP * (1.0 + abs(x[at]))
-        up = x.copy() if block else list(x)
-        dn = x.copy() if block else list(x)
-        up[at] += h
-        dn[at] -= h
+        h = FD_STEP * (1.0 + abs(x[..., k]))
+        up, dn = x.copy(), x.copy()
+        up[..., k] += h
+        dn[..., k] -= h
         derivatives.append((func(up) - func(dn)) / (2.0 * h))
     return derivatives
 
@@ -130,14 +125,10 @@ def curvature_at(f: FieldPair, p) -> CurvatureAtPoint:
     one-point call, and the rows where that call would raise DegenerateMetric are NaN.
     """
     p = np.asarray(p, dtype=float)
-    block = p.ndim == 2
     metric = domain_check(f, p)
     gamma0 = christoffel_general(f, p)
-    centres = p if block else p.tolist()
-    dgamma = np.array(  # [k, s, i, j]
-        central_differences(lambda q: christoffel_general(f, q), centres)
-    )
-    if block:  # a degenerate stencil point leaves NaN in only part of its row
+    dgamma = np.array(central_differences(lambda q: christoffel_general(f, q), p))  # [k, s, i, j]
+    if p.ndim == 2:  # a degenerate stencil point leaves NaN in only part of its row
         dgamma[..., np.isnan(dgamma).any(axis=(0, 1, 2, 3))] = np.nan
 
     # A block's axis stays last; transpose, because np.moveaxis costs microseconds

@@ -332,8 +332,13 @@ def field_jet(f: FieldPair, p) -> tuple:
 
 
 def _status(a, b):
-    """D = (A - B)(A + 2B) and whether D ~ 0 (elementwise over arrays)."""
+    """D = (A - B)(A + 2B) and whether D ~ 0 (elementwise over arrays).  At one point,
+    OverflowError where D is not a finite float, as a block raises under
+    np.errstate(over="raise"): Python floats overflow silently, to a D that would
+    make g^-1 and Gamma exact zeros."""
     d = (a - b) * (a + 2.0 * b)
+    if isinstance(d, float) and not math.isfinite(d):
+        raise OverflowError(f"D = (A - B)(A + 2B) = {d}")
     return d, abs(d) < 1e-10 * (1.0 + a * a + b * b)
 
 

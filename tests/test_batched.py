@@ -269,5 +269,5 @@ def test_paired_block_kernels_match_one_point_calls(seed, n, m):
         assert hexes(spread[k]) == hexes(ref[1])
         assert passed[k].tolist() == ref[2].tolist()
         # Taking rows of a block, or one point as a block of one, keeps the bits.
-        for taken in (block.take([k]), one.take(None)):
+        for taken in (block.take([k]), curvature_at(f, p[None])):
             assert hexes(taken.scalars(*(v[None] for v in vectors))[0]) == hexes(scalars[k])

@@ -5,6 +5,8 @@ import json
 import os
 import re
 import shlex
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -256,10 +258,11 @@ class TestVerify:
         )
         assert captured.out == ""
 
-    def test_failed_block_is_redone_from_its_draws(self, tmp_path, monkeypatch):
-        # At point 1, D = (A - B)(A + 2B) overflows in the block kernels, while the
-        # one-point kernels carry on (with failing checks); point 2 then draws its
-        # vectors and seeds from where the block began, as a point-by-point run does.
+    def test_failed_block_is_redone_from_its_draws(self, capsys, monkeypatch):
+        # At point 1, D = (A - B)(A + 2B) overflows: the block is redone point by point
+        # from the random state it began with, and the error names point 1, as a
+        # point-by-point run does (test_block_verify_matches_point_by_point_verify
+        # compares the two over drawn pairs and points).
         argv = ("verify", "--fields", "A: 2 + 4*x1 + 2*x2; B: 1 + x1 + 2*x2 + 3*x3",
                 "--point", "1.2,0.5,0.3", "--point=-1.3,0.25,5e156", "--point", "1.5,1.2,1.3",
                 "--seed", "23")
@@ -271,12 +274,16 @@ class TestVerify:
             return original(config, f, rng, parallel, start, block)
 
         monkeypatch.setattr(circgeo.cli, "_verify_block", counting)
-        code, report = run_json(tmp_path, *argv)
-        assert code == 1 and blocks == [3, 1, 1, 1]
-        monkeypatch.setattr(circgeo.cli, "VERIFY_BLOCK", 1)
-        assert run_json(tmp_path, *argv, name="one.json") == (code, report)
-        assert {(r["point_index"], r["status"]) for r in report["records"]
-                if r["check"] == "theorem3-spread"} == {(0, "pass"), (1, "skipped"), (2, "pass")}
+        for size, redone in ((circgeo.cli.VERIFY_BLOCK, [3, 1, 1]), (1, [1, 1, 1])):
+            monkeypatch.setattr(circgeo.cli, "VERIFY_BLOCK", size)
+            blocks.clear()
+            code, captured = run(capsys, *argv)
+            assert (code, blocks) == (2, redone)
+            assert captured.err == (
+                "circgeo: error: point [-1.3, 0.25, 5e+156] is out of range:"
+                " D = (A - B)(A + 2B) = -inf\n"
+            )
+            assert captured.out == ""
 
     # Each point lies 1e-6 * (1 + x1) from the plane x1 = x3, so the curvature
     # stencil point p - h e1 is degenerate while p is not.  At the first point
@@ -708,8 +715,10 @@ class TestConfig:
             (["eval", "metric"], "A: x1^2000; B: 1"),
             # D = 0 everywhere, so no draw is admissible.
             (["verify"], "A: 1; B: 1"),
+            # A and B are finite floats on the sampling cube, but D is not.
+            (["eval", "christoffel"], f"A: {10**200}*x1 + {10**200}; B: 1"),
         ],
-        ids=["verify", "eval", "verify-degenerate-everywhere"],
+        ids=["verify", "eval", "verify-degenerate-everywhere", "eval-infinite-d"],
     )
     def test_sampled_point_out_of_range_exits_2(self, capsys, command, fields):
         code, captured = run(capsys, *command, "--fields", fields)
@@ -731,6 +740,25 @@ class TestConfig:
         assert code == 2
         assert captured.err.startswith("circgeo: error: point [1e+")
         assert "out of range" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "christoffel", "--point=-1.3,0.25,5e156"],
+            ["eval", "nabla-q", "--point=-1.3,0.25,5e156"],
+            ["scan", "--grid=-1.3,-1.3,1,0.25,0.25,1,5e156,5e156,1"],
+        ],
+        ids=["eval-christoffel", "eval-nabla-q", "scan"],
+    )
+    def test_overflowing_d_exits_2(self, capsys, argv):
+        # A and B are finite floats but D = (A - B)(A + 2B) is not; g^-1 and Gamma
+        # would come out as exact zeros.  verify: test_failed_block_is_redone_from_its_draws.
+        code, captured = run(capsys, *argv, "--fields", "A: 2 + 4*x1 + 2*x2; B: 1 + x1 + 2*x2 + 3*x3")
+        assert code == 2
+        assert captured.err == (
+            "circgeo: error: point [-1.3, 0.25, 5e+156] is out of range: D = (A - B)(A + 2B) = -inf\n"
+        )
         assert captured.out == ""
 
     @pytest.mark.parametrize(
@@ -792,6 +820,22 @@ class TestConfig:
         assert code == 2
         assert captured.err.startswith("circgeo: error: cannot write output")
         assert captured.out == ""
+
+    def test_closed_stdout_exits_2(self):
+        # As `circgeo verify ... | head -1`: the reader closes the pipe after one line,
+        # and the report (about 190 kB) is more than the pipe and the reader's buffer hold.
+        src = str(Path(circgeo.cli.__file__).resolve().parents[1])
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "circgeo.cli", "verify", "--fields", "paper-example",
+             "--grid", "1.1,1.9,5"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 2
+        # One line: no traceback, and nothing from the interpreter's flush at exit.
+        assert proc.stderr.read() == b"circgeo: error: cannot write output: [Errno 32] Broken pipe\n"
+        proc.stderr.close()
 
     def test_stopped_run_keeps_existing_output(self, tmp_path, capsys):
         # Writing starts only once the report is complete.

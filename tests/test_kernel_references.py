@@ -4,14 +4,18 @@ Each reference below is the assembly the current kernel replaced: Gamma from
 the metric-partial tensor and three transposes, the closed forms written
 item by item over numpy scalars, the metric partials from a fresh identity
 matrix, and the curvature stencil with its own step rule on numpy arrays;
-and the scan as a loop over grid nodes through the one-point kernels.  The
+and the scan as a loop over grid nodes through the one-point kernels.  verify
+over blocks of points is compared with verify one point per block.  The
 comparisons are exact, on reprs, float.hex (so that the sign of a zero counts
 too) or report bytes, not within a tolerance, because reports must keep their
 bytes.
 """
 
 import io
+import json
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 from unittest.mock import patch
 
 import numpy as np
@@ -28,11 +32,12 @@ from circgeo.fields import (
     FieldPair,
     Polynomial,
     domain_check,
+    field_eval,
     field_grad,
     metric_at,
     parse_field_spec,
 )
-from pairs import CUBIC_PAIR, QUADRATIC_PAIR
+from pairs import CUBIC_PAIR, QUADRATIC_PAIR, random_parallel_pair
 
 
 def old_metric_partials(f, p):
@@ -212,19 +217,18 @@ def old_cmd_scan(config):
     return cli._assemble(config, records)
 
 
-def run_scan(argv, scan, block):
-    """(exit code, stdout, stderr) of the CLI with the given scan and block size."""
+def run_cli(argv, **attributes):
+    """(exit code, stdout, stderr) of the CLI with the given attributes of cli replaced."""
     out, err = io.StringIO(), io.StringIO()
-    with patch.object(cli, "cmd_scan", scan), patch.object(cli, "SCAN_BLOCK", block):
-        with redirect_stdout(out), redirect_stderr(err):
-            code = cli.main(argv)
+    with patch.multiple(cli, **attributes), redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
     return code, out.getvalue(), err.getvalue()
 
 
 def assert_scan_matches_reference(argv, blocks=(cli.SCAN_BLOCK,)):
-    reference = run_scan(argv, old_cmd_scan, cli.SCAN_BLOCK)
+    reference = run_cli(argv, cmd_scan=old_cmd_scan)
     for block in blocks:
-        assert run_scan(argv, cli.cmd_scan, block) == reference
+        assert run_cli(argv, SCAN_BLOCK=block) == reference
 
 
 def poly_text(terms: dict) -> str:
@@ -289,3 +293,72 @@ def test_block_scan_matches_per_node_scan(fields, grid, x, fmt):
 )
 def test_block_scan_matches_per_node_scan_on_fixed_grids(case, fmt):
     assert_scan_matches_reference(["scan", *case, "--format", fmt])
+
+
+def near_plane(f, p, c, offset):
+    """p moved by Newton steps onto the plane A = c B, then by offset along the
+    gradient of A - c B: within about |offset| of the plane where the steps converge."""
+    with np.errstate(all="ignore"):
+        for _ in range(8):
+            (a, b), (grad_a, grad_b) = field_eval(f, p), field_grad(f, p)
+            grad = grad_a - c * grad_b
+            norm = float(np.linalg.norm(grad))
+            if not 0.0 < norm < np.inf:
+                return p
+            step = p - (a - c * b) / norm**2 * grad
+            if not np.isfinite(step).all():
+                return p
+            p = step
+        moved = p + offset / norm * grad
+    return moved if np.isfinite(moved).all() else p
+
+
+def parallel_spec(seed, quadratic, shift):
+    """Spec text of a random parallel pair, or of its linear part (parallel too), with
+    shift added to A."""
+    f = random_parallel_pair(np.random.default_rng(seed))
+    a, b = ({m: c for m, c in p.terms if quadratic or sum(m) < 2} for p in (f.a, f.b))
+    return f"A: {poly_text(a)} + {shift}; B: {poly_text(b)}"
+
+
+# Parallel pairs take the curvature suite; a constant added to A moves the planes
+# A = B and A = -2B.  The low-degree pairs of the scan test are mostly not parallel.
+verify_specs = st.builds(
+    parallel_spec, st.integers(0, 2**32 - 1), st.booleans(), st.sampled_from([0, 1, 4])
+) | field_specs
+
+
+@st.composite
+def verify_runs(draw):
+    """A pair's spec text and one to four points: plain ones, ones with a coordinate
+    at 1e150-1e160, and ones within about 1e-6 of the plane A = B or A = -2B."""
+    spec = draw(verify_specs)
+    f = parse_field_spec(spec)
+    points = []
+    for kind in draw(st.lists(st.sampled_from(["plain", "far", "near"]), min_size=1, max_size=4)):
+        p = np.array(draw(st.tuples(coords, coords, coords)))
+        if kind == "far":
+            # Log-uniform, so that quadratic pairs often have x^2 finite and D not.
+            p[draw(st.integers(0, 2))] = draw(st.sampled_from([1.0, -1.0])) * 10.0 ** draw(
+                st.floats(150.0, 160.0))
+        elif kind == "near":
+            p = near_plane(f, p, draw(st.sampled_from([1.0, -2.0])), draw(st.floats(-1e-6, 1e-6)))
+        points.append(p.tolist())
+    return spec, points
+
+
+@settings(max_examples=100, deadline=None)
+@given(verify_runs(), st.integers(0, 2**32 - 1))
+def test_block_verify_matches_point_by_point_verify(run, seed):
+    # Where a point's numbers overflow, its block is redone point by point from the
+    # random state the block began with: the error names the first such point, and a
+    # run that does not stop draws what a point-by-point run draws.
+    fields, points = run
+    config = {"fields": fields, "points": points, "seed": seed, "n_vectors": 3, "n_seeds": 2}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(config))
+        argv = ["verify", "--config", str(path)]
+        reference = run_cli(argv, VERIFY_BLOCK=1)
+        for block in (2, cli.VERIFY_BLOCK):
+            assert run_cli(argv, VERIFY_BLOCK=block) == reference
