@@ -15,6 +15,7 @@ import math
 import os
 import sys
 from contextlib import contextmanager
+from functools import partial
 
 import numpy as np
 
@@ -216,6 +217,27 @@ def _in_range(point):
         raise ConfigError(f"point {list(point)} is out of range: {exc}") from exc
 
 
+def _in_blocks(points: list, size: int, work, rng=None) -> list[dict]:
+    """The records of work(start, block) over blocks of points (start: the first one's index),
+    each run under np.errstate(over="raise", invalid="raise") and checked by _finite_records.
+    A block that overflows is redone as blocks of one under _in_range, from the state of rng
+    it began with, each checked as it is made: the error names the first point it belongs to."""
+    records = []
+    for start in range(0, len(points), size):
+        block = points[start:start + size]
+        state = None if rng is None else rng.bit_generator.state
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                records += _finite_records(work(start, block))
+        except (FloatingPointError, OverflowError):
+            if rng is not None:
+                rng.bit_generator.state = state
+            for i, p in enumerate(block):
+                with _in_range(p):
+                    records += _finite_records(work(start + i, [p]))
+    return records
+
+
 def _max_abs(values: np.ndarray) -> float:
     return float(np.max(np.abs(values)))
 
@@ -226,39 +248,36 @@ def _is_constant(f: FieldPair) -> bool:
 
 def cmd_eval(config: RunConfig, what: str) -> dict:
     f = _build_fields(config)
-    rng = np.random.default_rng(config.seed)
-    points = resolve_points(config, f, rng)
-    records = []
-    for idx, p in enumerate(points):
-        try:
-            with _in_range(p):
-                record = _eval_one(config, f, what, idx, p)
-        except PointSkipped as exc:
-            record = _record(what, idx, p, "skipped", reason=type(exc).__name__, detail=str(exc))
-        records += _finite_records([record])
-    return _assemble(config, records)
+    points = resolve_points(config, f, np.random.default_rng(config.seed))
+    return _assemble(config, _in_blocks(points, 1, partial(_eval_one, config, f, what)))
 
 
-def _eval_one(config: RunConfig, f: FieldPair, what: str, idx: int, p) -> dict:
-    if what == "metric":
-        m = domain_check(f, p)
-        if m.degenerate:
-            return _record(what, idx, p, "skipped", reason="DegenerateMetric", d=m.d)
-        return _record(what, idx, p, "pass", g=list(m.g.triple()), g_inv=list(m.g_inv.triple()),
-                       d=m.d, definite=m.definite)
-    if what == "christoffel":
-        return _record(what, idx, p, "pass", gamma=christoffel_general(f, p).tolist())
-    if what == "nabla-q":
-        nq = nabla_q(christoffel_general(f, p))
-        return _record(what, idx, p, "pass", max_norm=_max_abs(nq), components=nq.tolist())
-    if what == "curvature":
-        curv = curvature_at(f, p)
-        return _record(what, idx, p, "pass", max_abs=curv.max_abs, r_down=curv.r_down.tolist())
-    mu, spread, passed, cubic = theorem3_check(
-        f, p, config.x, config.tol("spread_rel"), config.tol("spread_abs")
-    )
-    return _record(what, idx, p, "pass" if passed else "fail",
-                   mu=mu, spread=spread, independence=cubic)
+def _eval_one(config: RunConfig, f: FieldPair, what: str, idx: int, block: list) -> list[dict]:
+    """The record of a block of one point: what at the point, or the skip it raised."""
+    (p,) = block
+    try:
+        if what == "metric":
+            m = domain_check(f, p)
+            if m.degenerate:
+                return [_record(what, idx, p, "skipped", reason="DegenerateMetric", d=m.d)]
+            return [_record(what, idx, p, "pass", g=list(m.g.triple()),
+                            g_inv=list(m.g_inv.triple()), d=m.d, definite=m.definite)]
+        if what == "christoffel":
+            return [_record(what, idx, p, "pass", gamma=christoffel_general(f, p).tolist())]
+        if what == "nabla-q":
+            nq = nabla_q(christoffel_general(f, p))
+            return [_record(what, idx, p, "pass", max_norm=_max_abs(nq), components=nq.tolist())]
+        if what == "curvature":
+            curv = curvature_at(f, p)
+            return [_record(what, idx, p, "pass", max_abs=curv.max_abs,
+                            r_down=curv.r_down.tolist())]
+        mu, spread, passed, cubic = theorem3_check(
+            f, p, config.x, config.tol("spread_rel"), config.tol("spread_abs")
+        )
+        return [_record(what, idx, p, "pass" if passed else "fail",
+                        mu=mu, spread=spread, independence=cubic)]
+    except PointSkipped as exc:
+        return [_record(what, idx, p, "skipped", reason=type(exc).__name__, detail=str(exc))]
 
 
 def cmd_verify(config: RunConfig) -> dict:
@@ -266,21 +285,8 @@ def cmd_verify(config: RunConfig) -> dict:
     rng = np.random.default_rng(config.seed)
     points = resolve_points(config, f, rng)
     parallel = parallel_everywhere(f, config.tol("defect_zero"))
-    records = []
-    for start in range(0, len(points), VERIFY_BLOCK):
-        block = points[start:start + VERIFY_BLOCK]
-        state = rng.bit_generator.state
-        try:
-            with np.errstate(over="raise", invalid="raise"):
-                records += _verify_block(config, f, rng, parallel, start, block)
-        except (ConfigError, FloatingPointError, OverflowError):
-            # Point by point from the same draws, as the error then names the first
-            # point it belongs to.
-            rng.bit_generator.state = state
-            for i, p in enumerate(block):
-                with _in_range(p):
-                    records += _verify_block(config, f, rng, parallel, start + i, [p])
-    return _assemble(config, records)
+    work = partial(_verify_block, config, f, rng, parallel)
+    return _assemble(config, _in_blocks(points, VERIFY_BLOCK, work, rng))
 
 
 def _verify_block(config, f, rng, parallel, start, block) -> list[dict]:
@@ -295,8 +301,7 @@ def _verify_block(config, f, rng, parallel, start, block) -> list[dict]:
     if curved:
         for r in _curvature_suite(config, f, rng, curved):
             by_point[r["point_index"] - start].append(r)
-    return [r for records in by_point
-            for r in _finite_records(sorted(records, key=lambda r: r["check"]))]
+    return [r for records in by_point for r in sorted(records, key=lambda r: r["check"])]
 
 
 def _classify(config, f, parallel, idx, p) -> tuple[list[dict], float | None]:
@@ -450,55 +455,27 @@ def cmd_scan(config: RunConfig) -> dict:
     if not config.grid:
         raise ConfigError("scan requires a grid spec")
     f = _build_fields(config)
-    points = expand_grid(config.grid)
-    qx = circ_apply(Q, config.x)
-    records = []
-    for start in range(0, len(points), SCAN_BLOCK):
-        block = points[start:start + SCAN_BLOCK]
-        try:
-            with np.errstate(over="raise", invalid="raise"):
-                records += _finite_records(_scan_block(config, f, qx, start, block))
-        except (FloatingPointError, OverflowError):
-            # Node by node, as the error then names the first node it belongs to.
-            for i, p in enumerate(block):
-                records += _finite_records([_scan_node(config, f, qx, start + i, p)])
-    return _assemble(config, records)
+    work = partial(_scan_block, config, f, circ_apply(Q, config.x))
+    return _assemble(config, _in_blocks(expand_grid(config.grid), SCAN_BLOCK, work))
 
 
 def _scan_block(config: RunConfig, f: FieldPair, qx, start: int, block: list) -> list[dict]:
-    """The rows of consecutive grid nodes, from array kernels over the whole block."""
+    """The rows of consecutive grid nodes, from array kernels over the whole block; mu_e1 is
+    null where the node is degenerate or indefinite, or a stencil point or the section is."""
     x = np.array(block)
     m = domain_check(f, x)
     curved = m.definite & ~m.degenerate
     mu = np.full(len(block), np.nan)  # NaN where the node is skipped
     if curved.any():
         mu[curved] = sectional_curvature(f, x[curved], config.x, qx)
-    mu_e1 = [None if math.isnan(v) else v for v in mu.tolist()]
-    columns = (m.a, m.b, m.d, m.degenerate, m.definite)
-    rows = zip(block, *(c.tolist() for c in columns), mu_e1)
-    return [_scan_row(start + i, *values) for i, values in enumerate(rows)]
-
-
-def _scan_node(config: RunConfig, f: FieldPair, qx, idx: int, p) -> dict:
-    """The row of one grid node, from the one-point kernels."""
-    with _in_range(p):
-        m = domain_check(f, p)
-        mu_e1 = None
-        if not m.degenerate and m.definite:
-            try:
-                mu_e1 = sectional_curvature(f, p, config.x, qx)
-            except PointSkipped:
-                pass
-    return _scan_row(idx, p, m.a, m.b, m.d, m.degenerate, m.definite, mu_e1)
-
-
-def _scan_row(idx: int, p, a, b, d, degenerate, definite, mu_e1) -> dict:
-    row = _record("scan", idx, p, "skipped" if degenerate else "pass",
-                  a=a, b=b, d=d, definite=definite)
-    if degenerate:
-        row["reason"] = "DegenerateMetric"
-    row["mu_e1"] = mu_e1
-    return row
+    rows = []
+    columns = zip(block, *(c.tolist() for c in (m.a, m.b, m.d, m.degenerate, m.definite, mu)))
+    for i, (p, a, b, d, degenerate, definite, mu_e1) in enumerate(columns):
+        rows.append(_record("scan", start + i, p, "skipped" if degenerate else "pass", a=a, b=b,
+                            d=d, definite=definite, mu_e1=None if math.isnan(mu_e1) else mu_e1))
+        if degenerate:
+            rows[-1]["reason"] = "DegenerateMetric"
+    return rows
 
 
 def _build_fields(config: RunConfig) -> FieldPair:
@@ -515,9 +492,8 @@ def _finite(value) -> bool:
 
 
 def _finite_records(records: list[dict]) -> list[dict]:
-    """records, or a ConfigError naming the first that is not finite.  Run on each
-    point's records (a scan block's rows) as they are made: Python floats overflow
-    to inf silently, and the first such point is the one to name."""
+    """records, or a ConfigError naming the first that is not finite: Python floats, and
+    some numpy sums, overflow to inf silently, and the first such point is the one to name."""
     for r in records:
         if not _finite(list(r.values())):
             raise ConfigError(f"point {r['point']} is out of range: {r['check']} is not finite")

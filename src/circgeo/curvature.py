@@ -190,16 +190,22 @@ def independence_cubic(x) -> float:
     return 3.0 * x1 * x2 * x3 - x1**3 - x2**3 - x3**3
 
 
+def _unit_rows(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """v with each row scaled, exactly, by the 2**k that puts its largest |entry| in [1, 2); k."""
+    _, e = np.frexp(np.max(np.abs(v), axis=-1))
+    return np.ldexp(v, (1 - e)[..., None]), 1 - e
+
+
 def sections_of(f: FieldPair, p, x) -> float:
     """The independence cubic of x, once x and p admit the sections {x,qx}, {qx,q2x}, {q2x,x}.
 
-    Raises DependentOrbit when the independence cubic vanishes and
-    IndefiniteMetric when the metric at p is not positive definite.
-    """
+    Raises DependentOrbit when the independence cubic vanishes (weighed on x scaled by
+    _unit_rows, lest it underflow) and IndefiniteMetric when the metric at p is not
+    positive definite."""
     x = np.asarray(x, dtype=float)
     cubic = independence_cubic(x)
-    norm = float(np.linalg.norm(x))
-    if abs(cubic) <= 1e-12 * norm**3:
+    unit, _ = _unit_rows(x)
+    if abs(independence_cubic(unit)) <= 1e-12 * float(np.linalg.norm(unit)) ** 3:
         raise DependentOrbit(
             f"orbit of {tuple(x.tolist())} is linearly dependent (cubic = {cubic})"
         )
@@ -234,24 +240,28 @@ def sectional_curvatures(curv: CurvatureAtPoint, u, v) -> np.ndarray:
     At one point an indefinite metric raises IndefiniteMetric and a degenerate
     section DegenerateSection; over an (n, 3) block of points, with shared or
     (n, m, 3) stacks, the result is (n, m), with NaN where the metric is
-    indefinite or the section degenerate.
+    indefinite or the section degenerate.  mu has degree 0 in u and in v: rows scaled
+    by _unit_rows give x and 2**k x the same bits, and its degree-4 terms no underflow.
     """
     metric = curv.metric
     block = curv.point.ndim == 2
     if not (block or metric.definite):
         raise IndefiniteMetric(f"metric not positive definite at {tuple(curv.point.tolist())}")
-    gram, norms = _gram_terms(metric, u, v)
+    (su, ku), (sv, kv) = _unit_rows(u), _unit_rows(v)
+    gram, norms = _gram_terms(metric, su, sv)
+    r = curv.scalars(su, sv, su, sv)
     # A zero product of norms is replaced by 1, so the threshold stays positive.
     bad = gram <= 1e-12 * np.abs(np.where(norms == 0.0, 1.0, norms))
-    if block:
+    if block:  # NaN marks a skip; a finite tensor's sum that met inf - inf is inf instead
         gram = np.where(bad | ~metric.definite[:, None], np.nan, gram)
+        r = np.where(np.isnan(r) & ~np.isnan(curv.max_abs)[:, None], np.inf, r)
     elif bad.any():
         i = int(np.argmax(bad))
-        raise DegenerateSection(
-            f"Gram determinant {float(gram[i])} too small for pair"
-            f" ({tuple(u[i].tolist())}, {tuple(v[i].tolist())})"
+        raise DegenerateSection(  # the determinant of the pair as given
+            f"Gram determinant {float(np.ldexp(gram[i], -2 * (ku[i] + kv[i])))} too small"
+            f" for pair ({tuple(u[i].tolist())}, {tuple(v[i].tolist())})"
         )
-    return curv.scalars(u, v, u, v) / gram
+    return r / gram
 
 
 def sectional_curvature(f: FieldPair, p, u, v):

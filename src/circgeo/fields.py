@@ -310,8 +310,12 @@ def parse_field_spec(text: str) -> FieldPair:
 
 
 def field_eval(f: FieldPair, p):
-    """Values (A(p), B(p)): floats at one point, (n,) arrays over an (n, 3) block."""
+    """Values (A(p), B(p)): floats at one point, (n,) arrays over an (n, 3) block.  They
+    overflow to inf or NaN without raising, at a point and over a block alike."""
     args = _arguments(_centres(p))
+    if isinstance(args[-1], np.ndarray):  # a block, told to overflow as Python floats do
+        with np.errstate(over="ignore", invalid="ignore"):
+            return f.a._value(*args)[0], f.b._value(*args)[0]
     return f.a._value(*args)[0], f.b._value(*args)[0]
 
 
@@ -324,21 +328,25 @@ def field_grad(f: FieldPair, p) -> tuple[np.ndarray, np.ndarray]:
 def field_jet(f: FieldPair, p) -> tuple:
     """(A, B, A_1, A_2, A_3, B_1, B_2, B_3) at p, A_k = dA/dx_k: floats at one point
     and (n,) arrays with the same bits at every row of an (n, 3) block.  Each field
-    gives its four from one compiled function."""
+    gives its four from one compiled function.  Unlike field_eval, a block follows the
+    caller's errstate: a quiet NaN partial would pass for a skipped row downstream."""
     args = _arguments(_centres(p))
     a, a1, a2, a3 = f.a._jet(*args)
     b, b1, b2, b3 = f.b._jet(*args)
     return a, b, a1, a2, a3, b1, b2, b3
 
 
-def _status(a, b):
-    """D = (A - B)(A + 2B) and whether D ~ 0 (elementwise over arrays).  At one point,
-    OverflowError where D is not a finite float, as a block raises under
-    np.errstate(over="raise"): Python floats overflow silently, to a D that would
-    make g^-1 and Gamma exact zeros."""
+def _status(a, b, quiet=False):
+    """D = (A - B)(A + 2B) and whether D ~ 0 (elementwise over arrays), both overflowing
+    without raising at a point and over a block alike; OverflowError, naming D (a block's
+    first that is not finite), where D is not a finite float: g^-1 and Gamma would be 0."""
+    if isinstance(a, np.ndarray) and not quiet:  # a point pays no errstate (microseconds)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _status(a, b, quiet=True)
     d = (a - b) * (a + 2.0 * b)
-    if isinstance(d, float) and not math.isfinite(d):
-        raise OverflowError(f"D = (A - B)(A + 2B) = {d}")
+    first = d if isinstance(d, float) else next(iter(d[~np.isfinite(d)].tolist()), 0.0)
+    if not math.isfinite(first):
+        raise OverflowError(f"D = (A - B)(A + 2B) = {first}")
     return d, abs(d) < 1e-10 * (1.0 + a * a + b * b)
 
 

@@ -25,7 +25,7 @@ from circgeo.curvature import (
     theorem3_check,
 )
 from circgeo.errors import DegenerateSection, PointSkipped
-from circgeo.fields import FieldPair, Polynomial, field_jet
+from circgeo.fields import FieldPair, Polynomial, domain_check, field_jet, parse_field_spec
 from circgeo.sampling import random_point
 from pairs import random_definite_point, random_parallel_pair
 
@@ -176,6 +176,35 @@ def test_block_power_is_pythons_pow():
                 call(p)
             errors.append(str(exc.value))
     assert len(set(errors)) == 1
+
+
+def test_block_overflows_as_a_point_does():
+    # Over a block, A, B, D and the degeneracy threshold overflow without raising, as
+    # Python floats do at one point, even where the caller's numpy raises.
+    with np.errstate(over="raise", invalid="raise"):
+        # A = B, so D = 0, and A^2 in the threshold 1e-10 (1 + A^2 + B^2) is inf: the
+        # block's record is the point's, degenerate.
+        f = parse_field_spec("A: 0.5*x1*x2^2; B: 0.5*x1*x2^2")
+        p = [1e160, 1.5, 1.5]
+        one, block = domain_check(f, p), domain_check(f, np.array([p]))
+        assert one.degenerate and not one.definite
+        for name in ("a", "b", "d", "degenerate", "definite"):
+            assert hexes(getattr(block, name)) == hexes([getattr(one, name)])
+        # D is not a finite float at p: the same OverflowError at p, in a block of p and
+        # in a block led by a point of finite D.  A and B are finite at the first p, inf
+        # at the second.
+        cases = [
+            ("A: 2 + 4*x1 + 2*x2; B: 1 + x1 + 2*x2 + 3*x3", [1.2, 0.5, 0.3], [-1.3, 0.25, 5e156],
+             "-inf"),
+            (f"A: 1{'0' * 300}*x1 + 2; B: 1{'0' * 299}*x1", [1e-150, 0.5, 0.3], [1e10, 0.5, 0.3],
+             "nan"),
+        ]
+        for spec, finite, p, d in cases:
+            f = parse_field_spec(spec)
+            for q in (p, np.array([p]), np.array([finite, p])):
+                with pytest.raises(OverflowError) as exc:
+                    domain_check(f, q)
+                assert str(exc.value) == f"D = (A - B)(A + 2B) = {d}"
 
 
 exponents = st.tuples(*[st.integers(0, 3)] * 3)

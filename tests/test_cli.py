@@ -114,6 +114,25 @@ class TestEval:
             " ((1.0, 1.0, 1.0000031234567), (1.0, 1.0000031234567, 1.0))"
         )
 
+    @pytest.mark.parametrize("x", [(1.0, 1.0, 2.0), (1.0, 2.0, 3.0), (-0.3, 1.7, 0.9)])
+    def test_mu_does_not_depend_on_the_scale_of_x(self, tmp_path, x):
+        # mu has degree 0 in x.  At 2**-270 x, R(x, qx, x, qx) and the Gram determinant
+        # (degree 4) would be subnormal, and at 2**-500 x the cubic (degree 3) would
+        # underflow; mu, spread and verdict keep the bits of x, in eval and scan.
+        runs = []
+        for k in (0, -270, -500):
+            text = ",".join(repr(float(np.ldexp(v, k))) for v in x)
+            _, sectional = run_json(tmp_path, "eval", "sectional", "--fields", "paper-example",
+                                    "--point", "1.2,0.5,0.3", "--point", "1.5,1.1,0.7",
+                                    f"--x={text}")
+            _, scan = run_json(tmp_path, "scan", "--fields", "paper-example",
+                               "--grid", "1.1,1.9,3", f"--x={text}")
+            assert {r["status"] for r in sectional["records"]} == {"pass"}
+            assert sum(r["mu_e1"] is not None for r in scan["records"]) == 9
+            runs.append(repr([[(r["mu"], r["spread"]) for r in sectional["records"]],
+                              [r["mu_e1"] for r in scan["records"]]]))
+        assert runs[0] == runs[1] == runs[2]
+
     def test_curvature_and_nabla_q(self, tmp_path):
         code, report = run_json(
             tmp_path, "eval", "nabla-q", "--fields", "paper-example", "--point", "1,0,0"
@@ -282,6 +301,23 @@ class TestVerify:
             assert captured.err == (
                 "circgeo: error: point [-1.3, 0.25, 5e+156] is out of range:"
                 " D = (A - B)(A + 2B) = -inf\n"
+            )
+            assert captured.out == ""
+
+    def test_redone_block_names_its_first_point_out_of_range(self, capsys, monkeypatch):
+        # At point 0 the closed form's (A + B) A_1 overflows to inf in Python floats,
+        # without raising, so its dual-path residual is not finite; at point 1 D is
+        # NaN, which raises and has the block redone.  Each redone point's records are
+        # checked as they are made, so point 0 is named, as a point-by-point run names it.
+        fields = f"A: 1{'0' * 300}*x1 + 2; B: 1{'0' * 299}*x1"
+        for size in (circgeo.cli.VERIFY_BLOCK, 1):
+            monkeypatch.setattr(circgeo.cli, "VERIFY_BLOCK", size)
+            code, captured = run(capsys, "verify", "--fields", fields,
+                                 "--point", "1e-150,0.5,0.3", "--point", "1e10,0.5,0.3")
+            assert code == 2
+            assert captured.err == (
+                "circgeo: error: point [1e-150, 0.5, 0.3] is out of range:"
+                " christoffel-dual-path is not finite\n"
             )
             assert captured.out == ""
 

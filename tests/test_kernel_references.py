@@ -232,10 +232,14 @@ def assert_scan_matches_reference(argv, blocks=(cli.SCAN_BLOCK,)):
 
 
 def poly_text(terms: dict) -> str:
-    """A polynomial as field-spec text, e.g. '- 2*x1^2*x3 + 0.5'."""
+    """A polynomial as field-spec text, e.g. '- 2*x1^2*x3 + 0.5'.  An int coefficient is
+    written in digits; a float without an exponent, which the grammar has no room for
+    (repr writes 6.7e-06), in the shortest digits that read back as the same float."""
     parts = []
     for mono, coef in terms.items():
-        factors = [repr(abs(coef)), *(f"x{k + 1}^{e}" for k, e in enumerate(mono) if e)]
+        number = repr(abs(coef)) if isinstance(coef, int) else np.format_float_positional(
+            abs(coef), trim="-")
+        factors = [number, *(f"x{k + 1}^{e}" for k, e in enumerate(mono) if e)]
         parts.append(f"{'-' if coef < 0 else '+'} {'*'.join(factors)}")
     return " ".join(parts)
 
@@ -248,23 +252,39 @@ low_degree_terms = st.dictionaries(
     st.sampled_from([-3.0, -2.0, -1.0, -0.5, 0.5, 1.0, 2.0, 3.0]),
     min_size=1, max_size=5,
 )
-field_specs = st.builds(
-    lambda a, shift, b: f"A: {poly_text(a)} + {shift}; B: {poly_text(b)}",
-    low_degree_terms, st.sampled_from([0, 4, 10]), low_degree_terms,
-) | st.sampled_from(["paper-example", QUADRATIC_PAIR, CUBIC_PAIR])
+# The same with coefficients 10^20, 10^100 and 10^300 among them, written as digit
+# strings: with far grid nodes, powers, products, D or the A^2 of the degeneracy
+# threshold overflow.
+big_terms = st.dictionaries(
+    st.tuples(*[st.integers(0, 3)] * 3).filter(lambda m: sum(m) <= 3),
+    st.sampled_from([-2.0, -0.5, 1.0, 3.0, 10**20, -10**20, 10**100, -10**100, 10**300, -10**300]),
+    min_size=1, max_size=5,
+)
+field_specs = st.one_of(
+    *(st.builds(lambda a, shift, b: f"A: {poly_text(a)} + {shift}; B: {poly_text(b)}",
+                terms, st.sampled_from([0, 4, 10]), terms)
+      for terms in (low_degree_terms, big_terms)),
+    st.sampled_from(["paper-example", QUADRATIC_PAIR, CUBIC_PAIR]),
+)
 bounds = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0])
 axes = st.tuples(bounds, bounds, st.integers(1, 4))
-# About one grid in eight reaches 1e160, where x**2 overflows: exit 2 naming the node.
-grids = st.builds(
-    lambda first, rest, far: ((first[0], 1e160 if far else first[1], first[2]), *rest),
-    axes, st.tuples(axes, axes), st.sampled_from([False] * 7 + [True]),
-)
 
 
-@settings(max_examples=100, deadline=None)
+@st.composite
+def grids(draw):
+    """Three axes; in about one grid in four, one end of one axis at +-1e80 to +-1e160,
+    where x**2 may overflow (exit 2 naming the node) and products may not."""
+    grid = [list(draw(axes)) for _ in range(3)]
+    if draw(st.sampled_from([False] * 3 + [True])):
+        sign, exponent = draw(st.sampled_from([1.0, -1.0])), draw(st.floats(80.0, 160.0))
+        grid[draw(st.integers(0, 2))][draw(st.integers(0, 1))] = sign * 10.0**exponent
+    return grid
+
+
+@settings(max_examples=200, deadline=None)
 @given(
     field_specs,
-    grids,
+    grids(),
     st.sampled_from(["1,2,3", "1,1,1"]),
     st.sampled_from(["json", "csv"]),
 )
@@ -285,10 +305,18 @@ def test_block_scan_matches_per_node_scan(fields, grid, x, fmt):
         # At (1e-6, y, 0) the stencil point x3 + h_3 = 1e-6 lies on the plane x1 = x3
         # where D = 0: mu_e1 is null though the node itself is definite.
         ["--fields", "paper-example", "--grid=1e-6,2e-6,2,0.5,1,2,0,1e-6,2"],
-        # x is just inside its bound (|x|**4 finite) and mu's products overflow:
-        # exit 2 naming the first definite node.
+        # x is just inside its bound (|x|**4 finite); sectional_curvatures scales
+        # each vector by a power of two first, so mu's products stay finite.
         ["--fields", CUBIC_PAIR, "--grid=-4.5,-2.803890692868853,4,-2,2,5,-2,2,5",
          "--x", "1e77,1,2"],
+        # D = 0 at (1e160, 1.5, 1.5), and A^2 in the degeneracy threshold overflows to
+        # inf at a point and over a block alike: a degenerate row, exit 0.
+        ["--fields", "A: 0.5*x1*x2^2; B: 0.5*x1*x2^2", "--grid=1.5,1e160,2,1.5,1.5,1,1.5,1.5,1"],
+        # g = circ(5, 0, 0) is definite at (-0.5, 6e154, 0), but R(x, qx, x, qx) sums
+        # inf - inf: the NaN must not read as a skipped node (mu_e1 null), in a block
+        # or in a block of one redone because D overflows at the next node.
+        ["--fields", "A: 5; B: 0.5*x2*x3", "--grid=-0.5,-0.5,1,6e154,6e154,1,0,0,1"],
+        ["--fields", "A: 5; B: 0.5*x2*x3", "--grid=-0.5,-0.5,1,6e154,6e154,1,0,1e160,2"],
     ],
 )
 def test_block_scan_matches_per_node_scan_on_fixed_grids(case, fmt):
@@ -299,16 +327,19 @@ def near_plane(f, p, c, offset):
     """p moved by Newton steps onto the plane A = c B, then by offset along the
     gradient of A - c B: within about |offset| of the plane where the steps converge."""
     with np.errstate(all="ignore"):
-        for _ in range(8):
-            (a, b), (grad_a, grad_b) = field_eval(f, p), field_grad(f, p)
-            grad = grad_a - c * grad_b
-            norm = float(np.linalg.norm(grad))
-            if not 0.0 < norm < np.inf:
-                return p
-            step = p - (a - c * b) / norm**2 * grad
-            if not np.isfinite(step).all():
-                return p
-            p = step
+        try:
+            for _ in range(8):
+                (a, b), (grad_a, grad_b) = field_eval(f, p), field_grad(f, p)
+                grad = grad_a - c * grad_b
+                norm = float(np.linalg.norm(grad))
+                if not 0.0 < norm < np.inf:
+                    return p
+                step = p - (a - c * b) / norm**2 * grad
+                if not np.isfinite(step).all():
+                    return p
+                p = step
+        except OverflowError:  # a power past the float range, in the fields or norm**2
+            return p
         moved = p + offset / norm * grad
     return moved if np.isfinite(moved).all() else p
 
