@@ -191,7 +191,7 @@ def resolve_points(config: RunConfig, f: FieldPair, rng: np.random.Generator) ->
         return [
             [float(c) for c in sampling.random_point(rng, f)] for _ in range(config.n_points)
         ]
-    except (RuntimeError, OverflowError) as exc:  # OverflowError: a power past the float range
+    except (RuntimeError, OverflowError) as exc:  # OverflowError: D is not a finite float
         raise ConfigError(f"could not sample admissible points: {exc}") from exc
 
 

@@ -187,7 +187,7 @@ def circ_apply_q2(v) -> np.ndarray:
 def independence_cubic(x) -> float:
     """3 x1 x2 x3 - (x1)^3 - (x2)^3 - (x3)^3; nonzero iff {x, qx, q^2x} spans."""
     x1, x2, x3 = np.asarray(x, dtype=float)
-    return 3.0 * x1 * x2 * x3 - x1**3 - x2**3 - x3**3
+    return 3.0 * x1 * x2 * x3 - x1 * x1 * x1 - x2 * x2 * x2 - x3 * x3 * x3
 
 
 def _unit_rows(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -223,10 +223,7 @@ def _gram_terms(metric: MetricAtPoint, u, v) -> tuple[np.ndarray, np.ndarray]:
     inners = metric.inners(np.concatenate([u, v, u], axis=-2), np.concatenate([u, v, v], axis=-2))
     uu, vv, uv = inners[..., :n], inners[..., n:2 * n], inners[..., 2 * n:]
     norms = uu * vv
-    # Python's float ** 2 goes through libm pow, which is not always the
-    # correctly rounded x * x that numpy squares with; keep the scalar bits.
-    cross2 = np.array([c**2 for c in uv.ravel().tolist()]).reshape(uv.shape)
-    return norms - cross2, norms
+    return norms - uv * uv, norms
 
 
 def gram_determinant(metric: MetricAtPoint, u, v) -> float:

@@ -35,7 +35,7 @@ class Polynomial:
 
     def __call__(self, p):
         """The value at one point, a float, or at each row of an (n, 3) block, an (n,) array."""
-        return self._value(*_arguments(_centres(p)))[0]
+        return self._value(*_arguments(p))[0]
 
     def partial(self, axis: int) -> "Polynomial":
         """Exact partial derivative along axis 0, 1 or 2."""
@@ -61,7 +61,7 @@ class Polynomial:
         return _compile((self.terms, *(self.partial(k).terms for k in range(3))))
 
     def gradient(self, p) -> np.ndarray:
-        return np.array(self._jet(*_arguments(_centres(p)))[1:])
+        return np.array(self._jet(*_arguments(p))[1:])
 
     def degree(self) -> int:
         return max((sum(m) for m, _ in self.terms), default=0)
@@ -71,19 +71,17 @@ _VARIABLES = ("x1", "x2", "x3")
 
 
 def _compile(tables) -> Callable[..., tuple]:
-    """The term tables as one function f(x1, x2, x3, powers, zero) returning one sum per
-    table, each with the bits of zero + t1 + t2 + ... in term order.
+    """The term tables as one function f(x1, x2, x3, zero) returning one sum per table,
+    each with the bits of zero + t1 + t2 + ... in term order.
 
-    x**0 (exactly 1.0) is dropped and x**1 written x (exact); a power x**e (e >= 2) is
-    powers(x, e), computed once for all tables.  _arguments gives one point's floats
-    with Python's pow and 0.0, or a block's columns with _powers and an array of +0.0.
-    A table with no terms returns zero itself.  Coefficients are bound as closure
-    values, so only names and exponents are compiled; lines of at most 200 terms keep
-    the compiler's recursion shallow.
+    x**0 (exactly 1.0) is dropped, x**1 is x and x**e (e >= 2) the product that
+    _power_lines names once for all tables: one point's floats and a block's columns
+    (see _arguments) run the same multiplications.  A table with no terms returns zero
+    itself.  Coefficients are bound as closure values, so only names and exponents are
+    compiled; lines of at most 200 terms keep the compiler's recursion shallow.
     """
-    used = sorted({(x, e) for terms in tables for mono, _ in terms
-                   for x, e in zip(_VARIABLES, mono) if e >= 2})
-    lines = [f"{x}_{e} = powers({x}, {e})" for x, e in used]
+    lines = [line for i, x in enumerate(_VARIABLES)
+             for line in _power_lines(x, {mono[i] for terms in tables for mono, _ in terms})]
     coefficients = {}
     for t, terms in enumerate(tables):
         summands = []
@@ -98,30 +96,33 @@ def _compile(tables) -> Callable[..., tuple]:
     body = "".join(f"\n        {line}" for line in lines)
     scope: dict = {}
     exec(f"def bind({', '.join(coefficients)}):\n"
-         f"    def f(x1, x2, x3, powers, zero):{body}\n    return f", scope)
+         f"    def f(x1, x2, x3, zero):{body}\n    return f", scope)
     return scope["bind"](*coefficients.values())
 
 
-def _powers(x: np.ndarray, e: int) -> np.ndarray:
-    """x**e by Python's float pow, element by element: numpy's array power can round
-    the last bit differently, and the block values must equal the one-point ones."""
-    return np.array([v**e for v in x.tolist()])
+def _power_lines(x: str, exponents) -> list[str]:
+    """Lines naming x_e = x**e for each e >= 2 of exponents, by square-and-multiply: the
+    squares x_2 = x * x, x_4 = x_2 * x_2, ..., and for each set bit of e above its lowest,
+    the power of e's lower bits times that bit's square, as x_5 = x * x_4 and
+    x_13 = x_5 * x_8.  Each partial power is named once, however many exponents share it."""
+    products: dict[int, tuple[int, int]] = {}
+    for e in exponents:
+        for k in range(1, e.bit_length()):
+            products.setdefault(1 << k, (1 << k - 1, 1 << k - 1))
+            low = e & (1 << k) - 1
+            if e >> k & 1 and low:
+                products.setdefault(low | 1 << k, (low, 1 << k))
+    return [f"{x}_{e} = {' * '.join(x if f == 1 else f'{x}_{f}' for f in products[e])}"
+            for e in sorted(products)]  # each factor is a smaller power, named above
 
 
-def _centres(p):
-    """One point as a list of three floats, or an (n, 3) block as an array."""
+def _arguments(p) -> tuple:
+    """The arguments (x1, x2, x3, zero) of a compiled polynomial at p: at one point its
+    three floats and 0.0; over an (n, 3) block its contiguous columns and an array of +0.0."""
     x = np.asarray(p, dtype=float)
-    return x if x.ndim == 2 else x.tolist()
-
-
-def _arguments(x) -> tuple:
-    """The arguments (x1, x2, x3, powers, zero) of a compiled polynomial at _centres'
-    x: at one point its floats, pow and 0.0; over a block its contiguous columns,
-    _powers and an array of +0.0."""
-    if isinstance(x, list):
-        x1, x2, x3 = x
-        return x1, x2, x3, pow, 0.0
-    return (*np.ascontiguousarray(x.T), _powers, np.zeros(len(x)))
+    if x.ndim == 2:
+        return (*np.ascontiguousarray(x.T), np.zeros(len(x)))
+    return *x.tolist(), 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +313,7 @@ def parse_field_spec(text: str) -> FieldPair:
 def field_eval(f: FieldPair, p):
     """Values (A(p), B(p)): floats at one point, (n,) arrays over an (n, 3) block.  They
     overflow to inf or NaN without raising, at a point and over a block alike."""
-    args = _arguments(_centres(p))
+    args = _arguments(p)
     if isinstance(args[-1], np.ndarray):  # a block, told to overflow as Python floats do
         with np.errstate(over="ignore", invalid="ignore"):
             return f.a._value(*args)[0], f.b._value(*args)[0]
@@ -330,7 +331,7 @@ def field_jet(f: FieldPair, p) -> tuple:
     and (n,) arrays with the same bits at every row of an (n, 3) block.  Each field
     gives its four from one compiled function.  Unlike field_eval, a block follows the
     caller's errstate: a quiet NaN partial would pass for a skipped row downstream."""
-    args = _arguments(_centres(p))
+    args = _arguments(p)
     a, a1, a2, a3 = f.a._jet(*args)
     b, b1, b2, b3 = f.b._jet(*args)
     return a, b, a1, a2, a3, b1, b2, b3

@@ -7,6 +7,8 @@ curvature over an (n, 3) block of points) are compared with their one-point
 calls on float.hex, so that the sign of a zero counts too.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -53,7 +55,8 @@ def old_inner(metric, x, y):
 
 def old_sectional(curv, u, v):
     metric = curv.metric
-    gram = old_inner(metric, u, u) * old_inner(metric, v, v) - old_inner(metric, u, v) ** 2
+    uv = old_inner(metric, u, v)
+    gram = old_inner(metric, u, u) * old_inner(metric, v, v) - uv * uv
     scale = (old_inner(metric, u, u) * old_inner(metric, v, v)) or 1.0
     if gram <= 1e-12 * abs(scale):
         raise DegenerateSection("reference")
@@ -109,6 +112,11 @@ def test_identity_residuals_match_per_vector_loop(seed, n):
 
 @settings(max_examples=60, deadline=None)
 @given(seeds, sizes)
+# sectional_curvatures scales each row by a power of two and the reference does not;
+# libm's pow(c, 2) for g(u, v)^2 moved mu by an ulp under that scaling at these inputs.
+@example(293746, 33)
+@example(9361889, 33)
+@example(32016, 33)
 def test_orbit_spreads_match_per_seed_loop(seed, n):
     rng, f, p, curv = curvature_case(seed, definite=True)
     seeds_ = [x for x in rng.uniform(-2.0, 2.0, size=(3 * n, 3))
@@ -135,8 +143,8 @@ def hexes(values):
     return [float(v).hex() for v in np.ravel(values)]
 
 
-# Exponents up to 6 and coefficients up to 1e6 in size: x**e for e >= 2 is where
-# numpy's array power and Python's float pow can round differently.
+# Exponents up to 6 and coefficients up to 1e6 in size: x**e for e >= 2 is a chain of
+# square-and-multiply products, which a point and a block must run alike.
 wide_polynomials = st.dictionaries(
     st.tuples(*[st.integers(0, 6)] * 3), st.floats(-1e6, 1e6), max_size=8
 ).map(Polynomial.from_dict)
@@ -154,28 +162,27 @@ def test_block_jets_match_one_point_jets(a, b, block):
         assert hexes([column[n] for column in jets]) == hexes(field_jet(f, p))
 
 
-def test_block_power_is_pythons_pow():
-    # Python's x**2 at this x is 0x1.c32631aaaf68dp+0; numpy's array power may
-    # round it to ...8cp+0, depending on the CPU, so only Python's value is named.
+def test_block_power_is_the_point_power():
+    # A point's floats and a block's columns run the same products: x**2 is x * x,
+    # which libm's pow (0x1.c32631aaaf68dp+0 at this x) need not give.
     x1 = -1.3275170599102342
     square = Polynomial.from_dict({(2, 0, 0): 1.0})
     cube = Polynomial.from_dict({(3, 0, 0): 1.0, (0, 2, 0): 0.5})
     f = FieldPair(square, cube)
     block = np.array([[x1, 0.0, 0.0], [x1, x1, -0.0]])
-    assert hexes(square(block)) == hexes([x1**2, x1**2])
+    assert hexes(square(block)) == hexes([x1 * x1, x1 * x1])
     jets = field_jet(f, block)
     for n, p in enumerate(block):
         assert hexes([column[n] for column in jets]) == hexes(field_jet(f, p))
-    # One compiled function serves both, so a power past the float range fails alike.
+    # A power past the float range is inf at a point, as a Python float product is,
+    # and raises over a block under the errstate the CLI runs blocks in.
     huge = FieldPair(Polynomial.from_dict({(400, 0, 0): 1.0}), square)
     point = [10.0, 0.0, 0.0]
-    errors = []
-    for p in (point, np.array([[1.0, 0.0, 0.0], point])):
-        for call in (huge.a, lambda q: field_jet(huge, q)):
-            with pytest.raises(OverflowError) as exc:
-                call(p)
-            errors.append(str(exc.value))
-    assert len(set(errors)) == 1
+    assert huge.a(point) == math.inf
+    assert field_jet(huge, point)[:3] == (math.inf, 100.0, math.inf)
+    for call in (huge.a, lambda q: field_jet(huge, q)):
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            call(np.array([[1.0, 0.0, 0.0], point]))
 
 
 def test_block_overflows_as_a_point_does():

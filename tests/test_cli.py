@@ -58,6 +58,30 @@ class TestEval:
         assert rec["d"] == 18.0
         assert rec["definite"] is True
 
+    @pytest.mark.parametrize("exponent, x1, g", [
+        # 2^53 + 1 is odd; as a float it would be 2^53, and (-1)^(2^53) is 1.
+        (2**53 + 1, "-1", 2.0),
+        (2**1020 + 1, "-1", 2.0),
+        (2**1020 + 1, "1", 4.0),
+        (2**1020 + 1, "0.5", 3.0),
+    ], ids=["2^53+1-at-minus-1", "2^1020+1-at-minus-1", "2^1020+1-at-1", "2^1020+1-at-half"])
+    def test_exponent_past_a_float_is_exact(self, tmp_path, exponent, x1, g):
+        code, report = run_json(tmp_path, "eval", "metric", "--fields",
+                                f"A: x1^{exponent} + 3; B: 1", f"--point={x1},0,0")
+        assert code == 0
+        (rec,) = report["records"]
+        assert rec["g"] == [g, 1.0, 1.0]
+        assert rec["d"] == (g - 1.0) * (g + 2.0)
+
+    def test_power_past_the_float_range_names_the_point(self, capsys):
+        code, captured = run(capsys, "eval", "metric", "--fields",
+                             f"A: x1^{2**1020 + 1} + 3; B: 1", "--point=2,0,0")
+        assert code == 2
+        assert captured.err == (
+            "circgeo: error: point [2.0, 0.0, 0.0] is out of range: D = (A - B)(A + 2B) = inf\n"
+        )
+        assert captured.out == ""
+
     def test_christoffel_degenerate_point_skipped(self, tmp_path):
         code, report = run_json(
             tmp_path, "eval", "christoffel", "--fields", "paper-example", "--point", "1,1,1"
@@ -808,8 +832,8 @@ class TestConfig:
         ids=["verify", "eval-metric", "eval-christoffel", "scan"],
     )
     def test_first_point_out_of_range_is_named(self, capsys, argv):
-        # The first point's Python-float products overflow to inf without raising;
-        # the second point's x3**2 raises.  The first is the one to name.
+        # Both points' Python-float products overflow to inf without raising, and D is
+        # not finite at either.  The first is the one to name.
         code, captured = run(capsys, *argv, "--fields", "A: 3*x1*x2 - 2; B: 1 + x3^2")
         assert code == 2
         assert captured.err.startswith("circgeo: error: point [1e+160, -1e+160, 0.0] is out of range")

@@ -1,8 +1,12 @@
+from fractions import Fraction
+from math import prod
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import exact
 from circgeo.errors import DegenerateMetric, ParseError
 from circgeo.fields import (
     BUILTIN_FIELDS,
@@ -110,13 +114,25 @@ class TestEvalAndGrad:
         assert np.array_equal(gb, np.zeros(3))
 
 
-def term_loop(poly, p):
-    """Reference evaluation: the per-term loop over numpy scalars."""
-    x1, x2, x3 = np.asarray(p, dtype=float)
-    total = 0.0
-    for (e1, e2, e3), coef in poly.terms:
-        total += coef * x1**e1 * x2**e2 * x3**e3
-    return total
+def within_rounding(poly, p, value) -> bool:
+    """Whether value is within the rounding bound of the compiled evaluation of poly at
+    p from the exact value, computed in Fractions.
+
+    Square-and-multiply gives x**e within gamma_(e-1) of x^e, since a square doubles a
+    relative error, so each term is within gamma_d of its exact value, d its degree, and
+    the sum of n terms within gamma_k * sum |t_j|, k = d + n, gamma_k = k u / (1 - k u),
+    u = 2^-53.  A product that underflows errs by at most 2^-1075 = u * 2^-1022 instead,
+    and the later factors amplify that by at most k max(1, |c_j|) prod max(1, |x_i|)^e_i.
+    """
+    x = [Fraction(v) for v in p]
+    k = poly.degree() + len(poly.terms)
+    u = Fraction(2) ** -53
+    magnitude = 0
+    for mono, c in poly.terms:
+        factors = list(zip([Fraction(c), *x], (1, *mono)))
+        magnitude += prod(abs(v) ** e for v, e in factors)
+        magnitude += k * Fraction(2) ** -1022 * prod(max(1, abs(v)) ** e for v, e in factors)
+    return abs(Fraction(float(value)) - exact.jet(poly, x)[0]) <= k * u / (1 - k * u) * magnitude
 
 
 def bits(*values):
@@ -134,11 +150,22 @@ points = st.tuples(coords, coords, coords)
 
 
 @given(polynomials, points)
-def test_evaluation_bitwise_matches_reference(poly, p):
-    assert bits(poly(p)) == bits(term_loop(poly, p))
-    gradient = bits(*poly.gradient(p))
-    assert gradient == bits(*(poly.partial(k)(p) for k in range(3)))
-    assert gradient == bits(*(term_loop(poly.partial(k), p) for k in range(3)))
+def test_evaluation_within_rounding_bound_of_exact_value(poly, p):
+    assert within_rounding(poly, p, poly(p))
+    gradient = poly.gradient(p)
+    assert bits(*gradient) == bits(*(poly.partial(k)(p) for k in range(3)))
+    assert all(within_rounding(poly.partial(k), p, gradient[k]) for k in range(3))
+
+
+def test_exponent_past_a_float_is_exact():
+    # x1^(2^53 + 1) is odd in x1; a float exponent would be 2^53, which is even.
+    f = parse_field_spec("A: x1^9007199254740993 + 3; B: 1")
+    a, b = field_eval(f, np.array([[-1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
+    assert a.tolist() == [2.0, 4.0] and b.tolist() == [1.0, 1.0]
+    # Square-and-multiply takes 1,020 squares here, in a loop, not by recursion.
+    f = parse_field_spec(f"A: x1^{2**1020 + 1} + 3; B: 1")
+    for x1, a in ((1.0, 4.0), (-1.0, 2.0), (0.5, 3.0)):
+        assert field_eval(f, (x1, 0.0, 0.0)) == (a, 1.0)
 
 
 # The grammar's tokens, oversized numbers and exponents among them, and a few

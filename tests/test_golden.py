@@ -12,6 +12,10 @@ config-file tolerances under a --tol override, --x, --fields @file, and
 every eval target at a definite and a skipped point.
 """
 
+import csv
+import io
+import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -74,9 +78,69 @@ def test_report_matches_golden(tmp_path, name):
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
 
 
+def _leaves(value, path=()):
+    """(path, value) for each number, string, bool or null of a parsed report."""
+    if isinstance(value, (dict, list)):
+        for key, item in value.items() if isinstance(value, dict) else enumerate(value):
+            yield from _leaves(item, (*path, key))
+    else:
+        yield path, value
+
+
+def _parsed(name: str, text: str):
+    """A JSON report, or a CSV one as a list of rows with its numbers (and the
+    ';'-joined points) parsed."""
+    if not name.endswith(".csv"):
+        return json.loads(text)
+
+    def cell(v):
+        try:
+            return [float(c) for c in v.split(";")] if ";" in v else float(v)
+        except ValueError:
+            return v
+
+    return [{k: cell(v) for k, v in row.items()} for row in csv.DictReader(io.StringIO(text))]
+
+
+def numeric_diff(name: str, old: str, new: str) -> list[str]:
+    """For each key (the innermost field name) with values that moved between two reports:
+    how many moved, of how many, and the largest relative change |new - old| / |old|
+    (inf where old is 0 or either is not a number)."""
+    before, after = dict(_leaves(_parsed(name, old))), dict(_leaves(_parsed(name, new)))
+    totals, moved, largest = Counter(), Counter(), Counter()
+    for path in before.keys() | after.keys():
+        key = next(k for k in reversed(path) if isinstance(k, str))
+        a, b = before.get(path), after.get(path)
+        totals[key] += 1
+        if repr(a) != repr(b):  # repr tells -0.0 from 0.0
+            numbers = all(isinstance(v, float) for v in (a, b)) and a != 0.0
+            moved[key] += 1
+            largest[key] = max(largest[key], abs(b - a) / abs(a) if numbers else float("inf"))
+    return [f"{name}: {key}: {moved[key]} of {totals[key]} moved, largest relative change"
+            f" {largest[key]:.2g}" for key in sorted(moved)]
+
+
+def test_numeric_diff_counts_moved_values_per_key():
+    old = json.dumps({"records": [{"a": 1.0, "d": 2.0, "p": [0.0, 1.0]}, {"a": 4.0, "d": 2.0}]})
+    new = json.dumps({"records": [{"a": 1.5, "d": 2.0, "p": [-0.0, 1.0]}, {"a": 4.0, "d": None}]})
+    assert numeric_diff("r.json", old, new) == [
+        "r.json: a: 1 of 2 moved, largest relative change 0.5",
+        "r.json: d: 1 of 2 moved, largest relative change inf",
+        "r.json: p: 1 of 2 moved, largest relative change inf",
+    ]
+    csv_old = "a,point\n1.0,1.0;2.0;3.0\n"
+    assert numeric_diff("r.csv", csv_old, csv_old.replace("3.0", "3.3")) == [
+        "r.csv: point: 1 of 3 moved, largest relative change 0.1",
+    ]
+
+
 if __name__ == "__main__":
-    # PYTHONPATH=src python tests/test_golden.py rewrites every golden file with
-    # the CLI of this checkout; review the diff before committing it.
+    # PYTHONPATH=src python tests/test_golden.py rewrites every golden file with the CLI
+    # of this checkout, and prints the numeric diff of each whose bytes changed; review
+    # the diff before committing it.
     for _name, _argv in CASES.items():
+        _old = (GOLDEN / _name).read_text()
         if main([*_argv, "--out", str(GOLDEN / _name)]) != 0:
             raise SystemExit(f"{_name}: the CLI did not exit 0")
+        for _line in numeric_diff(_name, _old, (GOLDEN / _name).read_text()):
+            print(_line)
