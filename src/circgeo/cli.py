@@ -40,7 +40,7 @@ from .curvature import (
     theorem3_check,
 )
 from .errors import ConfigError, ParseError, PointSkipped
-from .fields import FieldPair, domain_check, parse_field_spec
+from .fields import FieldPair, degenerate_metric, domain_check, parse_field_spec
 
 DEFAULT_TOLERANCES = {
     "dual_path": 1e-9,
@@ -249,35 +249,46 @@ def _is_constant(f: FieldPair) -> bool:
 def cmd_eval(config: RunConfig, what: str) -> dict:
     f = _build_fields(config)
     points = resolve_points(config, f, np.random.default_rng(config.seed))
-    return _assemble(config, _in_blocks(points, 1, partial(_eval_one, config, f, what)))
+    return _assemble(config, _in_blocks(points, SCAN_BLOCK, partial(_eval_block, config, f, what)))
 
 
-def _eval_one(config: RunConfig, f: FieldPair, what: str, idx: int, block: list) -> list[dict]:
-    """The record of a block of one point: what at the point, or the skip it raised."""
-    (p,) = block
-    try:
+def _eval_block(config: RunConfig, f: FieldPair, what: str, start: int, block: list) -> list[dict]:
+    """The records of consecutive points, the first of index start, from array kernels over
+    the whole block: what at each point, or the skip of the point or of a point it needs."""
+    x = np.array(block)
+    if what == "sectional":
+        mu, spread, passed, skips, cubic = theorem3_check(f, x, config.x, config.tol("spread_rel"),
+                                                          config.tol("spread_abs"))
+        values = [{"status": "pass" if ok else "fail", "mu": m, "spread": s, "independence": cubic}
+                  for m, s, ok in zip(mu.tolist(), spread.tolist(), passed.tolist())]
+    else:  # nothing is computed where D ~ 0 at the point
+        m = domain_check(f, x)
+        rows = np.flatnonzero(~m.degenerate)
+        skips = {n: degenerate_metric(m.d[n], x[n]) for n in np.flatnonzero(m.degenerate).tolist()}
         if what == "metric":
-            m = domain_check(f, p)
-            if m.degenerate:
-                return [_record(what, idx, p, "skipped", reason="DegenerateMetric", d=m.d)]
-            return [_record(what, idx, p, "pass", g=list(m.g.triple()),
-                            g_inv=list(m.g_inv.triple()), d=m.d, definite=m.definite)]
-        if what == "christoffel":
-            return [_record(what, idx, p, "pass", gamma=christoffel_general(f, p).tolist())]
-        if what == "nabla-q":
-            nq = nabla_q(christoffel_general(f, p))
-            return [_record(what, idx, p, "pass", max_norm=_max_abs(nq), components=nq.tolist())]
-        if what == "curvature":
-            curv = curvature_at(f, p)
-            return [_record(what, idx, p, "pass", max_abs=curv.max_abs,
-                            r_down=curv.r_down.tolist())]
-        mu, spread, passed, cubic = theorem3_check(
-            f, p, config.x, config.tol("spread_rel"), config.tol("spread_abs")
-        )
-        return [_record(what, idx, p, "pass" if passed else "fail",
-                        mu=mu, spread=spread, independence=cubic)]
-    except PointSkipped as exc:
-        return [_record(what, idx, p, "skipped", reason=type(exc).__name__, detail=str(exc))]
+            a, b, d = m.a[rows], m.b[rows], m.d[rows]
+            with np.errstate(over="ignore"):  # Python float rules, for _finite_records
+                inverse = zip(((a + b) / d).tolist(), (-b / d).tolist())
+            columns = zip(*(v.tolist() for v in (a, b, d, m.definite[rows])), inverse)
+            values = [{"g": [a, b, b], "g_inv": [ia, ib, ib], "d": d, "definite": definite}
+                      for a, b, d, definite, (ia, ib) in columns]
+        elif what == "curvature":
+            curv = curvature_at(f, x[rows])
+            skips.update((int(rows[k]), why) for k, why in curv.skips.items())
+            values = [{"max_abs": top, "r_down": r} for top, r in
+                      zip(curv.max_abs.tolist(), np.moveaxis(curv.r_down, -1, 0).tolist())]
+        elif what == "christoffel":
+            gamma = christoffel_general(f, x[rows])
+            values = [{"gamma": g} for g in np.moveaxis(gamma, -1, 0).tolist()]
+        else:
+            nq = nabla_q(christoffel_general(f, x[rows]))
+            values = [{"max_norm": top, "components": c} for top, c in zip(
+                np.max(np.abs(nq), axis=(0, 1, 2)).tolist(), np.moveaxis(nq, -1, 0).tolist())]
+        values = {n: {"status": "pass", **v} for n, v in zip(rows.tolist(), values)}
+    return [_record(what, start + n, p, **values[n]) if n not in skips else
+            _record(what, start + n, p, "skipped", reason=type(skips[n]).__name__,
+                    **({"d": float(m.d[n])} if what == "metric" else {"detail": str(skips[n])}))
+            for n, p in enumerate(block)]
 
 
 def cmd_verify(config: RunConfig) -> dict:
@@ -363,19 +374,15 @@ def _curvature_suite(config, f, rng, curved: list) -> list[dict]:
     contracted over the block at once."""
     indices, points, gamma_max = zip(*curved)
     curv = curvature_at(f, np.array(points))
+    rows = list(range(len(points)))
     records = []
-    rows = []
-    for n, nan in enumerate(np.isnan(curv.r_down).any(axis=(0, 1, 2, 3)).tolist()):
-        if nan:
-            try:  # p is not degenerate, but a stencil point is: the one-point call names it
-                curvature_at(f, points[n])
-            except PointSkipped as exc:
-                records += _skipped_curvature(indices[n], points[n], exc)
-                continue
-        rows.append(n)
-    if not rows:
-        return records
-    curv = curv.take(rows)
+    if curv.skips:  # p is not degenerate, but a point of its stencil is
+        for n, why in curv.skips.items():
+            records += _skipped_curvature(indices[n], points[n], why)
+        rows = [n for n in rows if n not in curv.skips]
+        if not rows:
+            return records
+        curv = curv.take(rows)
     definite = curv.metric.definite.tolist()
 
     # Per point, n_vectors draws of four vectors, then its orbit seeds if g is definite.
@@ -443,7 +450,7 @@ def _theorem3_spreads(config, curv, seeds) -> dict:
     for m in sorted(set(counts.values())):
         rows = [k for k, c in counts.items() if c == m]
         stack = np.reshape([seeds[k] for k in rows], (len(rows), m, 3))
-        _, spread, passed = orbit_spreads(
+        _, spread, passed, _ = orbit_spreads(
             curv.take(rows), stack, config.tol("spread_rel"), config.tol("spread_abs")
         )
         for k, s, ok in zip(rows, spread.tolist(), passed.tolist()):
@@ -464,10 +471,10 @@ def _scan_block(config: RunConfig, f: FieldPair, qx, start: int, block: list) ->
     null where the node is degenerate or indefinite, or a stencil point or the section is."""
     x = np.array(block)
     m = domain_check(f, x)
-    curved = m.definite & ~m.degenerate
+    curved = m.definite & ~m.degenerate  # the others' skips would be built only to be dropped
     mu = np.full(len(block), np.nan)  # NaN where the node is skipped
     if curved.any():
-        mu[curved] = sectional_curvature(f, x[curved], config.x, qx)
+        mu[curved] = sectional_curvature(f, x[curved], config.x, qx)[0]
     rows = []
     columns = zip(block, *(c.tolist() for c in (m.a, m.b, m.d, m.degenerate, m.definite, mu)))
     for i, (p, a, b, d, degenerate, definite, mu_e1) in enumerate(columns):

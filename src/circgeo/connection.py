@@ -47,11 +47,10 @@ def christoffel_general(f: FieldPair, p) -> np.ndarray:
     """Christoffel symbols gamma[s, i, j] from the inverse-metric contraction.
 
     Over an (n, 3) block of points the batch axis comes last, gamma[s, i, j, n],
-    each row with the bits of the one-point call, and NaN in the rows where D ~ 0;
-    at one point D ~ 0 raises DegenerateMetric.
+    each row with the bits of the one-point call.  Gamma is NaN where D ~ 0.
     """
     a, b, *grad = field_jet(f, p)
-    d = degeneracy_factor(a, b, p)
+    d = degeneracy_factor(a, b)
     inv_a, inv_b = (a + b) / d, -b / d
     g_inv = np.array([[inv_a, inv_b, inv_b], [inv_b, inv_a, inv_b], [inv_b, inv_b, inv_a]])
     di_gaj, dj_gai, da_gij = np.array(grad)[_T_TERMS]
@@ -62,7 +61,7 @@ def christoffel_general(f: FieldPair, p) -> np.ndarray:
 def christoffel_closed(f: FieldPair, p) -> np.ndarray:
     """Christoffel symbols gamma[s, i, j] from the corrected closed-form expressions."""
     a, b, a1, a2, a3, b1, b2, b3 = field_jet(f, p)
-    d = degeneracy_factor(a, b, p)
+    d = degeneracy_factor(a, b)
     half_d = 1.0 / (2.0 * d)
     ab = a + b
 
@@ -108,8 +107,10 @@ def parallel_everywhere(f: FieldPair, tol: float) -> bool:
 
 
 def nabla_q(gamma: np.ndarray) -> np.ndarray:
-    """nabla_i q_j^s = Gamma^s_ia q_j^a - Gamma^a_ij q_a^s as [i, j, s] (q is constant)."""
-    return np.einsum("sia,ja->ijs", gamma, Q_DENSE) - np.einsum("aij,as->ijs", gamma, Q_DENSE)
+    """nabla_i q_j^s = Gamma^s_ia q_j^a - Gamma^a_ij q_a^s as [i, j, s] (q is constant);
+    a block's gamma[s, i, j, n] gives [i, j, s, n]."""
+    return (np.einsum("sia...,ja->ijs...", gamma, Q_DENSE)
+            - np.einsum("aij...,as->ijs...", gamma, Q_DENSE))
 
 
 def metric_compatibility_residual(f: FieldPair, p) -> float:

@@ -9,11 +9,13 @@ with the Gamma derivatives taken by central differences of the general-path
 Christoffel computation, with the fixed step FD_STEP.  The (0,4) tensor is
 the g-lowering of the last index: R_kjis = g_as R^a_kji.
 
-The checks contract the tensor against (m, 3) stacks of vectors, one row per
-vector.  Over a block of n points they take stacks shared by every point, or
-(n, m, 3) stacks with each point's own m vectors, and return (n, m).
-``sectional_curvature`` and ``theorem3_check`` build their own tensor; a caller
-that holds one calls ``sectional_curvatures`` or ``orbit_spreads``.
+Every function takes an (n, 3) block of points.  A point where a value does not
+apply holds NaN, and its skip, the PointSkipped its record reports, sits in a dict
+keyed by the point's row.  The checks contract the tensor against (m, 3) stacks of
+vectors shared by every point, or (n, m, 3) stacks of each point's own, giving
+(n, m).  ``sectional_curvature`` and ``theorem3_check`` build their own tensor at
+the points where g is definite; ``sectional_curvatures`` and ``orbit_spreads``
+take one.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ import numpy as np
 
 from .circulant import Q, Q_DENSE, circ_mul
 from .connection import christoffel_general
-from .errors import DegenerateSection, DependentOrbit, IndefiniteMetric
-from .fields import FieldPair, MetricAtPoint, domain_check, metric_at, row
+from .errors import DegenerateSection, DependentOrbit, IndefiniteMetric, PointSkipped
+from .fields import FieldPair, MetricAtPoint, degenerate_metric, domain_check, row
 
 #: The shift applied twice, q^2: (x1, x2, x3) -> (x3, x1, x2).  Built from the
 #: circulant product, since a matrix product at import starts BLAS and adds
@@ -46,108 +48,86 @@ def _norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt(np.matmul(v[..., None, :], v[..., :, None])[..., 0, 0])
 
 
-def _per_point(values: np.ndarray):
-    """A float at one point, or the (n,) array of a block."""
-    return values if values.ndim else float(values)
-
-
 @dataclass(frozen=True)
 class CurvatureAtPoint:
-    """Curvature at one point: r_up[s, k, j, i] and r_down[k, j, i, s].
-
-    At an (n, 3) block of points the batch axis comes last, r_up[s, k, j, i, n]
-    and r_down[k, j, i, s, n], and point and metric are those of the block.
-    """
+    """Curvature at an (n, 3) block of points: r_up[s, k, j, i, n] and r_down[k, j, i, s, n],
+    the block's points and metric, and the skip of each point whose rows are NaN."""
 
     r_up: np.ndarray
     r_down: np.ndarray
     point: np.ndarray
     metric: MetricAtPoint
+    skips: dict[int, PointSkipped]
 
     def scalars(self, x, y, z, u) -> np.ndarray:
-        """R(x_m, y_m, z_m, u_m) for each row m of four (m, 3) stacks; over a block, (n, m)
-        from shared stacks or (n, m, 3) ones.
+        """R(x_m, y_m, z_m, u_m) at each point for each row m of four (m, 3) stacks, shared by
+        the points, or of (n, m, 3) ones: (n, m).
 
-        The sum runs over (k, j, i, s) in C order from 0.0, each term ((((R x) y) z) u):
-        the bits numpy's einsum gives these operands, in an order that does not hang on
-        einsum's choice of loops, and in about half its time over verify's blocks.  Like
-        einsum, it overflows to inf without raising.
+        The sum runs over (k, j, i, s) in C order from 0.0, each term ((((R x) y) z) u): the
+        bits of numpy's einsum, not hung on its choice of loops, in half its time over
+        verify's blocks.  Like einsum, it overflows to inf without raising.
         """
-        r = self.r_down[..., None]  # a block's point axis meets the stacks' first
+        r = self.r_down[..., None]  # the point axis meets the stacks' first
         total = 0.0
         with np.errstate(over="ignore", invalid="ignore"):
             for k, j, i, s in np.ndindex(3, 3, 3, 3):
                 total = total + r[k, j, i, s] * x[..., k] * y[..., j] * z[..., i] * u[..., s]
         return total
 
-    def scalar(self, x, y, z, u) -> float:
-        """The (0,4) evaluation R(x, y, z, u)."""
-        return float(self.scalars(row(x), row(y), row(z), row(u))[0])
+    def scalar(self, x, y, z, u) -> np.ndarray:
+        """The (0,4) evaluation R(x, y, z, u) of four 3-vectors at each point, (n,)."""
+        return self.scalars(row(x), row(y), row(z), row(u))[:, 0]
 
     @property
-    def max_abs(self):
-        """max |R_kjis|: a float at one point, (n,) over a block."""
-        return _per_point(np.max(np.abs(self.r_down), axis=(0, 1, 2, 3)))
+    def max_abs(self) -> np.ndarray:
+        """max |R_kjis| at each point, (n,)."""
+        return np.max(np.abs(self.r_down), axis=(0, 1, 2, 3))
 
     def take(self, rows: list[int]) -> "CurvatureAtPoint":
-        """The curvature at the points of a block that rows, a list of indices, names."""
-        m = self.metric
-        metric = MetricAtPoint(*(v[rows] for v in (m.a, m.b, m.d, m.degenerate, m.definite)))
-        return CurvatureAtPoint(
-            self.r_up[..., rows], self.r_down[..., rows], self.point[rows], metric
-        )
-
-
-def central_differences(func, x: np.ndarray) -> list:
-    """(func(x + h_k e_k) - func(x - h_k e_k)) / (2 h_k), h_k = FD_STEP * (1 + |x_k|), k = 0, 1, 2.
-
-    x is one point, an array of three floats, or an (n, 3) array of points, and one
-    path serves both: x[..., k] is the point's k-th coordinate or the block's k-th
-    column, so h_k is one float or one per row.  func takes points of the same kind,
-    and its values over a block carry the batch axis last.
-    """
-    derivatives = []
-    for k in range(3):
-        h = FD_STEP * (1.0 + abs(x[..., k]))
-        up, dn = x.copy(), x.copy()
-        up[..., k] += h
-        dn[..., k] -= h
-        derivatives.append((func(up) - func(dn)) / (2.0 * h))
-    return derivatives
+        """The curvature at the points of the block that rows, a list of indices, names."""
+        metric = MetricAtPoint(*(v[rows] for v in vars(self.metric).values()))
+        skips = self.skips and {k: self.skips[n] for k, n in enumerate(rows) if n in self.skips}
+        return CurvatureAtPoint(self.r_up[..., rows], self.r_down[..., rows], self.point[rows],
+                                metric, skips)
 
 
 def curvature_at(f: FieldPair, p) -> CurvatureAtPoint:
-    """Curvature by central differencing of the Christoffel symbols (see FD_STEP).
+    """Curvature at an (n, 3) block of points by central differencing of the Christoffel
+    symbols (see FD_STEP), each row with the bits of its point as a block of one.
 
-    Every stencil point p +- h_k e_k must itself be nondegenerate (DegenerateMetric
-    otherwise).  Over an (n, 3) block of points, Gamma is evaluated once at the
-    centres and once per stencil block, each row of the tensors has the bits of the
-    one-point call, and the rows where that call would raise DegenerateMetric are NaN.
+    Where D ~ 0 at p or a point of its stencil, p's row is NaN and its skip the
+    DegenerateMetric of the first in the order p, p + h_1 e_1, p - h_1 e_1, ..., p - h_3 e_3.
     """
     p = np.asarray(p, dtype=float)
     metric = domain_check(f, p)
-    gamma0 = christoffel_general(f, p)
-    dgamma = np.array(central_differences(lambda q: christoffel_general(f, q), p))  # [k, s, i, j]
-    if p.ndim == 2:  # a degenerate stencil point leaves NaN in only part of its row
-        dgamma[..., np.isnan(dgamma).any(axis=(0, 1, 2, 3))] = np.nan
-
-    # A block's axis stays last; transpose, because np.moveaxis costs microseconds
-    # a call, which the one-point path would pay at every verified point.
-    batch = range(4, dgamma.ndim)
+    h = FD_STEP * (1.0 + np.abs(p.T))  # [k, n]
+    stencil = np.repeat(p[None], 7, axis=0)  # p, then p + h_k e_k and p - h_k e_k for each k
+    stencil[[1, 3, 5], :, [0, 1, 2]] += h
+    stencil[[2, 4, 6], :, [0, 1, 2]] -= h
+    gammas = np.array([christoffel_general(f, q) for q in stencil])  # [7, s, i, j, n]
+    skipped = np.isnan(gammas).any(axis=(0, 1, 2, 3))
+    dgamma = (gammas[1::2] - gammas[2::2]) / (2.0 * h[:, None, None, None])  # [k, s, i, j]
+    dgamma[..., skipped] = np.nan  # a degenerate stencil point leaves NaN in only part of its row
     r_up = (
-        dgamma.transpose(1, 0, 2, 3, *batch)  # [s, k, j, i] = d_k Gamma^s_ji
-        - dgamma.transpose(1, 2, 0, 3, *batch)  # [s, k, j, i] = d_j Gamma^s_ki
-        + np.einsum("ska...,aji...->skji...", gamma0, gamma0)
-        - np.einsum("sja...,aki...->skji...", gamma0, gamma0)
+        dgamma.transpose(1, 0, 2, 3, 4)  # [s, k, j, i] = d_k Gamma^s_ji
+        - dgamma.transpose(1, 2, 0, 3, 4)  # [s, k, j, i] = d_j Gamma^s_ki
+        + np.einsum("ska...,aji...->skji...", gammas[0], gammas[0])
+        - np.einsum("sja...,aki...->skji...", gammas[0], gammas[0])
     )
     r_down = np.einsum("as...,akji...->kjis...", metric.g.dense(), r_up)
-    return CurvatureAtPoint(r_up=r_up, r_down=r_down, point=p, metric=metric)
+    skips = {}
+    if skipped.any():
+        rows = np.flatnonzero(skipped)
+        around = domain_check(f, stencil[:, rows].reshape(-1, 3))
+        degenerate = around.degenerate.reshape(7, -1)
+        for k, (n, i) in enumerate(zip(rows.tolist(), degenerate.argmax(axis=0).tolist())):
+            if degenerate[i, k]:
+                skips[n] = degenerate_metric(around.d[i * len(rows) + k], stencil[i, n])
+    return CurvatureAtPoint(r_up, r_down, p, metric, skips)
 
 
 def identity_residuals(curv: CurvatureAtPoint, x, y, z, u) -> tuple[np.ndarray, np.ndarray]:
-    """Residuals of identities 3.1 and 3.6 for each row of four (m, 3) stacks, or of
-    (n, m, 3) stacks over a block.
-
+    """Residuals of identities 3.1 and 3.6 at each point for each row of four stacks, (n, m):
     3.1 is |R(x, y, q^2 z, u) - R(x, y, z, q u)|; 3.6 is the larger of
     |R(x, y, z, u) - R(x, y, q z, q u)| and |R(x, y, z, u) - R(x, y, q^2 z, q^2 u)|.
     """
@@ -165,18 +145,15 @@ def identity_residuals(curv: CurvatureAtPoint, x, y, z, u) -> tuple[np.ndarray, 
     return r31, r36
 
 
-def identity_32_residual(curv: CurvatureAtPoint):
-    """Residual of identity 3.2 on the (1,3) tensor, and the scale it is read against:
-    floats at one point, (n,) arrays over a block.
-
-    The residual is max |R^s_kja q_ia - q_as R^a_kji|; the scale is the larger
-    of max |R_kjis| and max |R^s_kji| (at least 1e-300).
-    """
+def identity_32_residual(curv: CurvatureAtPoint) -> tuple[np.ndarray, np.ndarray]:
+    """Residual of identity 3.2 at each point, max |R^s_kja q_ia - q_as R^a_kji|, and the
+    scale it is read against, the larger of max |R_kjis| and max |R^s_kji| (at least
+    1e-300): two (n,) arrays."""
     lhs = np.einsum("skja...,ia->skji...", curv.r_up, Q_DENSE)
     rhs = np.einsum("akji...,as->skji...", curv.r_up, Q_DENSE)
     residual = np.max(np.abs(lhs - rhs), axis=(0, 1, 2, 3))
     r_up_max = np.max(np.abs(curv.r_up), axis=(0, 1, 2, 3))
-    return _per_point(residual), _per_point(np.maximum(np.maximum(curv.max_abs, r_up_max), 1e-300))
+    return residual, np.maximum(np.maximum(curv.max_abs, r_up_max), 1e-300)
 
 
 def circ_apply_q2(v) -> np.ndarray:
@@ -196,24 +173,15 @@ def _unit_rows(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.ldexp(v, (1 - e)[..., None]), 1 - e
 
 
-def sections_of(f: FieldPair, p, x) -> float:
-    """The independence cubic of x, once x and p admit the sections {x,qx}, {qx,q2x}, {q2x,x}.
-
-    Raises DependentOrbit when the independence cubic vanishes (weighed on x scaled by
-    _unit_rows, lest it underflow) and IndefiniteMetric when the metric at p is not
-    positive definite."""
+def sections_of(x) -> float:
+    """The independence cubic of x, once x admits the sections {x,qx}, {qx,q2x}, {q2x,x}:
+    DependentOrbit where it vanishes (weighed on x scaled by _unit_rows, lest it underflow)."""
     x = np.asarray(x, dtype=float)
     cubic = independence_cubic(x)
     unit, _ = _unit_rows(x)
     if abs(independence_cubic(unit)) <= 1e-12 * float(np.linalg.norm(unit)) ** 3:
         raise DependentOrbit(
-            f"orbit of {tuple(x.tolist())} is linearly dependent (cubic = {cubic})"
-        )
-    metric = metric_at(f, p)
-    if not metric.definite:
-        raise IndefiniteMetric(
-            f"metric not positive definite at {tuple(np.asarray(p, float).tolist())}"
-        )
+            f"orbit of {tuple(x.tolist())} is linearly dependent (cubic = {cubic})")
     return cubic
 
 
@@ -226,91 +194,105 @@ def _gram_terms(metric: MetricAtPoint, u, v) -> tuple[np.ndarray, np.ndarray]:
     return norms - uv * uv, norms
 
 
-def gram_determinant(metric: MetricAtPoint, u, v) -> float:
-    """g(u,u) g(v,v) - g(u,v)^2 for the spanning pair."""
-    return float(_gram_terms(metric, row(u), row(v))[0][0])
+def gram_determinant(metric: MetricAtPoint, u, v) -> np.ndarray:
+    """g(u,u) g(v,v) - g(u,v)^2 for the spanning pair at each point of a block, (n,)."""
+    return _gram_terms(metric, row(u), row(v))[0][:, 0]
 
 
-def sectional_curvatures(curv: CurvatureAtPoint, u, v) -> np.ndarray:
-    """mu = R(u, v, u, v) / (g(u,u) g(v,v) - g(u,v)^2) for each row of two (m, 3) stacks.
+def sectional_curvatures(curv: CurvatureAtPoint, u, v) -> tuple[np.ndarray, dict]:
+    """mu = R(u, v, u, v) / (g(u,u) g(v,v) - g(u,v)^2) at each point for each row of two
+    (m, 3) stacks, or of (n, m, 3) ones: (n, m), and the skips.
 
-    At one point an indefinite metric raises IndefiniteMetric and a degenerate
-    section DegenerateSection; over an (n, 3) block of points, with shared or
-    (n, m, 3) stacks, the result is (n, m), with NaN where the metric is
-    indefinite or the section degenerate.  mu has degree 0 in u and in v: rows scaled
-    by _unit_rows give x and 2**k x the same bits, and its degree-4 terms no underflow.
+    A point's skip is the first of: curv's of the point itself, IndefiniteMetric, curv's
+    of its stencil, and DegenerateSection, whose pairs alone are NaN.  mu has degree 0 in
+    u and v: rows scaled by _unit_rows give x and 2**k x its bits, and no underflow.
     """
     metric = curv.metric
-    block = curv.point.ndim == 2
-    if not (block or metric.definite):
-        raise IndefiniteMetric(f"metric not positive definite at {tuple(curv.point.tolist())}")
     (su, ku), (sv, kv) = _unit_rows(u), _unit_rows(v)
     gram, norms = _gram_terms(metric, su, sv)
     r = curv.scalars(su, sv, su, sv)
     # A zero product of norms is replaced by 1, so the threshold stays positive.
     bad = gram <= 1e-12 * np.abs(np.where(norms == 0.0, 1.0, norms))
-    if block:  # NaN marks a skip; a finite tensor's sum that met inf - inf is inf instead
-        gram = np.where(bad | ~metric.definite[:, None], np.nan, gram)
-        r = np.where(np.isnan(r) & ~np.isnan(curv.max_abs)[:, None], np.inf, r)
-    elif bad.any():
-        i = int(np.argmax(bad))
-        raise DegenerateSection(  # the determinant of the pair as given
-            f"Gram determinant {float(np.ldexp(gram[i], -2 * (ku[i] + kv[i])))} too small"
-            f" for pair ({tuple(u[i].tolist())}, {tuple(v[i].tolist())})"
-        )
-    return r / gram
+    skips = {}
+    for n in np.flatnonzero(bad.any(axis=-1)).tolist():
+        i = int(np.argmax(bad[n]))  # the determinant of the pair as given
+        det = np.ldexp(gram[n, i], -2 * np.broadcast_to(ku + kv, bad.shape)[n, i])
+        pu, pv = (tuple(np.broadcast_to(w, (*bad.shape, 3))[n, i].tolist()) for w in (u, v))
+        skips[n] = DegenerateSection(
+            f"Gram determinant {float(det)} too small for pair ({pu}, {pv})")
+    skips.update(curv.skips)
+    for n in np.flatnonzero(~metric.definite & ~metric.degenerate).tolist():
+        skips[n] = _indefinite(curv.point[n])
+    gram = np.where(bad | ~metric.definite[:, None], np.nan, gram)
+    r = np.where(np.isnan(r) & ~np.isnan(curv.max_abs)[:, None], np.inf, r)
+    return r / gram, skips
 
 
-def sectional_curvature(f: FieldPair, p, u, v):
-    """mu = R(u, v, u, v) / (g(u,u) g(v,v) - g(u,v)^2): a float at one point; over an
-    (n, 3) block, an (n,) array with NaN where the one-point call would skip."""
-    curv = curvature_at(f, p)
-    mu = sectional_curvatures(curv, row(u), row(v))
-    return mu[:, 0] if curv.point.ndim == 2 else float(mu[0])
+def _indefinite(p: np.ndarray) -> IndefiniteMetric:
+    return IndefiniteMetric(f"metric not positive definite at {tuple(p.tolist())}")
 
 
-def orbit_spreads(
-    curv: CurvatureAtPoint, seeds, spread_rel: float, spread_abs: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Theorem 3 for each row x of an (m, 3) stack of seeds, or of an (n, m, 3) one
-    over a block.
+def _where_definite(f: FieldPair, points, contract) -> tuple:
+    """The (k, 1, ...) arrays of contract(curvature_at(f, rows)) for one vector, as (n, ...),
+    and its skips, over the rows of an (n, 3) block where g is definite; the other rows,
+    whose curvature is not built, hold NaN (False) and DegenerateMetric or IndefiniteMetric."""
+    points = np.asarray(points, dtype=float)
+    metric = domain_check(f, points)
+    rows = np.flatnonzero(metric.definite & ~metric.degenerate)
+    *values, taken = contract(curvature_at(f, points[rows]))
+    skips = {n: degenerate_metric(metric.d[n], points[n]) if metric.degenerate[n] else
+             _indefinite(points[n])
+             for n in np.flatnonzero(~metric.definite | metric.degenerate).tolist()}
+    skips.update((int(rows[k]), skip) for k, skip in taken.items())
+    for k, v in enumerate(values):
+        values[k] = np.full((len(points), *v.shape[2:]), np.nan if v.dtype == float else False)
+        values[k][rows] = v[:, 0]
+    return *values, skips
 
-    Returns the sectional curvatures mu (m, 3) of the sections {x, qx},
-    {qx, q^2x}, {q^2x, x}, their largest pairwise difference (m,), and
-    whether it is within spread_rel * max|mu| + spread_abs (m,); over a block
-    each gains a leading axis n.  The seeds' orbits must span (see sections_of).
-    """
+
+def sectional_curvature(f: FieldPair, points, u, v) -> tuple[np.ndarray, dict]:
+    """mu(u, v) at each point of an (n, 3) block, (n,), and the skips (see _where_definite)."""
+    return _where_definite(f, points, lambda curv: sectional_curvatures(curv, row(u), row(v)))
+
+
+def orbit_spreads(curv: CurvatureAtPoint, seeds, spread_rel: float, spread_abs: float) -> tuple:
+    """Theorem 3 at each point for each row x of an (m, 3) stack of seeds, or of an
+    (n, m, 3) one: mu (n, m, 3) of the sections {x, qx}, {qx, q^2x}, {q^2x, x}, their
+    largest pairwise difference (n, m), whether it is within spread_rel * max|mu| +
+    spread_abs (n, m), and the skips of sectional_curvatures.  The orbits must span."""
     x = np.asarray(seeds, dtype=float)
     qx = x @ Q_DENSE.T
     q2x = qx @ Q_DENSE.T
-    mu = sectional_curvatures(
-        curv, np.concatenate([x, qx, q2x], axis=-2), np.concatenate([qx, q2x, x], axis=-2)
-    )
+    mu, skips = sectional_curvatures(
+        curv, np.concatenate([x, qx, q2x], axis=-2), np.concatenate([qx, q2x, x], axis=-2))
     mu = mu.reshape(*mu.shape[:-1], 3, x.shape[-2]).swapaxes(-1, -2)
     m0, m1, m2 = mu[..., 0], mu[..., 1], mu[..., 2]
     spread = np.maximum(np.maximum(np.abs(m0 - m1), np.abs(m0 - m2)), np.abs(m1 - m2))
     tol = spread_rel * np.abs(mu).max(axis=-1) + spread_abs
-    return mu, spread, spread <= tol
+    return mu, spread, spread <= tol, skips
 
 
-def theorem3_check(
-    f: FieldPair, p, x, spread_rel: float, spread_abs: float
-) -> tuple[list[float], float, bool, float]:
-    """Theorem 3 at p for the seed x: (mu of its three orbit sections, spread, passed, cubic)."""
-    cubic = sections_of(f, p, x)
-    mu, spread, passed = orbit_spreads(curvature_at(f, p), row(x), spread_rel, spread_abs)
-    return mu[0].tolist(), float(spread[0]), bool(passed[0]), cubic
+def theorem3_check(f: FieldPair, points, x, spread_rel: float, spread_abs: float) -> tuple:
+    """Theorem 3 at each point of an (n, 3) block for the seed x: orbit_spreads' mu (n, 3),
+    spread and pass (n,), the skips (see _where_definite) and x's cubic; DependentOrbit,
+    of x alone, is every point's skip, with cubic None."""
+    try:
+        cubic = sections_of(x)
+    except DependentOrbit as exc:
+        nan = np.full((len(points), 3), np.nan)
+        return nan, nan[:, 0], nan[:, 0] > 0.0, dict.fromkeys(range(len(points)), exc), None
+    return *_where_definite(
+        f, points, lambda curv: orbit_spreads(curv, row(x), spread_rel, spread_abs)), cubic
 
 
 def residual_scales(curv: CurvatureAtPoint, *stacks) -> np.ndarray:
-    """Magnitude reference for identity residual tolerances, per row of (m, 3) stacks,
-    or of (n, m, 3) stacks over a block."""
+    """Magnitude reference for identity residual tolerances at each point, per row of stacks."""
     prod = 1.0
     for v in stacks:
         prod = prod * _norms(v)
-    return np.asarray(curv.max_abs)[..., None] * prod
+    return curv.max_abs[:, None] * prod
 
 
-def residual_scale(curv: CurvatureAtPoint, *vectors) -> float:
-    """Magnitude reference for curvature-identity residual tolerances."""
-    return float(residual_scales(curv, *map(row, vectors))[0])
+def residual_scale(curv: CurvatureAtPoint, *vectors) -> np.ndarray:
+    """Magnitude reference for curvature-identity residual tolerances at each point, (n,)."""
+    return residual_scales(curv, *map(row, vectors))[:, 0]

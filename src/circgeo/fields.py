@@ -351,19 +351,18 @@ def _status(a, b, quiet=False):
     return d, abs(d) < 1e-10 * (1.0 + a * a + b * b)
 
 
-def _degenerate(d: float, p) -> DegenerateMetric:
-    return DegenerateMetric(f"D = {d} at point {tuple(np.asarray(p, float).tolist())}")
+def degenerate_metric(d: float, p) -> DegenerateMetric:
+    """The skip of a point p where D ~ 0, naming D."""
+    return DegenerateMetric(f"D = {float(d)} at point {tuple(np.asarray(p, float).tolist())}")
 
 
-def degeneracy_factor(a, b, p):
-    """D from the field values at p; DegenerateMetric when D ~ 0.  Over the (n,)
-    values of an (n, 3) block, D with NaN in the rows where D ~ 0."""
+def degeneracy_factor(a, b):
+    """D from the field values, NaN where D ~ 0: a float at one point, (n,) over the
+    values of an (n, 3) block."""
     d, degenerate = _status(a, b)
     if isinstance(d, np.ndarray):
         return np.where(degenerate, np.nan, d)
-    if degenerate:
-        raise _degenerate(d, p)
-    return d
+    return math.nan if degenerate else d
 
 
 def row(v) -> np.ndarray:
@@ -428,5 +427,5 @@ def metric_at(f: FieldPair, p) -> MetricAtPoint:
     """The record of domain_check at p; raises DegenerateMetric when D ~ 0."""
     metric = domain_check(f, p)
     if metric.degenerate:
-        raise _degenerate(metric.d, p)
+        raise degenerate_metric(metric.d, p)
     return metric

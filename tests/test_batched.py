@@ -1,10 +1,11 @@
 """The stacked kernels equal the per-vector and per-point formulas bit for bit.
 
 Each reference below is the single-vector computation the stacked kernels
-replaced; the comparisons use ==, not a tolerance, because reports must keep
-their bytes.  The block kernels (field jets, Gamma, curvature and sectional
-curvature over an (n, 3) block of points) are compared with their one-point
-calls on float.hex, so that the sign of a zero counts too.
+replaced, at one point of a block of one; the comparisons use ==, not a
+tolerance, because reports must keep their bytes.  The block kernels are
+compared on float.hex, so that the sign of a zero counts too: field jets and
+Gamma with their one-point calls, and curvature, sectional curvature and their
+skips, row by row, with the same point as a block of one.
 """
 
 import math
@@ -26,8 +27,8 @@ from circgeo.curvature import (
     sectional_curvature,
     theorem3_check,
 )
-from circgeo.errors import DegenerateSection, PointSkipped
-from circgeo.fields import FieldPair, Polynomial, domain_check, field_jet, parse_field_spec
+from circgeo.errors import DegenerateSection
+from circgeo.fields import FieldPair, Polynomial, domain_check, field_jet, parse_field_spec, row
 from circgeo.sampling import random_point
 from pairs import random_definite_point, random_parallel_pair
 
@@ -42,15 +43,17 @@ def curvature_case(seed, definite=False):
         p = random_definite_point(rng, f, max_tries=200) if definite else random_point(rng, f)
     except RuntimeError:
         assume(False)
-    return rng, f, p, curvature_at(f, p)
+    return rng, f, p, curvature_at(f, row(p))
 
 
 def old_scalar(curv, x, y, z, u):
-    return float(np.einsum("kjis,k,j,i,s->", curv.r_down, x, y, z, u))
+    """R(x, y, z, u) at the point of a block of one."""
+    return float(np.einsum("kjis,k,j,i,s->", curv.r_down[..., 0], x, y, z, u))
 
 
 def old_inner(metric, x, y):
-    return float(x @ metric.g.dense() @ y)
+    """g(x, y) at the point of a block of one."""
+    return float(x @ metric.g.dense()[..., 0] @ y)
 
 
 def old_sectional(curv, u, v):
@@ -75,16 +78,17 @@ def old_orbit(curv, x, spread_rel, spread_abs):
 @settings(max_examples=60, deadline=None)
 @given(seeds, sizes)
 def test_scalars_and_inners_match_per_vector_forms(seed, n):
-    rng, _, _, curv = curvature_case(seed)
+    rng, f, p, curv = curvature_case(seed)
     x, y, z, u = rng.uniform(-2.0, 2.0, size=(4, n, 3))
-    scalars = curv.scalars(x, y, z, u)
-    inners = curv.metric.inners(x, y)
+    scalars = curv.scalars(x, y, z, u)[0]
+    inners = curv.metric.inners(x, y)[0]
     assert scalars.shape == inners.shape == (n,)
     assert scalars.tolist() == [old_scalar(curv, *v) for v in zip(x, y, z, u)]
     assert inners.tolist() == [old_inner(curv.metric, a, b) for a, b in zip(x, y)]
-    for row in range(n):
-        assert curv.scalar(x[row], y[row], z[row], u[row]) == scalars[row]
-        assert curv.metric.inner(x[row], y[row]) == inners[row]
+    point_metric = domain_check(f, p)  # the metric record of the point alone
+    for k in range(n):
+        assert curv.scalar(x[k], y[k], z[k], u[k]).tolist() == [scalars[k]]
+        assert point_metric.inner(x[k], y[k]) == inners[k]
 
 
 @settings(max_examples=60, deadline=None)
@@ -92,8 +96,8 @@ def test_scalars_and_inners_match_per_vector_forms(seed, n):
 def test_identity_residuals_match_per_vector_loop(seed, n):
     rng, _, _, curv = curvature_case(seed)
     x, y, z, u = rng.uniform(-2.0, 2.0, size=(4, n, 3))
-    r31, r36 = identity_residuals(curv, x, y, z, u)
-    scales = residual_scales(curv, x, y, z, u)
+    (r31,), (r36,) = identity_residuals(curv, x, y, z, u)
+    (scales,) = residual_scales(curv, x, y, z, u)
     q2 = Q_DENSE @ Q_DENSE
     for row, (a, b, c, d) in enumerate(zip(x, y, z, u)):
         base = old_scalar(curv, a, b, c, d)
@@ -107,7 +111,7 @@ def test_identity_residuals_match_per_vector_loop(seed, n):
         prod = 1.0
         for v in (a, b, c, d):
             prod *= float(np.linalg.norm(v))
-        assert scales[row] == curv.max_abs * prod
+        assert scales[row] == curv.max_abs[0] * prod
 
 
 @settings(max_examples=60, deadline=None)
@@ -122,20 +126,29 @@ def test_orbit_spreads_match_per_seed_loop(seed, n):
     seeds_ = [x for x in rng.uniform(-2.0, 2.0, size=(3 * n, 3))
               if abs(independence_cubic(x)) > 0.1 * float(np.linalg.norm(x)) ** 3][:n]
     seeds_ = np.reshape(seeds_, (-1, 3))
-    mu, spread, passed = orbit_spreads(curv, seeds_, 1e-6, 1e-9)
+    (mu,), (spread,), (passed,), skips = orbit_spreads(curv, seeds_, 1e-6, 1e-9)
     assert mu.shape == (len(seeds_), 3)
-    for row, x in enumerate(seeds_):
+    assert not skips
+    for k, x in enumerate(seeds_):
         ref_mu, ref_spread, ref_passed = old_orbit(curv, x, 1e-6, 1e-9)
-        assert mu[row].tolist() == ref_mu
-        assert spread[row] == ref_spread
-        assert passed[row] == ref_passed
-        assert theorem3_check(f, p, x, 1e-6, 1e-9)[:3] == (ref_mu, ref_spread, ref_passed)
+        assert mu[k].tolist() == ref_mu
+        assert spread[k] == ref_spread
+        assert passed[k] == ref_passed
+        one = theorem3_check(f, row(p), x, 1e-6, 1e-9)
+        assert (one[0][0].tolist(), one[1][0], one[2][0], one[3]) == (
+            ref_mu, ref_spread, ref_passed, {})
 
 
 def test_orbit_spreads_rejects_a_degenerate_section(paper_fields):
-    curv = curvature_at(paper_fields, (1.5, 1.1, 1.1))
-    with pytest.raises(DegenerateSection):
-        orbit_spreads(curv, [[1.0, 2.0, 3.0], [1.0, 1.0, 1.0]], 1e-6, 1e-9)
+    # The orbit of the second seed spans nothing: the point's skip names the first
+    # pair of it, and only that seed's mu is NaN.
+    curv = curvature_at(paper_fields, [(1.5, 1.1, 1.1)])
+    mu, spread, passed, skips = orbit_spreads(curv, [[1.0, 2.0, 3.0], [1.0, 1.0, 1.0]], 1e-6, 1e-9)
+    assert np.isnan(mu[0, 1]).all() and not np.isnan(mu[0, 0]).any()
+    assert passed.tolist() == [[True, False]]
+    assert isinstance(skips[0], DegenerateSection) and list(skips) == [0]
+    assert str(skips[0]) == (
+        "Gram determinant 0.0 too small for pair ((1.0, 1.0, 1.0), (1.0, 1.0, 1.0))")
 
 
 def hexes(values):
@@ -220,14 +233,6 @@ polynomials = st.dictionaries(
 ).map(Polynomial.from_dict)
 
 
-def one_point(fn, *args):
-    """fn(*args), or NaN where it raises PointSkipped, as the block rows hold."""
-    try:
-        return fn(*args)
-    except PointSkipped:
-        return np.nan
-
-
 @settings(max_examples=100, deadline=None)
 @given(polynomials, polynomials, blocks,
        st.sampled_from([(1.0, 2.0, 3.0), (1.0, 1.0, 1.0), (0.5, -1.0, 2.0)]))
@@ -242,18 +247,23 @@ def test_block_connection_and_curvature_match_one_point_calls(a, b, block, x):
     qx = Q_DENSE @ np.array(x)
     gamma = christoffel_general(f, points)
     curv = curvature_at(f, points)
-    mu = sectional_curvature(f, points, x, qx)
+    mu, skips = sectional_curvature(f, points, x, qx)
     assert gamma.shape == (3, 3, 3, len(block)) and mu.shape == (len(block),)
     for n, p in enumerate(block):
-        one = one_point(christoffel_general, f, p)
-        assert hexes(gamma[..., n]) == hexes(np.broadcast_to(one, (3, 3, 3)))
-        one = one_point(curvature_at, f, p)
-        if isinstance(one, float):  # the whole row is marked
-            assert np.isnan(curv.r_down[..., n]).all() and np.isnan(mu[n])
-            continue
+        # Gamma at one point is NaN where D ~ 0, as the block's row is.
+        assert hexes(gamma[..., n]) == hexes(christoffel_general(f, p))
+        one = curvature_at(f, row(p))
+        if n in curv.skips:  # the whole row is marked
+            assert np.isnan(curv.r_down[..., n]).all() and np.isnan(curv.r_up[..., n]).all()
+            assert repr(curv.skips[n]) == repr(one.skips[0])
+        else:
+            assert 0 not in one.skips
         assert hexes(curv.r_up[..., n]) == hexes(one.r_up)
         assert hexes(curv.r_down[..., n]) == hexes(one.r_down)
-        assert hexes([mu[n]]) == hexes([one_point(sectional_curvature, f, p, x, qx)])
+        one_mu, one_skips = sectional_curvature(f, row(p), x, qx)
+        assert hexes([mu[n]]) == hexes(one_mu)
+        assert repr(skips.get(n)) == repr(one_skips.get(0))
+        assert (n in skips) == bool(np.isnan(mu[n]))
 
 
 @settings(max_examples=40, deadline=None)
@@ -268,7 +278,8 @@ def test_paired_block_kernels_match_one_point_calls(seed, n, m):
     except RuntimeError:
         assume(False)
     block = curvature_at(f, points)
-    assume(not np.isnan(block.r_down).any())
+    assume(not block.skips)
+    assert not np.isnan(block.r_down).any()
     x, y, z, u = rng.uniform(-2.0, 2.0, size=(4, n, m, 3))
     orbit_seeds = []
     for candidates in rng.uniform(-2.0, 2.0, size=(n, 10 * m + 10, 3)):
@@ -283,11 +294,11 @@ def test_paired_block_kernels_match_one_point_calls(seed, n, m):
     r31, r36 = identity_residuals(block, x, y, z, u)
     scales = residual_scales(block, x, y, z, u)
     resid32, scale32 = identity_32_residual(block)
-    mu, spread, passed = orbit_spreads(block, orbit_seeds, 1e-6, 1e-9)
+    mu, spread, passed, skips = orbit_spreads(block, orbit_seeds, 1e-6, 1e-9)
     assert scalars.shape == inners.shape == r31.shape == scales.shape == (n, m)
     assert mu.shape == (n, m, 3) and resid32.shape == (n,)
     for k, p in enumerate(points):
-        one = curvature_at(f, p)
+        one = curvature_at(f, p[None])
         vectors = (x[k], y[k], z[k], u[k])
         assert hexes(scalars[k]) == hexes(one.scalars(*vectors))
         assert hexes(inners[k]) == hexes(one.metric.inners(x[k], y[k]))
@@ -296,14 +307,12 @@ def test_paired_block_kernels_match_one_point_calls(seed, n, m):
         assert hexes([resid32[k], scale32[k], block.max_abs[k]]) == hexes(
             [*identity_32_residual(one), one.max_abs]
         )
-        try:
-            ref = orbit_spreads(one, orbit_seeds[k], 1e-6, 1e-9)
-        except DegenerateSection:  # the block row holds NaN instead
-            assert np.isnan(mu[k]).any()
-            continue
+        # A degenerate section is NaN and a DegenerateSection skip in both.
+        ref = orbit_spreads(one, orbit_seeds[k], 1e-6, 1e-9)
         assert hexes(mu[k]) == hexes(ref[0])
         assert hexes(spread[k]) == hexes(ref[1])
-        assert passed[k].tolist() == ref[2].tolist()
+        assert passed[k].tolist() == ref[2][0].tolist()
+        assert repr(skips.get(k)) == repr(ref[3].get(0))
         # Taking rows of a block, or one point as a block of one, keeps the bits.
         for taken in (block.take([k]), curvature_at(f, p[None])):
             assert hexes(taken.scalars(*(v[None] for v in vectors))[0]) == hexes(scalars[k])

@@ -31,6 +31,7 @@ from circgeo.cli import (
     render_json,
 )
 from circgeo.errors import ConfigError
+from pairs import QUADRATIC_PAIR
 
 
 CURVATURE_CHECKS = ("identity-3.1", "identity-3.2", "identity-3.6", "theorem3-spread")
@@ -241,9 +242,9 @@ class TestVerify:
         assert s["pass_count"] + s["fail_count"] + s["skipped_count"] == s["total"]
 
     def test_one_curvature_tensor_per_point(self, tmp_path, monkeypatch):
-        # Count the points of every call through every binding: curvature_at in
-        # the CLI and in the curvature module (sectional_curvature and
-        # theorem3_check build their own tensor; verify calls neither),
+        # Count the calls and the points of every call through every binding:
+        # curvature_at in the CLI and in the curvature module (sectional_curvature
+        # and theorem3_check build their own tensor; verify calls neither),
         # christoffel_general in the CLI, the curvature stencil and
         # metric_compatibility_residual.  A call over an (n, 3) block counts n
         # rows, a call at one point one.  Constant fields add the flat-baseline
@@ -269,13 +270,16 @@ class TestVerify:
             wrapper = counting(name, module)
             for binding in bindings:
                 monkeypatch.setattr(binding, name, wrapper)
-        for fields, n_reached in (("paper-example", 18), ("A: 2; B: 1", 27)):
+
+        def counted(*argv):
             for made in calls.values():
                 made.clear()
-            code, report = run_json(
-                tmp_path, "verify", "--fields", fields, "--grid", "1.1,1.9,3", "--seed", "7",
-            )
+            code, report = run_json(tmp_path, *argv)
             assert code == 0
+            return report
+
+        for fields, n_reached in (("paper-example", 18), ("A: 2; B: 1", 27)):
+            report = counted("verify", "--fields", fields, "--grid", "1.1,1.9,3", "--seed", "7")
             reached = [r for r in report["records"] if r["check"] == "identity-3.2"]
             assert len(reached) == n_reached
             assert sum(calls["curvature_at"]) == len(reached)
@@ -284,6 +288,25 @@ class TestVerify:
             verified = [r for r in report["records"] if r["check"] == "metric-inverse"]
             assert len(verified) == n_reached
             assert sum(calls["christoffel_general"]) == 7 * len(reached) + 2 * len(verified)
+
+        # A point whose stencil meets the plane x1 = x3 takes its tensor row like any
+        # other: its skip is read from the block's tensor, not from a tensor of its own.
+        report = counted("verify", "--fields", "paper-example", "--point", "0.1,0.05,0.0999989",
+                         "--point", "1.2,0.5,0.3", "--point", "1.5,1.2,1.9", "--seed", "3")
+        skipped = {r["point_index"] for r in report["records"] if r["check"] == "identity-3.2"
+                   and r["status"] == "skipped"}
+        assert skipped == {0}
+        assert calls["curvature_at"] == [3]
+        assert sum(calls["christoffel_general"]) == 7 * 3 + 2 * 3
+
+        # eval builds one tensor block per block of SCAN_BLOCK points.
+        config = tmp_path / "points.json"
+        config.write_text(json.dumps({"n_points": 2500}))
+        for what in ("curvature", "sectional"):
+            report = counted("eval", what, "--config", str(config), "--fields", QUADRATIC_PAIR)
+            assert report["summary"]["pass_count"] == 2500
+            assert calls["curvature_at"] == [1024, 1024, 452]
+            assert sum(calls["christoffel_general"]) == 7 * 2500
 
     def test_error_in_a_block_names_its_first_point(self, capsys):
         # Point 0 passes.  Point 1, in the same block, overflows only in Theorem 3's
@@ -800,6 +823,29 @@ class TestConfig:
         assert code == 2
         assert captured.err.startswith("circgeo: error: point [1e+")
         assert "out of range" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            *(["eval", what, "--point=0.0,1.5,-9.710448464022956e+139"]
+              for what in ("christoffel", "nabla-q", "curvature", "sectional")),
+            ["scan", "--grid=0,0,1,1.5,1.5,1,-9.710448464022956e+139,-9.710448464022956e+139,1"],
+        ],
+        ids=["eval-christoffel", "eval-nabla-q", "eval-curvature", "eval-sectional", "scan"],
+    )
+    def test_eval_words_an_overflow_as_scan_does(self, capsys, argv):
+        # A and B are finite and D is not degenerate, but B_1 = 1e300 * x2 * x3 is past
+        # the float range.  eval runs the block kernels that scan runs, so both name the
+        # operation that overflowed.  verify classifies one point at a time in Python
+        # floats, which overflow without raising, and words it otherwise.
+        fields = f"A: + 2.0*x2^2 + 2.0*x2^3 + 0; B: + 1{'0' * 300}*x1^1*x2^1*x3^1"
+        code, captured = run(capsys, *argv, "--fields", fields)
+        assert code == 2
+        assert captured.err == (
+            "circgeo: error: point [0.0, 1.5, -9.710448464022956e+139] is out of range:"
+            " overflow encountered in multiply\n"
+        )
         assert captured.out == ""
 
     @pytest.mark.parametrize(

@@ -124,11 +124,16 @@ class TestChristoffel:
             gamma = christoffel_general(f, p)
             assert gamma.tobytes() == christoffel_loop(f, p).tobytes()
 
-    def test_degenerate_point_raises(self, paper_fields):
-        with pytest.raises(DegenerateMetric):
-            christoffel_general(paper_fields, (1, 1, 1))
-        with pytest.raises(DegenerateMetric):
-            christoffel_closed(paper_fields, (1, 1, 1))
+    def test_degenerate_point_is_nan(self, paper_fields):
+        # (1, 1, 1) is on the plane x1 = x3: Gamma is NaN there, at a point and in a
+        # block's row, and the point's skip is the DegenerateMetric that names D.
+        for p in ((1, 1, 1), np.array([[1.2, 0.5, 0.3], [1, 1, 1]])):
+            for kernel in (christoffel_general, christoffel_closed):
+                gamma = kernel(paper_fields, p)
+                assert np.isnan(gamma[..., -1] if gamma.ndim == 4 else gamma).all()
+                assert gamma.ndim == 3 or not np.isnan(gamma[..., 0]).any()
+        with pytest.raises(DegenerateMetric, match=r"^D = 0\.0 at point \(1\.0, 1\.0, 1\.0\)$"):
+            metric_at(paper_fields, (1, 1, 1))
 
     def test_dual_path_agreement_random_fields(self, rng):
         for _ in range(20):

@@ -9,7 +9,8 @@ mixed-block verify puts a stencil skip, a definite and an indefinite point
 in one block.
 The overrides verify, the eval reports and the CSV scan pin the config echo:
 config-file tolerances under a --tol override, --x, --fields @file, and
-every eval target at a definite and a skipped point.
+every eval target at a definite and a skipped point.  The mixed eval reports
+put every kind of curvature skip in one block, each with its detail.
 """
 
 import csv
@@ -69,6 +70,18 @@ for _what in ("metric", "christoffel", "nabla-q", "curvature", "sectional"):
     CASES[f"eval_{_what}.json"] = [
         "eval", _what, "--fields", "paper-example", "--point", "1.2,0.5,0.3", "--point", "1,1,1",
     ]
+# Every kind of skip in one block: a degenerate section, a point on the plane
+# x1 = x2, an indefinite point, and two points whose curvature stencils meet
+# the plane x1 = x3 (one on it, one with D ~ 0); curvature adds a definite point.
+_MIXED = ["--point", "1.5,1.1,1.1", "--point", "1,1,1", "--point=-1,0,0",
+          "--point", "0.1,0.05,0.0999989", "--point", "1.0,0.5,0.999998"]
+CASES["eval_sectional_mixed.json"] = [
+    "eval", "sectional", "--fields", "paper-example", "--x", "1,1,1.0000031234567", *_MIXED,
+]
+CASES["eval_curvature_mixed.json"] = [
+    "eval", "curvature", "--fields", "paper-example", "--x", "1,1,1.0000031234567", *_MIXED,
+    "--point", "1.2,0.5,0.3",
+]
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -3,9 +3,11 @@
 Each reference below is the assembly the current kernel replaced: Gamma from
 the metric-partial tensor and three transposes, the closed forms written
 item by item over numpy scalars, the metric partials from a fresh identity
-matrix, and the curvature stencil with its own step rule on numpy arrays;
-and the scan as a loop over grid nodes through the one-point kernels.  verify
-over blocks of points is compared with verify one point per block.  The
+matrix, and the curvature stencil with its own step rule on numpy arrays,
+each raising DegenerateMetric where it meets D ~ 0; and the scan as a loop
+over grid nodes, each a block of one.  The kernels mark such a point with NaN
+instead, and the curvature with the skip the reference raised.  verify over
+blocks of points is compared with verify one point per block.  The
 comparisons are exact, on reprs, float.hex (so that the sign of a zero counts
 too) or report bytes, not within a tolerance, because reports must keep their
 bytes.
@@ -31,6 +33,7 @@ from circgeo.errors import ConfigError, PointSkipped
 from circgeo.fields import (
     FieldPair,
     Polynomial,
+    degenerate_metric,
     domain_check,
     field_eval,
     field_grad,
@@ -116,17 +119,31 @@ def outcome(fn, *args):
     return [np.asarray(r).tolist() for r in (result if isinstance(result, tuple) else (result,))]
 
 
+def point_skip(f, p, gamma):
+    """gamma, or, where it is NaN because D ~ 0 at p, the DegenerateMetric that names D."""
+    metric = domain_check(f, p)
+    assert np.isnan(gamma).all() if metric.degenerate else not np.isnan(gamma).any()
+    if metric.degenerate:
+        raise degenerate_metric(metric.d, p)
+    return gamma
+
+
 def new_gamma(f, p):
-    return christoffel_general(f, p)
+    return point_skip(f, p, christoffel_general(f, p))
 
 
 def new_closed(f, p):
-    return christoffel_closed(f, p)
+    return point_skip(f, p, christoffel_closed(f, p))
 
 
 def new_curvature(f, p):
-    curv = curvature_at(f, p)
-    return curv.r_up, curv.r_down
+    """The tensors at p as a block of one, or the skip of a row that is all NaN."""
+    curv = curvature_at(f, np.asarray(p, dtype=float)[None])
+    if 0 in curv.skips:
+        assert np.isnan(curv.r_up).all() and np.isnan(curv.r_down).all()
+        raise curv.skips[0]
+    assert not np.isnan(curv.r_down).any()
+    return curv.r_up[..., 0], curv.r_down[..., 0]
 
 
 def assert_kernels_match(f, p):
@@ -189,7 +206,7 @@ def test_curvature_matches_reference_at_other_steps(a, b, p, h):
 
 
 def old_cmd_scan(config):
-    """The scan as one loop over the grid nodes, each through the one-point kernels."""
+    """The scan as one loop over the grid nodes, each a point or a block of one."""
     if not config.grid:
         raise ConfigError("scan requires a grid spec")
     f = cli._build_fields(config)
@@ -209,10 +226,10 @@ def old_cmd_scan(config):
         row["mu_e1"] = None
         if not m.degenerate and m.definite:
             with cli._in_range(p):
-                try:
-                    row["mu_e1"] = sectional_curvature(f, p, config.x, qx)
-                except PointSkipped:
-                    pass
+                (mu,), skips = sectional_curvature(f, [p], config.x, qx)
+            assert bool(skips) == bool(np.isnan(mu))
+            if not skips:
+                row["mu_e1"] = float(mu)
         records += cli._finite_records([row])
     return cli._assemble(config, records)
 
