@@ -36,11 +36,12 @@ from .curvature import (
     independence_cubic,
     orbit_spreads,
     residual_scales,
+    sections_of,
     sectional_curvature,
     theorem3_check,
 )
-from .errors import ConfigError, ParseError, PointSkipped
-from .fields import FieldPair, degenerate_metric, domain_check, parse_field_spec
+from .errors import ConfigError, DependentOrbit, IndefiniteMetric, ParseError, PointSkipped
+from .fields import FieldPair, MetricAtPoint, degenerate_metric, domain_check, parse_field_spec
 
 DEFAULT_TOLERANCES = {
     "dual_path": 1e-9,
@@ -254,37 +255,50 @@ def cmd_eval(config: RunConfig, what: str) -> dict:
 
 def _eval_block(config: RunConfig, f: FieldPair, what: str, start: int, block: list) -> list[dict]:
     """The records of consecutive points, the first of index start, from array kernels over
-    the whole block: what at each point, or the skip of the point or of a point it needs."""
-    x = np.array(block)
+    the whole block: what at each point, or the skip of the point or of a point it needs.
+    Nothing is computed where D ~ 0, nor mu where g is indefinite."""
     if what == "sectional":
-        mu, spread, passed, skips, cubic = theorem3_check(f, x, config.x, config.tol("spread_rel"),
-                                                          config.tol("spread_abs"))
-        values = [{"status": "pass" if ok else "fail", "mu": m, "spread": s, "independence": cubic}
-                  for m, s, ok in zip(mu.tolist(), spread.tolist(), passed.tolist())]
-    else:  # nothing is computed where D ~ 0 at the point
-        m = domain_check(f, x)
-        rows = np.flatnonzero(~m.degenerate)
-        skips = {n: degenerate_metric(m.d[n], x[n]) for n in np.flatnonzero(m.degenerate).tolist()}
-        if what == "metric":
-            a, b, d = m.a[rows], m.b[rows], m.d[rows]
-            with np.errstate(over="ignore"):  # Python float rules, for _finite_records
-                inverse = zip(((a + b) / d).tolist(), (-b / d).tolist())
-            columns = zip(*(v.tolist() for v in (a, b, d, m.definite[rows])), inverse)
-            values = [{"g": [a, b, b], "g_inv": [ia, ib, ib], "d": d, "definite": definite}
-                      for a, b, d, definite, (ia, ib) in columns]
-        elif what == "curvature":
-            curv = curvature_at(f, x[rows])
-            skips.update((int(rows[k]), why) for k, why in curv.skips.items())
-            values = [{"max_abs": top, "r_down": r} for top, r in
-                      zip(curv.max_abs.tolist(), np.moveaxis(curv.r_down, -1, 0).tolist())]
-        elif what == "christoffel":
-            gamma = christoffel_general(f, x[rows])
-            values = [{"gamma": g} for g in np.moveaxis(gamma, -1, 0).tolist()]
-        else:
-            nq = nabla_q(christoffel_general(f, x[rows]))
-            values = [{"max_norm": top, "components": c} for top, c in zip(
-                np.max(np.abs(nq), axis=(0, 1, 2)).tolist(), np.moveaxis(nq, -1, 0).tolist())]
-        values = {n: {"status": "pass", **v} for n, v in zip(rows.tolist(), values)}
+        try:
+            sections_of(config.x)
+        except DependentOrbit as exc:  # of x alone: every point's skip, whatever its metric
+            return [_record(what, start + n, p, "skipped", reason=type(exc).__name__,
+                            detail=str(exc)) for n, p in enumerate(block)]
+    x = np.array(block)
+    m = domain_check(f, x)
+    applies = ~m.degenerate & (m.definite if what == "sectional" else True)
+    rows = np.flatnonzero(applies)
+    skips = {n: degenerate_metric(m.d[n], x[n]) if m.degenerate[n] else
+             IndefiniteMetric(f"metric not positive definite at {tuple(x[n].tolist())}")
+             for n in np.flatnonzero(~applies).tolist()}
+    metric = m.take(rows)
+    found = {}  # the skips the curvature layer finds, by row of metric
+    if what == "metric":
+        with np.errstate(over="ignore"):  # Python float rules, for _finite_records
+            inverse = metric.g_inv
+        columns = zip(*(v.tolist() for v in (metric.a, metric.b, metric.d, metric.definite,
+                                            inverse.a, inverse.b)))
+        values = [{"g": [a, b, b], "g_inv": [ia, ib, ib], "d": d, "definite": definite}
+                  for a, b, d, definite, ia, ib in columns]
+    elif what == "curvature":
+        curv = curvature_at(f, metric)
+        found = curv.skips
+        values = [{"max_abs": top, "r_down": r} for top, r in
+                  zip(curv.max_abs.tolist(), np.moveaxis(curv.r_down, -1, 0).tolist())]
+    elif what == "sectional":
+        mu, spread, passed, found, cubic = theorem3_check(
+            f, metric, config.x, config.tol("spread_rel"), config.tol("spread_abs"))
+        values = [{"status": "pass" if ok else "fail", "mu": three, "spread": s,
+                   "independence": cubic}
+                  for three, s, ok in zip(mu.tolist(), spread.tolist(), passed.tolist())]
+    elif what == "christoffel":
+        gamma = christoffel_general(f, metric.point)
+        values = [{"gamma": g} for g in np.moveaxis(gamma, -1, 0).tolist()]
+    else:
+        nq = nabla_q(christoffel_general(f, metric.point))
+        values = [{"max_norm": top, "components": c} for top, c in zip(
+            np.max(np.abs(nq), axis=(0, 1, 2)).tolist(), np.moveaxis(nq, -1, 0).tolist())]
+    skips.update((int(rows[k]), why) for k, why in found.items())
+    values = {n: {"status": "pass", **v} for n, v in zip(rows.tolist(), values)}
     return [_record(what, start + n, p, **values[n]) if n not in skips else
             _record(what, start + n, p, "skipped", reason=type(skips[n]).__name__,
                     **({"d": float(m.d[n])} if what == "metric" else {"detail": str(skips[n])}))
@@ -302,23 +316,26 @@ def cmd_verify(config: RunConfig) -> dict:
 
 def _verify_block(config, f, rng, parallel, start, block) -> list[dict]:
     """The records of consecutive points, the first of index start, each point's sorted
-    by check: every point classified alone, then the curvature suite of those that
-    take it, over the block at once."""
-    classified = [_classify(config, f, parallel, start + i, p) for i, p in enumerate(block)]
+    by check: the block's metric checked at once, every point classified alone from its
+    row, then the curvature suite of those that take it, over the block at once."""
+    metric = domain_check(f, np.array(block))
+    columns = zip(*(v.tolist() for v in (metric.a, metric.b, metric.d, metric.degenerate,
+                                        metric.definite)), block)
+    classified = [_classify(config, f, parallel, start + i, MetricAtPoint(*c))
+                  for i, c in enumerate(columns)]
     by_point = [records for records, _ in classified]
-    curved = [(start + i, p, gamma_max)
-              for i, (p, (_, gamma_max)) in enumerate(zip(block, classified))
-              if gamma_max is not None]
-    if curved:
-        for r in _curvature_suite(config, f, rng, curved):
+    rows = [i for i, (_, gamma_max) in enumerate(classified) if gamma_max is not None]
+    if rows:
+        curved = [(start + i, block[i], classified[i][1]) for i in rows]
+        for r in _curvature_suite(config, f, rng, curved, metric.take(rows)):
             by_point[r["point_index"] - start].append(r)
     return [r for records in by_point for r in sorted(records, key=lambda r: r["check"])]
 
 
-def _classify(config, f, parallel, idx, p) -> tuple[list[dict], float | None]:
-    """The point's records up to Theorem 1, and max |Gamma| if it takes the curvature
-    suite (the flat baseline reads it), else None."""
-    m = domain_check(f, p)
+def _classify(config, f, parallel, idx, m: MetricAtPoint) -> tuple[list[dict], float | None]:
+    """The records up to Theorem 1 of the point of the one-point record m, of Python floats,
+    and max |Gamma| if it takes the curvature suite (the flat baseline reads it), else None."""
+    p = m.point
     if m.degenerate:
         return [_record("all", idx, p, "skipped", reason="DegenerateMetric", d=m.d)], None
     prod = circ_mul(m.g, m.g_inv)
@@ -368,12 +385,12 @@ def _skipped_curvature(idx, p, why: PointSkipped | str) -> list[dict]:
             for check in ("identity-3.1", "identity-3.2", "identity-3.6", "theorem3-spread")]
 
 
-def _curvature_suite(config, f, rng, curved: list) -> list[dict]:
+def _curvature_suite(config, f, rng, curved: list, metric: MetricAtPoint) -> list[dict]:
     """The curvature records of the points (index, point, max |Gamma|) that take the
-    suite: one tensor block, the random draws in point order, and the checks
-    contracted over the block at once."""
+    suite, whose rows of the block's metric record are metric: one tensor block, the
+    random draws in point order, and the checks contracted over the block at once."""
     indices, points, gamma_max = zip(*curved)
-    curv = curvature_at(f, np.array(points))
+    curv = curvature_at(f, metric)
     rows = list(range(len(points)))
     records = []
     if curv.skips:  # p is not degenerate, but a point of its stencil is
@@ -469,12 +486,11 @@ def cmd_scan(config: RunConfig) -> dict:
 def _scan_block(config: RunConfig, f: FieldPair, qx, start: int, block: list) -> list[dict]:
     """The rows of consecutive grid nodes, from array kernels over the whole block; mu_e1 is
     null where the node is degenerate or indefinite, or a stencil point or the section is."""
-    x = np.array(block)
-    m = domain_check(f, x)
-    curved = m.definite & ~m.degenerate  # the others' skips would be built only to be dropped
+    m = domain_check(f, np.array(block))
+    curved = np.flatnonzero(m.definite & ~m.degenerate)
     mu = np.full(len(block), np.nan)  # NaN where the node is skipped
-    if curved.any():
-        mu[curved] = sectional_curvature(f, x[curved], config.x, qx)[0]
+    if len(curved):
+        mu[curved] = sectional_curvature(f, m.take(curved), config.x, qx)[0]
     rows = []
     columns = zip(block, *(c.tolist() for c in (m.a, m.b, m.d, m.degenerate, m.definite, mu)))
     for i, (p, a, b, d, degenerate, definite, mu_e1) in enumerate(columns):

@@ -9,13 +9,17 @@ with the Gamma derivatives taken by central differences of the general-path
 Christoffel computation, with the fixed step FD_STEP.  The (0,4) tensor is
 the g-lowering of the last index: R_kjis = g_as R^a_kji.
 
-Every function takes an (n, 3) block of points.  A point where a value does not
-apply holds NaN, and its skip, the PointSkipped its record reports, sits in a dict
-keyed by the point's row.  The checks contract the tensor against (m, 3) stacks of
-vectors shared by every point, or (n, m, 3) stacks of each point's own, giving
-(n, m).  ``sectional_curvature`` and ``theorem3_check`` build their own tensor at
-the points where g is definite; ``sectional_curvatures`` and ``orbit_spreads``
-take one.
+Every function works on an (n, 3) block of points, given as the block's metric
+record (see ``domain_check``) taken at exactly the rows the value applies to:
+D not ~ 0 for ``curvature_at``, g definite for ``sectional_curvature`` and
+``theorem3_check``.  The caller skips the other rows.  A row whose value fails
+here holds NaN, and its skip, the PointSkipped its record reports, sits in a
+dict keyed by the row: a degenerate stencil point or a degenerate section.  The
+checks contract the tensor against (m, 3) stacks of vectors shared by every
+point, or (n, m, 3) stacks of each point's own, giving (n, m).
+``sectional_curvature`` and ``theorem3_check`` build their own tensor;
+``sectional_curvatures`` and ``orbit_spreads`` take one.  ``theorem3_check``
+raises DependentOrbit, which depends on the seed alone, before it builds one.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import numpy as np
 
 from .circulant import Q, Q_DENSE, circ_mul
 from .connection import christoffel_general
-from .errors import DegenerateSection, DependentOrbit, IndefiniteMetric, PointSkipped
+from .errors import DegenerateSection, DependentOrbit, PointSkipped
 from .fields import FieldPair, MetricAtPoint, degenerate_metric, domain_check, row
 
 #: The shift applied twice, q^2: (x1, x2, x3) -> (x3, x1, x2).  Built from the
@@ -51,11 +55,10 @@ def _norms(v: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class CurvatureAtPoint:
     """Curvature at an (n, 3) block of points: r_up[s, k, j, i, n] and r_down[k, j, i, s, n],
-    the block's points and metric, and the skip of each point whose rows are NaN."""
+    the block's metric record, and the skip of each point whose rows are NaN."""
 
     r_up: np.ndarray
     r_down: np.ndarray
-    point: np.ndarray
     metric: MetricAtPoint
     skips: dict[int, PointSkipped]
 
@@ -85,21 +88,20 @@ class CurvatureAtPoint:
 
     def take(self, rows: list[int]) -> "CurvatureAtPoint":
         """The curvature at the points of the block that rows, a list of indices, names."""
-        metric = MetricAtPoint(*(v[rows] for v in vars(self.metric).values()))
         skips = self.skips and {k: self.skips[n] for k, n in enumerate(rows) if n in self.skips}
-        return CurvatureAtPoint(self.r_up[..., rows], self.r_down[..., rows], self.point[rows],
-                                metric, skips)
+        return CurvatureAtPoint(self.r_up[..., rows], self.r_down[..., rows],
+                                self.metric.take(rows), skips)
 
 
-def curvature_at(f: FieldPair, p) -> CurvatureAtPoint:
-    """Curvature at an (n, 3) block of points by central differencing of the Christoffel
-    symbols (see FD_STEP), each row with the bits of its point as a block of one.
+def curvature_at(f: FieldPair, metric: MetricAtPoint) -> CurvatureAtPoint:
+    """Curvature at the points of a block's metric record, where D is not ~ 0, by central
+    differencing of the Christoffel symbols (see FD_STEP), each row with the bits of its
+    point as a block of one.
 
-    Where D ~ 0 at p or a point of its stencil, p's row is NaN and its skip the
-    DegenerateMetric of the first in the order p, p + h_1 e_1, p - h_1 e_1, ..., p - h_3 e_3.
+    Where D ~ 0 at a point of p's stencil, p's row is NaN and its skip the DegenerateMetric
+    of the first in the order p, p + h_1 e_1, p - h_1 e_1, ..., p - h_3 e_3.
     """
-    p = np.asarray(p, dtype=float)
-    metric = domain_check(f, p)
+    p = metric.point
     h = FD_STEP * (1.0 + np.abs(p.T))  # [k, n]
     stencil = np.repeat(p[None], 7, axis=0)  # p, then p + h_k e_k and p - h_k e_k for each k
     stencil[[1, 3, 5], :, [0, 1, 2]] += h
@@ -123,7 +125,7 @@ def curvature_at(f: FieldPair, p) -> CurvatureAtPoint:
         for k, (n, i) in enumerate(zip(rows.tolist(), degenerate.argmax(axis=0).tolist())):
             if degenerate[i, k]:
                 skips[n] = degenerate_metric(around.d[i * len(rows) + k], stencil[i, n])
-    return CurvatureAtPoint(r_up, r_down, p, metric, skips)
+    return CurvatureAtPoint(r_up, r_down, metric, skips)
 
 
 def identity_residuals(curv: CurvatureAtPoint, x, y, z, u) -> tuple[np.ndarray, np.ndarray]:
@@ -200,16 +202,15 @@ def gram_determinant(metric: MetricAtPoint, u, v) -> np.ndarray:
 
 
 def sectional_curvatures(curv: CurvatureAtPoint, u, v) -> tuple[np.ndarray, dict]:
-    """mu = R(u, v, u, v) / (g(u,u) g(v,v) - g(u,v)^2) at each point for each row of two
-    (m, 3) stacks, or of (n, m, 3) ones: (n, m), and the skips.
+    """mu = R(u, v, u, v) / (g(u,u) g(v,v) - g(u,v)^2) at each point, where g is definite,
+    for each row of two (m, 3) stacks, or of (n, m, 3) ones: (n, m), and the skips.
 
-    A point's skip is the first of: curv's of the point itself, IndefiniteMetric, curv's
-    of its stencil, and DegenerateSection, whose pairs alone are NaN.  mu has degree 0 in
-    u and v: rows scaled by _unit_rows give x and 2**k x its bits, and no underflow.
+    A point's skip is the first of: curv's (a degenerate point of its stencil), then
+    DegenerateSection, whose pairs alone are NaN.  mu has degree 0 in u and v: rows scaled
+    by _unit_rows give x and 2**k x its bits, and no underflow.
     """
-    metric = curv.metric
     (su, ku), (sv, kv) = _unit_rows(u), _unit_rows(v)
-    gram, norms = _gram_terms(metric, su, sv)
+    gram, norms = _gram_terms(curv.metric, su, sv)
     r = curv.scalars(su, sv, su, sv)
     # A zero product of norms is replaced by 1, so the threshold stays positive.
     bad = gram <= 1e-12 * np.abs(np.where(norms == 0.0, 1.0, norms))
@@ -221,38 +222,16 @@ def sectional_curvatures(curv: CurvatureAtPoint, u, v) -> tuple[np.ndarray, dict
         skips[n] = DegenerateSection(
             f"Gram determinant {float(det)} too small for pair ({pu}, {pv})")
     skips.update(curv.skips)
-    for n in np.flatnonzero(~metric.definite & ~metric.degenerate).tolist():
-        skips[n] = _indefinite(curv.point[n])
-    gram = np.where(bad | ~metric.definite[:, None], np.nan, gram)
+    gram = np.where(bad, np.nan, gram)
     r = np.where(np.isnan(r) & ~np.isnan(curv.max_abs)[:, None], np.inf, r)
     return r / gram, skips
 
 
-def _indefinite(p: np.ndarray) -> IndefiniteMetric:
-    return IndefiniteMetric(f"metric not positive definite at {tuple(p.tolist())}")
-
-
-def _where_definite(f: FieldPair, points, contract) -> tuple:
-    """The (k, 1, ...) arrays of contract(curvature_at(f, rows)) for one vector, as (n, ...),
-    and its skips, over the rows of an (n, 3) block where g is definite; the other rows,
-    whose curvature is not built, hold NaN (False) and DegenerateMetric or IndefiniteMetric."""
-    points = np.asarray(points, dtype=float)
-    metric = domain_check(f, points)
-    rows = np.flatnonzero(metric.definite & ~metric.degenerate)
-    *values, taken = contract(curvature_at(f, points[rows]))
-    skips = {n: degenerate_metric(metric.d[n], points[n]) if metric.degenerate[n] else
-             _indefinite(points[n])
-             for n in np.flatnonzero(~metric.definite | metric.degenerate).tolist()}
-    skips.update((int(rows[k]), skip) for k, skip in taken.items())
-    for k, v in enumerate(values):
-        values[k] = np.full((len(points), *v.shape[2:]), np.nan if v.dtype == float else False)
-        values[k][rows] = v[:, 0]
-    return *values, skips
-
-
-def sectional_curvature(f: FieldPair, points, u, v) -> tuple[np.ndarray, dict]:
-    """mu(u, v) at each point of an (n, 3) block, (n,), and the skips (see _where_definite)."""
-    return _where_definite(f, points, lambda curv: sectional_curvatures(curv, row(u), row(v)))
+def sectional_curvature(f: FieldPair, metric: MetricAtPoint, u, v) -> tuple[np.ndarray, dict]:
+    """mu(u, v) at the points of a block's metric record, where g is definite, (n,), and the
+    skips of sectional_curvatures."""
+    mu, skips = sectional_curvatures(curvature_at(f, metric), row(u), row(v))
+    return mu[:, 0], skips
 
 
 def orbit_spreads(curv: CurvatureAtPoint, seeds, spread_rel: float, spread_abs: float) -> tuple:
@@ -272,17 +251,15 @@ def orbit_spreads(curv: CurvatureAtPoint, seeds, spread_rel: float, spread_abs: 
     return mu, spread, spread <= tol, skips
 
 
-def theorem3_check(f: FieldPair, points, x, spread_rel: float, spread_abs: float) -> tuple:
-    """Theorem 3 at each point of an (n, 3) block for the seed x: orbit_spreads' mu (n, 3),
-    spread and pass (n,), the skips (see _where_definite) and x's cubic; DependentOrbit,
-    of x alone, is every point's skip, with cubic None."""
-    try:
-        cubic = sections_of(x)
-    except DependentOrbit as exc:
-        nan = np.full((len(points), 3), np.nan)
-        return nan, nan[:, 0], nan[:, 0] > 0.0, dict.fromkeys(range(len(points)), exc), None
-    return *_where_definite(
-        f, points, lambda curv: orbit_spreads(curv, row(x), spread_rel, spread_abs)), cubic
+def theorem3_check(f: FieldPair, metric: MetricAtPoint, x, spread_rel: float,
+                   spread_abs: float) -> tuple:
+    """Theorem 3 at the points of a block's metric record, where g is definite, for the seed
+    x: orbit_spreads' mu (n, 3), spread and pass (n,), its skips, and x's cubic.  Raises
+    sections_of's DependentOrbit before any tensor is built."""
+    cubic = sections_of(x)
+    mu, spread, passed, skips = orbit_spreads(curvature_at(f, metric), row(x), spread_rel,
+                                              spread_abs)
+    return mu[:, 0], spread[:, 0], passed[:, 0], skips, cubic
 
 
 def residual_scales(curv: CurvatureAtPoint, *stacks) -> np.ndarray:

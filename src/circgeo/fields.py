@@ -374,7 +374,8 @@ def row(v) -> np.ndarray:
 class MetricAtPoint:
     """The metric circ(A, B, B) at a point: the field values, D = (A - B)(A + 2B),
     whether D ~ 0 and whether g is definite, as floats and bools at one point or
-    (n,) arrays over an (n, 3) block; g and g^-1 are built when read.
+    (n,) arrays over an (n, 3) block, and the point (block) it was checked at;
+    g and g^-1 are built when read.
 
     They are plain properties: on Python 3.11 a cached_property takes a lock on
     first use, which cost more than building the 3-value circulant again.
@@ -385,18 +386,21 @@ class MetricAtPoint:
     d: float
     degenerate: bool
     definite: bool
+    point: np.ndarray
 
     @property
     def g(self) -> CirculantMatrix:
         return CirculantMatrix(self.a, self.b, self.b)
 
     @property
-    def g_inv(self) -> CirculantMatrix | None:
-        """(A + B, -B, -B) / D, or None when D ~ 0 (at any row of a block)."""
-        if self.degenerate is not False and np.any(self.degenerate):  # cheap at one point
-            return None
+    def g_inv(self) -> CirculantMatrix:
+        """(A + B, -B, -B) / D, read only where D is not ~ 0."""
         a, b, d = self.a, self.b, self.d
         return CirculantMatrix((a + b) / d, -b / d, -b / d)
+
+    def take(self, rows) -> "MetricAtPoint":
+        """The record at the points of the block that rows, a list or array of indices, names."""
+        return MetricAtPoint(*(v[rows] for v in vars(self).values()))
 
     def inners(self, x, y) -> np.ndarray:
         """g(x_m, y_m) for each row m of two (m, 3) stacks; over a block, (n, m) from
@@ -419,8 +423,9 @@ class MetricAtPoint:
 
 def domain_check(f: FieldPair, p) -> MetricAtPoint:
     """The metric record at p, degenerate or not; over an (n, 3) block, of (n,) arrays."""
+    p = np.asarray(p, dtype=float)
     a, b = field_eval(f, p)
-    return MetricAtPoint(a, b, *_status(a, b), (a - b > 0.0) & (a + 2.0 * b > 0.0))
+    return MetricAtPoint(a, b, *_status(a, b), (a - b > 0.0) & (a + 2.0 * b > 0.0), p)
 
 
 def metric_at(f: FieldPair, p) -> MetricAtPoint:

@@ -21,7 +21,7 @@ from circgeo.curvature import (
     residual_scales,
     theorem3_check,
 )
-from circgeo.fields import metric_at, parse_field_spec
+from circgeo.fields import domain_check, metric_at, parse_field_spec
 from circgeo.sampling import HIGH, LOW, random_point, random_vector
 from pairs import random_defective_pair, random_definite_point, random_field_pair
 
@@ -84,7 +84,7 @@ def test_criterion_4_flat_baseline():
     for _ in range(10):
         p = rng.uniform(-2, 2, 3)
         gamma_max = max(gamma_max, float(np.max(np.abs(christoffel_general(f, p)))))
-        curv_max = max(curv_max, float(np.max(np.abs(curvature_at(f, p[None]).r_up))))
+        curv_max = max(curv_max, float(np.max(np.abs(curvature_at(f, domain_check(f, p[None])).r_up))))
     report(
         4,
         gamma_max == curv_max == 0.0,
@@ -97,7 +97,7 @@ def test_criterion_5_theorem2_identities(paper_fields):
     worst = 0.0
     for _ in range(50):
         p = random_point(rng, paper_fields)
-        curv = curvature_at(paper_fields, p[None])
+        curv = curvature_at(paper_fields, domain_check(paper_fields, p[None]))
         r_up = curv.r_up[..., 0]
         r_up_scale = max(float(np.max(np.abs(r_up))), 1e-300)
         lhs = np.einsum("skja,ia->skji", r_up, Q_DENSE)
@@ -122,7 +122,8 @@ def test_criterion_6_theorem3_spreads(paper_fields):
             x = random_vector(rng)
             if abs(independence_cubic(x)) <= 0.1 * float(np.linalg.norm(x)) ** 3:
                 continue
-            (mu,), (spread,), _, skips, _ = theorem3_check(paper_fields, [p], x, 1e-6, 1e-9)
+            (mu,), (spread,), _, skips, _ = theorem3_check(
+                paper_fields, domain_check(paper_fields, [p]), x, 1e-6, 1e-9)
             ok = ok and not skips
             tol = 1e-6 * max(abs(m) for m in mu) + 1e-9
             worst = max(worst, spread / tol)
@@ -167,9 +168,9 @@ def test_criterion_7_structural_identities(paper_fields):
 
 def test_criterion_8_fd_convergence(paper_fields):
     with patch.object(curvature, "FD_STEP", 1e-5):
-        c1 = curvature_at(paper_fields, [(1, 0, 0)])
+        c1 = curvature_at(paper_fields, domain_check(paper_fields, [(1, 0, 0)]))
     with patch.object(curvature, "FD_STEP", 5e-6):
-        c2 = curvature_at(paper_fields, [(1, 0, 0)])
+        c2 = curvature_at(paper_fields, domain_check(paper_fields, [(1, 0, 0)]))
     diff = float(np.max(np.abs(c1.r_down - c2.r_down)))
     report(8, diff <= 1e-6, f"half-step curvature change {diff:.3e}")
 

@@ -43,7 +43,7 @@ def curvature_case(seed, definite=False):
         p = random_definite_point(rng, f, max_tries=200) if definite else random_point(rng, f)
     except RuntimeError:
         assume(False)
-    return rng, f, p, curvature_at(f, row(p))
+    return rng, f, p, curvature_at(f, domain_check(f, row(p)))
 
 
 def old_scalar(curv, x, y, z, u):
@@ -134,7 +134,7 @@ def test_orbit_spreads_match_per_seed_loop(seed, n):
         assert mu[k].tolist() == ref_mu
         assert spread[k] == ref_spread
         assert passed[k] == ref_passed
-        one = theorem3_check(f, row(p), x, 1e-6, 1e-9)
+        one = theorem3_check(f, domain_check(f, row(p)), x, 1e-6, 1e-9)
         assert (one[0][0].tolist(), one[1][0], one[2][0], one[3]) == (
             ref_mu, ref_spread, ref_passed, {})
 
@@ -142,7 +142,7 @@ def test_orbit_spreads_match_per_seed_loop(seed, n):
 def test_orbit_spreads_rejects_a_degenerate_section(paper_fields):
     # The orbit of the second seed spans nothing: the point's skip names the first
     # pair of it, and only that seed's mu is NaN.
-    curv = curvature_at(paper_fields, [(1.5, 1.1, 1.1)])
+    curv = curvature_at(paper_fields, domain_check(paper_fields, row((1.5, 1.1, 1.1))))
     mu, spread, passed, skips = orbit_spreads(curv, [[1.0, 2.0, 3.0], [1.0, 1.0, 1.0]], 1e-6, 1e-9)
     assert np.isnan(mu[0, 1]).all() and not np.isnan(mu[0, 0]).any()
     assert passed.tolist() == [[True, False]]
@@ -246,24 +246,30 @@ def test_block_connection_and_curvature_match_one_point_calls(a, b, block, x):
     points = np.array(block)
     qx = Q_DENSE @ np.array(x)
     gamma = christoffel_general(f, points)
-    curv = curvature_at(f, points)
-    mu, skips = sectional_curvature(f, points, x, qx)
-    assert gamma.shape == (3, 3, 3, len(block)) and mu.shape == (len(block),)
+    # Each takes the rows of the block's metric record where it applies.
+    metric = domain_check(f, points)
+    curved = np.flatnonzero(~metric.degenerate)
+    definite = np.flatnonzero(metric.definite & ~metric.degenerate)
+    curv = curvature_at(f, metric.take(curved))
+    mu, skips = sectional_curvature(f, metric.take(definite), x, qx)
+    assert gamma.shape == (3, 3, 3, len(block)) and mu.shape == (len(definite),)
     for n, p in enumerate(block):
         # Gamma at one point is NaN where D ~ 0, as the block's row is.
         assert hexes(gamma[..., n]) == hexes(christoffel_general(f, p))
-        one = curvature_at(f, row(p))
-        if n in curv.skips:  # the whole row is marked
-            assert np.isnan(curv.r_down[..., n]).all() and np.isnan(curv.r_up[..., n]).all()
-            assert repr(curv.skips[n]) == repr(one.skips[0])
+    for k, n in enumerate(curved):
+        one = curvature_at(f, domain_check(f, row(block[n])))
+        if k in curv.skips:  # the whole row is marked
+            assert np.isnan(curv.r_down[..., k]).all() and np.isnan(curv.r_up[..., k]).all()
+            assert repr(curv.skips[k]) == repr(one.skips[0])
         else:
             assert 0 not in one.skips
-        assert hexes(curv.r_up[..., n]) == hexes(one.r_up)
-        assert hexes(curv.r_down[..., n]) == hexes(one.r_down)
-        one_mu, one_skips = sectional_curvature(f, row(p), x, qx)
-        assert hexes([mu[n]]) == hexes(one_mu)
-        assert repr(skips.get(n)) == repr(one_skips.get(0))
-        assert (n in skips) == bool(np.isnan(mu[n]))
+        assert hexes(curv.r_up[..., k]) == hexes(one.r_up)
+        assert hexes(curv.r_down[..., k]) == hexes(one.r_down)
+    for k, n in enumerate(definite):
+        one_mu, one_skips = sectional_curvature(f, domain_check(f, row(block[n])), x, qx)
+        assert hexes([mu[k]]) == hexes(one_mu)
+        assert repr(skips.get(k)) == repr(one_skips.get(0))
+        assert (k in skips) == bool(np.isnan(mu[k]))
 
 
 @settings(max_examples=40, deadline=None)
@@ -277,7 +283,7 @@ def test_paired_block_kernels_match_one_point_calls(seed, n, m):
         points = np.array([random_definite_point(rng, f, max_tries=200) for _ in range(n)])
     except RuntimeError:
         assume(False)
-    block = curvature_at(f, points)
+    block = curvature_at(f, domain_check(f, points))
     assume(not block.skips)
     assert not np.isnan(block.r_down).any()
     x, y, z, u = rng.uniform(-2.0, 2.0, size=(4, n, m, 3))
@@ -298,7 +304,7 @@ def test_paired_block_kernels_match_one_point_calls(seed, n, m):
     assert scalars.shape == inners.shape == r31.shape == scales.shape == (n, m)
     assert mu.shape == (n, m, 3) and resid32.shape == (n,)
     for k, p in enumerate(points):
-        one = curvature_at(f, p[None])
+        one = curvature_at(f, domain_check(f, p[None]))
         vectors = (x[k], y[k], z[k], u[k])
         assert hexes(scalars[k]) == hexes(one.scalars(*vectors))
         assert hexes(inners[k]) == hexes(one.metric.inners(x[k], y[k]))
@@ -314,5 +320,5 @@ def test_paired_block_kernels_match_one_point_calls(seed, n, m):
         assert passed[k].tolist() == ref[2][0].tolist()
         assert repr(skips.get(k)) == repr(ref[3].get(0))
         # Taking rows of a block, or one point as a block of one, keeps the bits.
-        for taken in (block.take([k]), curvature_at(f, p[None])):
+        for taken in (block.take([k]), one):
             assert hexes(taken.scalars(*(v[None] for v in vectors))[0]) == hexes(scalars[k])

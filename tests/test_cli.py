@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import circgeo.cli
 import circgeo.connection
 import circgeo.curvature
+import circgeo.fields
 import circgeo.sampling
 from circgeo.cli import (
     DEFAULT_TOLERANCES,
@@ -118,6 +119,20 @@ class TestEval:
         (rec,) = report["records"]
         assert rec["status"] == "skipped"
         assert rec["reason"] == "DependentOrbit"
+        # x alone decides it: it comes before a degenerate or indefinite point's skip.
+        code, report = run_json(
+            tmp_path,
+            "eval", "sectional",
+            "--fields", "paper-example",
+            "--point", "1,1,1",
+            "--point=-1,0,0",
+            "--point", "1.5,1.2,1.3",
+            "--x", "1,1,1",
+        )
+        assert code == 0
+        detail = "orbit of (1.0, 1.0, 1.0) is linearly dependent (cubic = 0.0)"
+        assert [(r["status"], r["reason"], r["detail"]) for r in report["records"]] == [
+            ("skipped", "DependentOrbit", detail)] * 3
 
     def test_sectional_degenerate_section_skipped(self, tmp_path):
         # x and qx are nearly parallel, so the section's Gram determinant is tiny.
@@ -246,16 +261,16 @@ class TestVerify:
         # curvature_at in the CLI and in the curvature module (sectional_curvature
         # and theorem3_check build their own tensor; verify calls neither),
         # christoffel_general in the CLI, the curvature stencil and
-        # metric_compatibility_residual.  A call over an (n, 3) block counts n
+        # metric_compatibility_residual, and domain_check in the CLI, the curvature
+        # stencil, metric_at and the sampler.  A call over an (n, 3) block counts n
         # rows, a call at one point one.  Constant fields add the flat-baseline
         # check, which reads the same tensor.
-        calls = {"curvature_at": [], "christoffel_general": []}
+        made = []  # (name, binding module, rows) of each call, in order
 
-        def counting(name, module):
-            original = getattr(module, name)
-
+        def counting(name, original, binding):
             def wrapper(*args, **kwargs):
-                calls[name].append(len(args[1]) if np.ndim(args[1]) == 2 else 1)
+                points = getattr(args[1], "point", args[1])  # curvature_at takes a record
+                made.append((name, binding, len(points) if np.ndim(points) == 2 else 1))
                 return original(*args, **kwargs)
 
             return wrapper
@@ -266,14 +281,21 @@ class TestVerify:
                 "christoffel_general", circgeo.connection,
                 (circgeo.cli, circgeo.connection, circgeo.curvature),
             ),
+            (
+                "domain_check", circgeo.fields,
+                (circgeo.cli, circgeo.curvature, circgeo.fields, circgeo.sampling),
+            ),
         ):
-            wrapper = counting(name, module)
+            original = getattr(module, name)
             for binding in bindings:
-                monkeypatch.setattr(binding, name, wrapper)
+                monkeypatch.setattr(binding, name, counting(name, original, binding))
+
+        def calls(name, *bindings):
+            """The rows of each call of name, in order, through bindings (default: any)."""
+            return [n for key, via, n in made if key == name and via in (bindings or [via])]
 
         def counted(*argv):
-            for made in calls.values():
-                made.clear()
+            made.clear()
             code, report = run_json(tmp_path, *argv)
             assert code == 0
             return report
@@ -282,12 +304,15 @@ class TestVerify:
             report = counted("verify", "--fields", fields, "--grid", "1.1,1.9,3", "--seed", "7")
             reached = [r for r in report["records"] if r["check"] == "identity-3.2"]
             assert len(reached) == n_reached
-            assert sum(calls["curvature_at"]) == len(reached)
+            assert sum(calls("curvature_at")) == len(reached)
             # The finite-difference stencil takes 7 Christoffel rows per tensor
             # row; each verified point takes 2 more (dual path, compatibility).
             verified = [r for r in report["records"] if r["check"] == "metric-inverse"]
             assert len(verified) == n_reached
-            assert sum(calls["christoffel_general"]) == 7 * len(reached) + 2 * len(verified)
+            assert sum(calls("christoffel_general")) == 7 * len(reached) + 2 * len(verified)
+            # The block's metric is checked once; metric_at checks each verified point.
+            assert calls("domain_check") == [27] + [1] * len(verified)
+            assert calls("domain_check", circgeo.fields) == [1] * len(verified)
 
         # A point whose stencil meets the plane x1 = x3 takes its tensor row like any
         # other: its skip is read from the block's tensor, not from a tensor of its own.
@@ -296,17 +321,30 @@ class TestVerify:
         skipped = {r["point_index"] for r in report["records"] if r["check"] == "identity-3.2"
                    and r["status"] == "skipped"}
         assert skipped == {0}
-        assert calls["curvature_at"] == [3]
-        assert sum(calls["christoffel_general"]) == 7 * 3 + 2 * 3
+        assert calls("curvature_at") == [3]
+        assert sum(calls("christoffel_general")) == 7 * 3 + 2 * 3
+        # Only the skipped row's stencil is checked again, to name its first D ~ 0.
+        assert calls("domain_check", circgeo.cli) == [3]
+        assert calls("domain_check", circgeo.fields) == [1, 1, 1]
+        assert calls("domain_check", circgeo.curvature) == [7]
 
-        # eval builds one tensor block per block of SCAN_BLOCK points.
+        # eval builds one tensor block per block of SCAN_BLOCK points, and checks
+        # the metric of each block once (the sampler checks its draws one by one).
         config = tmp_path / "points.json"
         config.write_text(json.dumps({"n_points": 2500}))
         for what in ("curvature", "sectional"):
             report = counted("eval", what, "--config", str(config), "--fields", QUADRATIC_PAIR)
             assert report["summary"]["pass_count"] == 2500
-            assert calls["curvature_at"] == [1024, 1024, 452]
-            assert sum(calls["christoffel_general"]) == 7 * 2500
+            assert calls("curvature_at") == [1024, 1024, 452]
+            assert sum(calls("christoffel_general")) == 7 * 2500
+            assert calls("domain_check", circgeo.cli, circgeo.curvature, circgeo.fields) == [
+                1024, 1024, 452]
+            assert set(calls("domain_check", circgeo.sampling)) == {1}
+
+        # A scan of 20^3 nodes: 8 blocks, one metric check and one tensor block each.
+        report = counted("scan", "--fields", QUADRATIC_PAIR, "--grid=-1.5,1.5,20")
+        assert report["summary"]["pass_count"] == 8000
+        assert calls("domain_check") == calls("curvature_at") == [1024] * 7 + [832]
 
     def test_error_in_a_block_names_its_first_point(self, capsys):
         # Point 0 passes.  Point 1, in the same block, overflows only in Theorem 3's

@@ -1,3 +1,4 @@
+import json
 import re
 from unittest.mock import patch
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from circgeo import curvature
+from circgeo.cli import main
 from circgeo.circulant import Q_DENSE, CirculantMatrix, circ_mul, Q
 from circgeo.curvature import (
     circ_apply_q2,
@@ -18,22 +20,22 @@ from circgeo.curvature import (
     sections_of,
     theorem3_check,
 )
-from circgeo.errors import (
-    DegenerateMetric,
-    DegenerateSection,
-    DependentOrbit,
-    IndefiniteMetric,
-)
-from circgeo.fields import parse_field_spec, row
+from circgeo.errors import DegenerateMetric, DegenerateSection, DependentOrbit
+from circgeo.fields import domain_check, parse_field_spec, row
 from circgeo.sampling import random_point, random_vector
 from pairs import random_definite_point
 
 FLAT = "A: 2; B: 1"
 
 
+def metric(f, points):
+    """The metric record of an (n, 3) block of points, as the CLI checks a block."""
+    return domain_check(f, np.asarray(points, dtype=float))
+
+
 def at(f, p):
     """The curvature at the point p, as a block of one."""
-    return curvature_at(f, row(p))
+    return curvature_at(f, metric(f, row(p)))
 
 
 def skip(skips, n):
@@ -78,14 +80,18 @@ class TestCurvatureTensor:
         assert np.array_equal(rebuilt, curv.r_down[..., 0])
 
     def test_degenerate_stencil_is_skipped(self, paper_fields):
-        # (1,1,1) is on the degenerate plane x1 = x3: the first point of its stencil
-        # that is degenerate is the point itself.  Next to it, (0.1, 0.05, 0.0999989)
-        # is not, but its stencil point p + h_3 e_3 lies on the plane.
-        curv = curvature_at(paper_fields, [(1, 1, 1), (1.2, 0.5, 0.3), (0.1, 0.05, 0.0999989)])
+        # D is not ~ 0 at any of the three points.  The stencil point p - h_1 e_1 of
+        # (1.0, 0.5, 0.999998) has D ~ 0, and p + h_3 e_3 of (0.1, 0.05, 0.0999989) lies
+        # on the degenerate plane x1 = x3.
+        points = [(1.0, 0.5, 0.999998), (1.2, 0.5, 0.3), (0.1, 0.05, 0.0999989)]
+        block = metric(paper_fields, points)
+        assert not block.degenerate.any()
+        curv = curvature_at(paper_fields, block)
         assert np.isnan(curv.r_up[..., [0, 2]]).all() and np.isnan(curv.r_down[..., [0, 2]]).all()
         assert not np.isnan(curv.r_down[..., 1]).any()
         assert sorted(curv.skips) == [0, 2]
-        assert skip(curv.skips, 0) == ("DegenerateMetric", "D = 0.0 at point (1.0, 1.0, 1.0)")
+        assert skip(curv.skips, 0) == (
+            "DegenerateMetric", "D = 1.3322654979219806e-14 at point (0.999998, 0.5, 0.999998)")
         assert skip(curv.skips, 2) == (
             "DegenerateMetric", "D = 0.0 at point (0.0999989, 0.05, 0.0999989)")
         assert isinstance(curv.skips[0], DegenerateMetric)
@@ -167,22 +173,25 @@ class TestSections:
         detail = "orbit of (1.0, 1.0, 1.0) is linearly dependent (cubic = 0.0)"
         with pytest.raises(DependentOrbit, match=re.escape(detail)):
             sections_of((1, 1, 1))
-        # x alone decides it: every point's skip, the degenerate (1, 1, 1) included.
-        mu, spread, passed, skips, cubic = theorem3_check(
-            paper_fields, [(1, 0, 0), (1, 1, 1)], (1, 1, 1), 1e-6, 1e-9)
-        assert np.isnan(mu).all() and np.isnan(spread).all() and not passed.any()
-        assert cubic is None
-        assert [skip(skips, n) for n in (0, 1)] == [("DependentOrbit", detail)] * 2
+        # x alone decides it, before any tensor is built.
+        with patch.object(curvature, "curvature_at", side_effect=AssertionError("built")):
+            with pytest.raises(DependentOrbit, match=re.escape(detail)):
+                theorem3_check(paper_fields, metric(paper_fields, [(1, 0, 0)]), (1, 1, 1),
+                               1e-6, 1e-9)
 
-    def test_sections_indefinite_metric(self):
+    def test_sections_indefinite_metric(self, tmp_path):
+        # Where g is indefinite, mu does not apply: the command skips the point and
+        # hands the curvature layer only the rows where g is definite.
         f = parse_field_spec("A: 0; B: 1")
-        expected = ("IndefiniteMetric", "metric not positive definite at (0.0, 0.0, 0.0)")
-        mu, spread, passed, skips, cubic = theorem3_check(f, [(0, 0, 0)], (1, 2, 3), 1e-6, 1e-9)
-        assert np.isnan(mu).all() and np.isnan(spread).all() and not passed.any()
-        assert cubic == -18.0 and skip(skips, 0) == expected
-        mu, skips = sectional_curvature(f, [(0, 0, 0)], (1, 2, 3), (3, 1, 2))
-        assert np.isnan(mu).all() and skip(skips, 0) == expected
-        assert isinstance(skips[0], IndefiniteMetric)
+        assert metric(f, [(0, 0, 0)]).definite.tolist() == [False]
+        out = tmp_path / "r.json"
+        with patch.object(curvature, "curvature_at", wraps=curvature.curvature_at) as built:
+            assert main(["eval", "sectional", "--fields", "A: 0; B: 1", "--point", "0,0,0",
+                         "--out", str(out)]) == 0
+        assert [call.args[1].point.shape for call in built.call_args_list] == [(0, 3)]
+        (rec,) = json.loads(out.read_text())["records"]
+        assert (rec["status"], rec["reason"], rec["detail"]) == (
+            "skipped", "IndefiniteMetric", "metric not positive definite at (0.0, 0.0, 0.0)")
 
     def test_section_gram_positive(self, paper_fields, rng):
         for _ in range(20):
@@ -202,18 +211,18 @@ class TestSections:
 class TestSectionalCurvature:
     def test_flat_sections_zero(self):
         f = parse_field_spec(FLAT)
-        mu, skips = sectional_curvature(f, [(0, 0, 0)], (1, 0, 0), (0, 1, 0))
+        mu, skips = sectional_curvature(f, metric(f, [(0, 0, 0)]), (1, 0, 0), (0, 1, 0))
         assert abs(mu[0]) <= 1e-10 and not skips
 
     def test_scaling_invariance(self, paper_fields):
-        p = [(1, 0, 0)]
+        p = metric(paper_fields, [(1, 0, 0)])
         u, v = np.array([1.0, 2.0, 3.0]), np.array([0.0, 1.0, -1.0])
         (mu1,), _ = sectional_curvature(paper_fields, p, u, v)
         (mu2,), _ = sectional_curvature(paper_fields, p, 2 * u, v)
         assert abs(mu1 - mu2) <= 1e-9 * abs(mu1) + 1e-12
 
     def test_basis_change_invariance(self, paper_fields, rng):
-        p = [(1, 0, 0)]
+        p = metric(paper_fields, [(1, 0, 0)])
         u, v = np.array([1.0, 2.0, 3.0]), np.array([0.0, 1.0, -1.0])
         (mu,), _ = sectional_curvature(paper_fields, p, u, v)
         # Ill-conditioned basis changes amplify the FD symmetry defect of the
@@ -229,10 +238,15 @@ class TestSectionalCurvature:
             done += 1
 
     def test_degenerate_section_is_skipped(self, paper_fields):
-        mu, skips = sectional_curvature(paper_fields, [(-1, 0, 0), (1, 0, 0)], (1, 2, 3), (2, 4, 6))
+        points = [(0.1, 0.05, 0.0999989), (1, 0, 0)]
+        block = metric(paper_fields, points)
+        assert block.definite.tolist() == [True, True]
+        mu, skips = sectional_curvature(paper_fields, block, (1, 2, 3), (2, 4, 6))
         assert np.isnan(mu).all() and sorted(skips) == [0, 1]
-        # g is indefinite at (-1, 0, 0), which is found first.
-        assert skip(skips, 0) == ("IndefiniteMetric", "metric not positive definite at (-1.0, 0.0, 0.0)")
+        # The stencil of (0.1, 0.05, 0.0999989) meets the plane x1 = x3, which is found
+        # before the section.
+        assert skip(skips, 0) == (
+            "DegenerateMetric", "D = 0.0 at point (0.0999989, 0.05, 0.0999989)")
         assert skip(skips, 1) == ("DegenerateSection", "Gram determinant 0.0 too small for pair"
                                   " ((1.0, 2.0, 3.0), (2.0, 4.0, 6.0))")
         assert isinstance(skips[1], DegenerateSection)
@@ -241,22 +255,22 @@ class TestSectionalCurvature:
         x = np.array([1.0, 2.0, 3.0])
         qx = Q_DENSE @ x
         with patch.object(curvature, "FD_STEP", 1e-5):
-            (mu1,), _ = sectional_curvature(paper_fields, [(1, 0, 0)], x, qx)
+            (mu1,), _ = sectional_curvature(paper_fields, metric(paper_fields, [(1, 0, 0)]), x, qx)
         with patch.object(curvature, "FD_STEP", 5e-6):
-            (mu2,), _ = sectional_curvature(paper_fields, [(1, 0, 0)], x, qx)
+            (mu2,), _ = sectional_curvature(paper_fields, metric(paper_fields, [(1, 0, 0)]), x, qx)
         assert abs(mu1 - mu2) <= 1e-6 * abs(mu1)
 
 
 class TestTheorem3:
     def test_paper_point_spread(self, paper_fields):
         (mu,), (spread,), (passed,), skips, _ = theorem3_check(
-            paper_fields, [(1, 0, 0)], (1, 2, 3), 1e-6, 1e-9)
+            paper_fields, metric(paper_fields, [(1, 0, 0)]), (1, 2, 3), 1e-6, 1e-9)
         assert passed and not skips
         assert spread <= 1e-6 * max(abs(m) for m in mu) + 1e-9
 
     def test_flat_spread_zero(self):
         f = parse_field_spec(FLAT)
-        (mu,), (spread,), _, _, _ = theorem3_check(f, [(0, 0, 0)], (1, 2, 3), 1e-6, 1e-9)
+        (mu,), (spread,), _, _, _ = theorem3_check(f, metric(f, [(0, 0, 0)]), (1, 2, 3), 1e-6, 1e-9)
         assert mu.tolist() == pytest.approx([0.0, 0.0, 0.0], abs=1e-10)
         assert spread <= 1e-10
 
@@ -269,6 +283,6 @@ class TestTheorem3:
                 if abs(independence_cubic(x)) <= 0.1 * np.linalg.norm(x) ** 3:
                     continue
                 (mu,), (spread,), (passed,), _, _ = theorem3_check(
-                    paper_fields, [p], x, 1e-6, 1e-9)
+                    paper_fields, metric(paper_fields, [p]), x, 1e-6, 1e-9)
                 assert passed, (p, x, spread, mu)
                 done += 1

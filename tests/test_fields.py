@@ -233,11 +233,12 @@ class TestDomainAndMetric:
         assert status.degenerate
         assert status.d == 0.0
 
-    def test_degenerate_record_has_no_inverse(self, paper_fields):
-        m = domain_check(paper_fields, (1, 1, 1))
-        assert m.degenerate
-        assert m.g.triple() == (6.0, 6.0, 6.0)
-        assert m.g_inv is None
+    def test_take_is_the_record_of_the_rows(self, paper_fields):
+        block = np.array([(1, 0, 0), (1, 1, 1), (-1, 0, 0), (1.2, 0.5, 0.3)], dtype=float)
+        taken = domain_check(paper_fields, block).take([3, 1])
+        alone = domain_check(paper_fields, block[[3, 1]])
+        for name, value in vars(alone).items():
+            assert getattr(taken, name).tolist() == value.tolist()
 
     def test_indefinite_but_nondegenerate(self):
         f = parse_field_spec("A: 0; B: 1")

@@ -16,6 +16,7 @@ put every kind of curvature skip in one block, each with its detail.
 import csv
 import io
 import json
+import tempfile
 from collections import Counter
 from pathlib import Path
 
@@ -150,10 +151,19 @@ def test_numeric_diff_counts_moved_values_per_key():
 if __name__ == "__main__":
     # PYTHONPATH=src python tests/test_golden.py rewrites every golden file with the CLI
     # of this checkout, and prints the numeric diff of each whose bytes changed; review
-    # the diff before committing it.
-    for _name, _argv in CASES.items():
-        _old = (GOLDEN / _name).read_text()
-        if main([*_argv, "--out", str(GOLDEN / _name)]) != 0:
-            raise SystemExit(f"{_name}: the CLI did not exit 0")
-        for _line in numeric_diff(_name, _old, (GOLDEN / _name).read_text()):
-            print(_line)
+    # the diff before committing it.  Each report is written to a temporary directory
+    # first: a golden is replaced only when its run exits 0, and the run goes on to the
+    # others, then exits 1 naming those it left as they were.
+    _failed = []
+    with tempfile.TemporaryDirectory() as _tmp:
+        for _name, _argv in CASES.items():
+            _out = Path(_tmp) / _name
+            if main([*_argv, "--out", str(_out)]) != 0:
+                _failed.append(_name)
+                continue
+            _old = (GOLDEN / _name).read_text()
+            (GOLDEN / _name).write_bytes(_out.read_bytes())
+            for _line in numeric_diff(_name, _old, _out.read_text()):
+                print(_line)
+    if _failed:
+        raise SystemExit(f"the CLI did not exit 0, golden left as it was: {', '.join(_failed)}")

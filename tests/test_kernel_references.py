@@ -137,8 +137,12 @@ def new_closed(f, p):
 
 
 def new_curvature(f, p):
-    """The tensors at p as a block of one, or the skip of a row that is all NaN."""
-    curv = curvature_at(f, np.asarray(p, dtype=float)[None])
+    """The tensors at p as a block of one, or the skip of p where D ~ 0 there, as the
+    commands skip it, or of a row that is all NaN."""
+    metric = domain_check(f, np.asarray(p, dtype=float)[None])
+    if metric.degenerate[0]:
+        raise degenerate_metric(metric.d[0], p)
+    curv = curvature_at(f, metric)
     if 0 in curv.skips:
         assert np.isnan(curv.r_up).all() and np.isnan(curv.r_down).all()
         raise curv.skips[0]
@@ -226,7 +230,7 @@ def old_cmd_scan(config):
         row["mu_e1"] = None
         if not m.degenerate and m.definite:
             with cli._in_range(p):
-                (mu,), skips = sectional_curvature(f, [p], config.x, qx)
+                (mu,), skips = sectional_curvature(f, domain_check(f, [p]), config.x, qx)
             assert bool(skips) == bool(np.isnan(mu))
             if not skips:
                 row["mu_e1"] = float(mu)
