@@ -16,6 +16,7 @@ import os
 import sys
 from contextlib import contextmanager
 from functools import partial
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -38,10 +39,16 @@ from .curvature import (
     residual_scales,
     sections_of,
     sectional_curvature,
-    theorem3_check,
 )
 from .errors import ConfigError, DependentOrbit, IndefiniteMetric, ParseError, PointSkipped
-from .fields import FieldPair, MetricAtPoint, degenerate_metric, domain_check, parse_field_spec
+from .fields import (
+    FieldPair,
+    MetricAtPoint,
+    degenerate_metric,
+    domain_check,
+    parse_field_spec,
+    row,
+)
 
 DEFAULT_TOLERANCES = {
     "dual_path": 1e-9,
@@ -250,19 +257,23 @@ def _is_constant(f: FieldPair) -> bool:
 def cmd_eval(config: RunConfig, what: str) -> dict:
     f = _build_fields(config)
     points = resolve_points(config, f, np.random.default_rng(config.seed))
-    return _assemble(config, _in_blocks(points, SCAN_BLOCK, partial(_eval_block, config, f, what)))
-
-
-def _eval_block(config: RunConfig, f: FieldPair, what: str, start: int, block: list) -> list[dict]:
-    """The records of consecutive points, the first of index start, from array kernels over
-    the whole block: what at each point, or the skip of the point or of a point it needs.
-    Nothing is computed where D ~ 0, nor mu where g is indefinite."""
+    cubic = None
     if what == "sectional":
         try:
-            sections_of(config.x)
+            cubic = sections_of(config.x)
         except DependentOrbit as exc:  # of x alone: every point's skip, whatever its metric
-            return [_record(what, start + n, p, "skipped", reason=type(exc).__name__,
-                            detail=str(exc)) for n, p in enumerate(block)]
+            return _assemble(config, [_record(what, n, p, "skipped", reason=type(exc).__name__,
+                                              detail=str(exc)) for n, p in enumerate(points)])
+    work = partial(_eval_block, config, f, what, cubic)
+    return _assemble(config, _in_blocks(points, SCAN_BLOCK, work))
+
+
+def _eval_block(config: RunConfig, f: FieldPair, what: str, cubic: float | None, start: int,
+                block: list) -> list[dict]:
+    """The records of consecutive points, the first of index start, from array kernels over
+    the whole block: what at each point, or the skip of the point or of a point it needs.
+    Nothing is computed where D ~ 0, nor mu where g is indefinite, nor over no points.
+    cubic is config.x's independence cubic, which sectional records report, else None."""
     x = np.array(block)
     m = domain_check(f, x)
     applies = ~m.degenerate & (m.definite if what == "sectional" else True)
@@ -272,7 +283,9 @@ def _eval_block(config: RunConfig, f: FieldPair, what: str, start: int, block: l
              for n in np.flatnonzero(~applies).tolist()}
     metric = m.take(rows)
     found = {}  # the skips the curvature layer finds, by row of metric
-    if what == "metric":
+    if not len(rows):
+        values = []
+    elif what == "metric":
         with np.errstate(over="ignore"):  # Python float rules, for _finite_records
             inverse = metric.g_inv
         columns = zip(*(v.tolist() for v in (metric.a, metric.b, metric.d, metric.definite,
@@ -285,11 +298,13 @@ def _eval_block(config: RunConfig, f: FieldPair, what: str, start: int, block: l
         values = [{"max_abs": top, "r_down": r} for top, r in
                   zip(curv.max_abs.tolist(), np.moveaxis(curv.r_down, -1, 0).tolist())]
     elif what == "sectional":
-        mu, spread, passed, found, cubic = theorem3_check(
-            f, metric, config.x, config.tol("spread_rel"), config.tol("spread_abs"))
+        mu, spread, passed, found = orbit_spreads(
+            curvature_at(f, metric), row(config.x), config.tol("spread_rel"),
+            config.tol("spread_abs"))
         values = [{"status": "pass" if ok else "fail", "mu": three, "spread": s,
                    "independence": cubic}
-                  for three, s, ok in zip(mu.tolist(), spread.tolist(), passed.tolist())]
+                  for three, s, ok in zip(mu[:, 0].tolist(), spread[:, 0].tolist(),
+                                          passed[:, 0].tolist())]
     elif what == "christoffel":
         gamma = christoffel_general(f, metric.point)
         values = [{"gamma": g} for g in np.moveaxis(gamma, -1, 0).tolist()]
@@ -534,8 +549,104 @@ def _assemble(config: RunConfig, records: list[dict]) -> dict:
 
 
 def render_json(report: dict, fh) -> None:
-    json.dump(report, fh, sort_keys=True, indent=2, allow_nan=False)
-    fh.write("\n")
+    """Write report as json.dump(report, fh, sort_keys=True, indent=2, allow_nan=False)
+    does, byte for byte, then a newline; raise what it raises: ValueError for a NaN or
+    infinite float, TypeError for a value or key JSON has no form for.  report must be a
+    tree: a value that contains itself exhausts the recursion limit.
+
+    A dict's non-empty list members are written an item at a time, after one write of
+    all that comes before: a report takes a write for its head, one per record and one
+    for its summary, and its text is never held whole."""
+    encode = _json_encoder()
+    if not isinstance(report, dict) or not report:
+        fh.write(encode(report, 0) + "\n")
+        return
+    text = "{"
+    for n, (key, value) in enumerate(sorted(report.items())):
+        text += f"{',' if n else ''}\n  {_json_key(key)}: "
+        if isinstance(value, (list, tuple)) and value:
+            fh.write(text + "[")
+            for m, item in enumerate(value):
+                fh.write(f"{',' if m else ''}\n    {encode(item, 2)}")
+            text = "\n  ]"
+        else:
+            text += encode(value, 1)
+    fh.write(text + "\n}\n")
+
+
+def _json_encoder():
+    """encode(o, level): the text render_json writes for o nested level deep.
+
+    Finite floats and dicts of str keys are dispatched on their exact type.  Such a dict
+    is written through its layout, cached for the encoder's life by its level and its
+    keys in order: its keys sorted, and a %-template of its lines.  Anything else follows
+    json's own rules: float, int and str subclasses, tuples as lists, other dicts and keys."""
+    layouts = {}
+    isfinite = math.isfinite
+
+    def encode(o, level: int) -> str:
+        t = type(o)
+        if t is float and isfinite(o):
+            return repr(o)
+        if t is dict and o:
+            layout = layouts.get((level, *o))
+            if layout is None and all(type(k) is str for k in o):
+                keys = sorted(o)
+                inner = "\n" + "  " * (level + 1)
+                lines = ",".join(inner + encode_basestring_ascii(k).replace("%", "%%") + ": %s"
+                                 for k in keys)
+                layout = layouts[(level, *o)] = keys, "{" + lines + "\n" + "  " * level + "}"
+            if layout is not None:
+                keys, template = layout
+                values = map(o.__getitem__, keys)
+                # Finite floats, most of a report's values, are written without a call.
+                return template % tuple([repr(v) if type(v) is float and isfinite(v)
+                                         else encode(v, level + 1) for v in values])
+        if isinstance(o, str):
+            return encode_basestring_ascii(o)
+        if isinstance(o, (list, tuple)):  # before numbers, unlike json: no type is both
+            items = [repr(v) if type(v) is float and isfinite(v) else encode(v, level + 1)
+                     for v in o]
+            brackets = "[]"
+        elif isinstance(o, dict):
+            items = [f"{_json_key(k)}: {encode(v, level + 1)}" for k, v in sorted(o.items())]
+            brackets = "{}"
+        else:
+            text = _json_scalar(o)
+            if text is None:
+                raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+            return text
+        if not items:
+            return brackets
+        inner = "\n" + "  " * (level + 1)
+        return brackets[0] + inner + ("," + inner).join(items) + "\n" + "  " * level + brackets[1]
+
+    return encode
+
+
+def _json_scalar(o) -> str | None:
+    """json's text of None, a bool, an int or a float (or an int or float subclass), else None."""
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        if math.isfinite(o):
+            return float.__repr__(o)
+        raise ValueError(f"Out of range float values are not JSON compliant: {o!r}")
+    return None
+
+
+def _json_key(key) -> str:
+    """A dict key as json writes it: a str, or a scalar's text, quoted."""
+    text = key if isinstance(key, str) else _json_scalar(key)
+    if text is None:
+        raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+    return encode_basestring_ascii(text)
 
 
 def render_csv(report: dict, fh) -> None:

@@ -184,7 +184,7 @@ def sections_of(x) -> float:
     if abs(independence_cubic(unit)) <= 1e-12 * float(np.linalg.norm(unit)) ** 3:
         raise DependentOrbit(
             f"orbit of {tuple(x.tolist())} is linearly dependent (cubic = {cubic})")
-    return cubic
+    return float(cubic)
 
 
 def _gram_terms(metric: MetricAtPoint, u, v) -> tuple[np.ndarray, np.ndarray]:

@@ -60,6 +60,10 @@ class Polynomial:
         """The value and the three partials, compiled once as one function."""
         return _compile((self.terms, *(self.partial(k).terms for k in range(3))))
 
+    def __getstate__(self) -> dict:
+        """The terms alone: _value and _jet, once cached, are closures that do not pickle."""
+        return {"terms": self.terms}
+
     def gradient(self, p) -> np.ndarray:
         return np.array(self._jet(*_arguments(p))[1:])
 

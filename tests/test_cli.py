@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -597,6 +598,152 @@ def test_render_json_never_holds_the_document(tmp_path):
             tracemalloc.stop()
     # json.dumps would hold the whole text, and its pieces, at once.
     assert peak < out.stat().st_size / 2
+
+
+def stdlib_json(report) -> str:
+    """The text json.dump writes for a report with render_json's options, and its newline."""
+    return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def rendered(report) -> str:
+    fh = io.StringIO()
+    render_json(report, fh)
+    return fh.getvalue()
+
+
+class Real(float):
+    def __repr__(self):  # json writes float.__repr__, as for any float subclass
+        return "Real"
+
+
+class Whole(int):
+    def __repr__(self):  # as an IntEnum's repr is not its value
+        return "Whole"
+
+
+class Text(str):
+    pass
+
+
+# Keys shared by many dicts, so that their layouts are cached and reused; '%' is
+# special in a layout's template.
+LAYOUT_KEYS = st.sampled_from(["check", "point", "status", "%s", "a%", "\u00e9", "z\n"])
+SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),  # past 64 bits too
+    st.integers().map(Whole),
+    st.sampled_from([0.0, -0.0, 5e-324, 1e16, 1e-7, 1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(allow_nan=False, allow_infinity=False).map(Real),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+    st.text(st.characters(exclude_categories=())),  # control characters and lone surrogates
+    st.text().map(Text),
+)
+JSON_VALUES = st.recursive(
+    SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(LAYOUT_KEYS | st.text(max_size=3), inner, max_size=4),
+        st.dictionaries(st.text(max_size=3).map(Text), inner, max_size=2),
+        # Keys json converts: numbers and bools sort together, None sorts alone.
+        st.dictionaries(st.integers() | st.booleans()
+                        | st.floats(allow_nan=False, allow_infinity=False), inner, max_size=3),
+        st.dictionaries(st.none(), inner, max_size=1),
+    ),
+    max_leaves=12,
+)
+RECORDS = st.lists(st.dictionaries(LAYOUT_KEYS, JSON_VALUES, max_size=5), max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    JSON_VALUES,
+    st.fixed_dictionaries({"config": JSON_VALUES, "records": RECORDS, "summary": JSON_VALUES}),
+    st.dictionaries(LAYOUT_KEYS, RECORDS | JSON_VALUES, max_size=4),
+    st.dictionaries(st.integers(), RECORDS | JSON_VALUES, max_size=3),
+))
+def test_render_json_writes_what_json_dump_writes(report):
+    assert rendered(report) == stdlib_json(report)
+
+
+@pytest.mark.parametrize("report", [
+    float("nan"),
+    {"config": {}, "records": [{"mu": [1.0, float("inf")]}], "summary": {}},
+    [{"a": -float("inf")}],
+    {"a": (np.float64("nan"),)},
+    {float("nan"): 1},
+    {"records": [{"x": object()}]},
+    {"a": {1, 2}},
+    [b"bytes"],
+    {"a": np.int64(1)},
+    {"a": {(1, 2): 3}},
+    {1: float("nan"), Fraction(3, 2): 0},  # json reads the first key, then its value
+], ids=["nan", "inf-in-record", "minus-inf", "numpy-nan", "nan-key", "object-in-record",
+        "set", "bytes", "numpy-int", "tuple-key", "value-before-next-key"])
+def test_render_json_raises_what_json_dump_raises(report):
+    with pytest.raises((TypeError, ValueError)) as expected:
+        stdlib_json(report)
+    with pytest.raises(expected.type) as got:
+        rendered(report)
+    assert (type(got.value), str(got.value)) == (expected.type, str(expected.value))
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize("name", sorted(
+    p.name for p in GOLDEN.glob("*.json") if not p.name.endswith(".config.json")))
+def test_golden_reports_are_in_the_stdlib_format(name):
+    # The goldens pin json.dump's format, not render_json's.
+    text = (GOLDEN / name).read_text(encoding="utf-8")
+    assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+
+
+def report_of(argv: list[str]) -> dict:
+    """The report a command builds, in-process, before it is rendered."""
+    args = build_parser().parse_args(argv)
+    config = config_from_args(args)
+    if args.command == "eval":
+        return circgeo.cli.cmd_eval(config, args.what)
+    return circgeo.cli.cmd_verify(config) if args.command == "verify" else cmd_scan(config)
+
+
+def value_types(value):
+    """The exact type of value and of everything in it; ("key", type) for a dict's keys."""
+    yield type(value)
+    if isinstance(value, dict):
+        for k, v in value.items():
+            yield "key", type(k)
+            yield from value_types(v)
+    elif isinstance(value, (list, tuple)):
+        for v in value:
+            yield from value_types(v)
+
+
+# A definite point, points on the planes x1 = x2 and x1 = x3 (one near it, whose
+# curvature stencil meets it) and an indefinite point.
+_POINTS = ["--point", "1.2,0.5,0.3", "--point", "1,1,1", "--point", "0.1,0.05,0.0999989",
+           "--point=-1,0,0"]
+
+
+@pytest.mark.parametrize("argv", [
+    *(["eval", what, "--fields", "paper-example", *_POINTS]
+      for what in ("metric", "christoffel", "nabla-q", "curvature", "sectional")),
+    ["eval", "sectional", "--fields", "paper-example", "--x", "1,1,1", *_POINTS],
+    ["verify", "--fields", "paper-example", "--grid", "1.1,1.9,3", "--seed", "7"],
+    ["verify", "--fields", "A: 2; B: 1", "--point", "1,2,3", "--seed", "1"],
+    ["verify", "--fields", QUADRATIC_PAIR, "--seed", "5"],
+    ["scan", "--fields", "paper-example", "--grid=-1,1.5,3"],
+], ids=[*(f"eval-{what}" for what in ("metric", "christoffel", "nabla-q", "curvature",
+                                       "sectional")),
+        "eval-sectional-dependent-orbit", "verify-grid", "verify-constant", "verify-sampled",
+        "scan"])
+def test_report_values_have_exact_builtin_types(argv):
+    # numpy scalars render as json renders their builtin values, but a report holds none.
+    assert set(value_types(report_of(argv))) <= {
+        dict, list, str, int, float, bool, type(None), ("key", str)}
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"

@@ -5,7 +5,7 @@ from unittest.mock import patch
 import numpy as np
 import pytest
 
-from circgeo import curvature
+from circgeo import cli, curvature
 from circgeo.cli import main
 from circgeo.circulant import Q_DENSE, CirculantMatrix, circ_mul, Q
 from circgeo.curvature import (
@@ -181,17 +181,20 @@ class TestSections:
 
     def test_sections_indefinite_metric(self, tmp_path):
         # Where g is indefinite, mu does not apply: the command skips the point and
-        # hands the curvature layer only the rows where g is definite.
+        # hands the curvature layer only the rows where g is definite, and a block
+        # with none builds no tensor at all.
         f = parse_field_spec("A: 0; B: 1")
-        assert metric(f, [(0, 0, 0)]).definite.tolist() == [False]
+        assert metric(f, [(0, 0, 0), (1, 2, 3)]).definite.tolist() == [False, False]
         out = tmp_path / "r.json"
-        with patch.object(curvature, "curvature_at", wraps=curvature.curvature_at) as built:
+        with patch.object(curvature, "curvature_at", wraps=curvature.curvature_at) as built, \
+                patch.object(cli, "curvature_at", built):
             assert main(["eval", "sectional", "--fields", "A: 0; B: 1", "--point", "0,0,0",
-                         "--out", str(out)]) == 0
-        assert [call.args[1].point.shape for call in built.call_args_list] == [(0, 3)]
-        (rec,) = json.loads(out.read_text())["records"]
-        assert (rec["status"], rec["reason"], rec["detail"]) == (
-            "skipped", "IndefiniteMetric", "metric not positive definite at (0.0, 0.0, 0.0)")
+                         "--point", "1,2,3", "--out", str(out)]) == 0
+        assert built.call_args_list == []
+        records = json.loads(out.read_text())["records"]
+        assert [(r["status"], r["reason"], r["detail"]) for r in records] == [
+            ("skipped", "IndefiniteMetric", f"metric not positive definite at {p}")
+            for p in ("(0.0, 0.0, 0.0)", "(1.0, 2.0, 3.0)")]
 
     def test_section_gram_positive(self, paper_fields, rng):
         for _ in range(20):

@@ -1,3 +1,4 @@
+import pickle
 from fractions import Fraction
 from math import prod
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import exact
+from pairs import CUBIC_PAIR
 from circgeo.errors import DegenerateMetric, ParseError
 from circgeo.fields import (
     BUILTIN_FIELDS,
@@ -232,6 +234,20 @@ class TestDomainAndMetric:
         status = domain_check(paper_fields, (1, 1, 1))
         assert status.degenerate
         assert status.d == 0.0
+
+    def test_field_pair_pickles_after_evaluation(self):
+        # Evaluation caches compiled functions on each Polynomial; a pickle drops them,
+        # and the copy compiles its own on first use.
+        f = parse_field_spec(CUBIC_PAIR)
+        x = np.array([[0.3, -1.2, 0.7], [1.5, 0.25, -2.0], [1.0, 1.0, 1.0]])
+        before = domain_check(f, x)
+        grads = field_grad(f, x[0])
+        copy = pickle.loads(pickle.dumps(f))
+        assert copy == f
+        after = domain_check(copy, x)
+        for name in ("a", "b", "d", "degenerate", "definite"):
+            assert getattr(after, name).tolist() == getattr(before, name).tolist()
+        assert [g.tolist() for g in field_grad(copy, x[0])] == [g.tolist() for g in grads]
 
     def test_take_is_the_record_of_the_rows(self, paper_fields):
         block = np.array([(1, 0, 0), (1, 1, 1), (-1, 0, 0), (1.2, 0.5, 0.3)], dtype=float)
