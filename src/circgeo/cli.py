@@ -39,16 +39,10 @@ from .curvature import (
     residual_scales,
     sections_of,
     sectional_curvature,
+    theorem3_check,
 )
 from .errors import ConfigError, DependentOrbit, IndefiniteMetric, ParseError, PointSkipped
-from .fields import (
-    FieldPair,
-    MetricAtPoint,
-    degenerate_metric,
-    domain_check,
-    parse_field_spec,
-    row,
-)
+from .fields import FieldPair, MetricAtPoint, degenerate_metric, domain_check, parse_field_spec
 
 DEFAULT_TOLERANCES = {
     "dual_path": 1e-9,
@@ -257,23 +251,20 @@ def _is_constant(f: FieldPair) -> bool:
 def cmd_eval(config: RunConfig, what: str) -> dict:
     f = _build_fields(config)
     points = resolve_points(config, f, np.random.default_rng(config.seed))
-    cubic = None
     if what == "sectional":
         try:
-            cubic = sections_of(config.x)
+            sections_of(config.x)
         except DependentOrbit as exc:  # of x alone: every point's skip, whatever its metric
             return _assemble(config, [_record(what, n, p, "skipped", reason=type(exc).__name__,
                                               detail=str(exc)) for n, p in enumerate(points)])
-    work = partial(_eval_block, config, f, what, cubic)
-    return _assemble(config, _in_blocks(points, SCAN_BLOCK, work))
+    return _assemble(config, _in_blocks(points, SCAN_BLOCK, partial(_eval_block, config, f, what)))
 
 
-def _eval_block(config: RunConfig, f: FieldPair, what: str, cubic: float | None, start: int,
-                block: list) -> list[dict]:
+def _eval_block(config: RunConfig, f: FieldPair, what: str, start: int, block: list) -> list[dict]:
     """The records of consecutive points, the first of index start, from array kernels over
     the whole block: what at each point, or the skip of the point or of a point it needs.
     Nothing is computed where D ~ 0, nor mu where g is indefinite, nor over no points.
-    cubic is config.x's independence cubic, which sectional records report, else None."""
+    For sectional, cmd_eval has checked that config.x admits the sections."""
     x = np.array(block)
     m = domain_check(f, x)
     applies = ~m.degenerate & (m.definite if what == "sectional" else True)
@@ -298,13 +289,11 @@ def _eval_block(config: RunConfig, f: FieldPair, what: str, cubic: float | None,
         values = [{"max_abs": top, "r_down": r} for top, r in
                   zip(curv.max_abs.tolist(), np.moveaxis(curv.r_down, -1, 0).tolist())]
     elif what == "sectional":
-        mu, spread, passed, found = orbit_spreads(
-            curvature_at(f, metric), row(config.x), config.tol("spread_rel"),
-            config.tol("spread_abs"))
+        mu, spread, passed, found, cubic = theorem3_check(
+            f, metric, config.x, config.tol("spread_rel"), config.tol("spread_abs"))
         values = [{"status": "pass" if ok else "fail", "mu": three, "spread": s,
                    "independence": cubic}
-                  for three, s, ok in zip(mu[:, 0].tolist(), spread[:, 0].tolist(),
-                                          passed[:, 0].tolist())]
+                  for three, s, ok in zip(mu.tolist(), spread.tolist(), passed.tolist())]
     elif what == "christoffel":
         gamma = christoffel_general(f, metric.point)
         values = [{"gamma": g} for g in np.moveaxis(gamma, -1, 0).tolist()]
@@ -552,19 +541,20 @@ def render_json(report: dict, fh) -> None:
     """Write report as json.dump(report, fh, sort_keys=True, indent=2, allow_nan=False)
     does, byte for byte, then a newline; raise what it raises: ValueError for a NaN or
     infinite float, TypeError for a value or key JSON has no form for.  report must be a
-    tree: a value that contains itself exhausts the recursion limit.
+    tree: a list or dict of exact type that contains itself exhausts the recursion limit.
 
-    A dict's non-empty list members are written an item at a time, after one write of
-    all that comes before: a report takes a write for its head, one per record and one
-    for its summary, and its text is never held whole."""
+    The non-empty list members of a dict of str keys are written an item at a time, after
+    one write of all that comes before: a report takes a write for its head, one per
+    record and one for its summary, and its text is never held whole."""
     encode = _json_encoder()
-    if not isinstance(report, dict) or not report:
+    if type(report) is not dict or not report or not all(type(k) is str for k in report):
         fh.write(encode(report, 0) + "\n")
         return
     text = "{"
-    for n, (key, value) in enumerate(sorted(report.items())):
-        text += f"{',' if n else ''}\n  {_json_key(key)}: "
-        if isinstance(value, (list, tuple)) and value:
+    for n, key in enumerate(sorted(report)):
+        value = report[key]
+        text += f"{',' if n else ''}\n  {encode_basestring_ascii(key)}: "
+        if type(value) is list and value:
             fh.write(text + "[")
             for m, item in enumerate(value):
                 fh.write(f"{',' if m else ''}\n    {encode(item, 2)}")
@@ -575,78 +565,43 @@ def render_json(report: dict, fh) -> None:
 
 
 def _json_encoder():
-    """encode(o, level): the text render_json writes for o nested level deep.
+    """encode(o, level): the text of o in render_json's format, its lines after the first
+    indented level steps deeper.
 
-    Finite floats and dicts of str keys are dispatched on their exact type.  Such a dict
-    is written through its layout, cached for the encoder's life by its level and its
-    keys in order: its keys sorted, and a %-template of its lines.  Anything else follows
-    json's own rules: float, int and str subclasses, tuples as lists, other dicts and keys."""
+    Values of exact builtin types, all a report holds, are written here: a dict of str
+    keys through its layout, cached for the encoder's life by its level and its keys in
+    order (its keys sorted and a %-template of its lines).  Anything else, a NaN or a
+    float subclass say, is left to json.dumps."""
     layouts = {}
     isfinite = math.isfinite
 
     def encode(o, level: int) -> str:
         t = type(o)
-        if t is float and isfinite(o):
+        if t is float and isfinite(o) or t is int:
             return repr(o)
+        if t is str:
+            return encode_basestring_ascii(o)
+        if t is bool or o is None:
+            return "null" if o is None else "true" if o else "false"
         if t is dict and o:
             layout = layouts.get((level, *o))
             if layout is None and all(type(k) is str for k in o):
-                keys = sorted(o)
                 inner = "\n" + "  " * (level + 1)
+                keys = sorted(o)
                 lines = ",".join(inner + encode_basestring_ascii(k).replace("%", "%%") + ": %s"
                                  for k in keys)
                 layout = layouts[(level, *o)] = keys, "{" + lines + "\n" + "  " * level + "}"
             if layout is not None:
                 keys, template = layout
-                values = map(o.__getitem__, keys)
-                # Finite floats, most of a report's values, are written without a call.
-                return template % tuple([repr(v) if type(v) is float and isfinite(v)
-                                         else encode(v, level + 1) for v in values])
-        if isinstance(o, str):
-            return encode_basestring_ascii(o)
-        if isinstance(o, (list, tuple)):  # before numbers, unlike json: no type is both
-            items = [repr(v) if type(v) is float and isfinite(v) else encode(v, level + 1)
-                     for v in o]
-            brackets = "[]"
-        elif isinstance(o, dict):
-            items = [f"{_json_key(k)}: {encode(v, level + 1)}" for k, v in sorted(o.items())]
-            brackets = "{}"
-        else:
-            text = _json_scalar(o)
-            if text is None:
-                raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
-            return text
-        if not items:
-            return brackets
-        inner = "\n" + "  " * (level + 1)
-        return brackets[0] + inner + ("," + inner).join(items) + "\n" + "  " * level + brackets[1]
+                return template % tuple([encode(o[k], level + 1) for k in keys])
+        elif t is list and o:
+            inner = "\n" + "  " * (level + 1)
+            items = ("," + inner).join([encode(v, level + 1) for v in o])
+            return "[" + inner + items + "\n" + "  " * level + "]"
+        text = json.dumps(o, sort_keys=True, indent=2, allow_nan=False)
+        return text.replace("\n", "\n" + "  " * level)  # json escapes a newline in a string
 
     return encode
-
-
-def _json_scalar(o) -> str | None:
-    """json's text of None, a bool, an int or a float (or an int or float subclass), else None."""
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, float):
-        if math.isfinite(o):
-            return float.__repr__(o)
-        raise ValueError(f"Out of range float values are not JSON compliant: {o!r}")
-    return None
-
-
-def _json_key(key) -> str:
-    """A dict key as json writes it: a str, or a scalar's text, quoted."""
-    text = key if isinstance(key, str) else _json_scalar(key)
-    if text is None:
-        raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
-    return encode_basestring_ascii(text)
 
 
 def render_csv(report: dict, fh) -> None:
