@@ -175,7 +175,10 @@ def expand_grid(grid: list) -> list[list[float]]:
     for lo, hi, _ in axes:
         if not math.isfinite(float(hi) - float(lo)):
             raise ConfigError(f"grid span {lo} to {hi} overflows a float")
-    axis_values = [np.linspace(float(lo), float(hi), n) for (lo, hi, _), n in zip(axes, steps)]
+    # Near the float range linspace's last product, (n - 1) * step, may overflow; it sets
+    # that node to hi, so every node is finite.
+    with np.errstate(over="ignore"):
+        axis_values = [np.linspace(float(lo), float(hi), n) for (lo, hi, _), n in zip(axes, steps)]
     return [
         [float(v1), float(v2), float(v3)]
         for v1 in axis_values[0]
@@ -190,15 +193,15 @@ def resolve_points(config: RunConfig, f: FieldPair, rng: np.random.Generator) ->
     if config.grid is not None:
         return expand_grid(config.grid)
     try:
-        return [
-            [float(c) for c in sampling.random_point(rng, f)] for _ in range(config.n_points)
-        ]
+        return sampling.random_points(rng, f, config.n_points)
     except (RuntimeError, OverflowError) as exc:  # OverflowError: D is not a finite float
         raise ConfigError(f"could not sample admissible points: {exc}") from exc
 
 
-def _record(check: str, index: int, point, status: str, **extra) -> dict:
-    rec = {"check": check, "point_index": index, "point": [float(c) for c in point], "status": status}
+def _record(check: str, index: int, point: list, status: str, **extra) -> dict:
+    """A record of the point, a list of finite Python floats from resolve_points or
+    expand_grid, held as it is: all of a point's records share its one list."""
+    rec = {"check": check, "point_index": index, "point": point, "status": status}
     rec.update(extra)
     return rec
 
@@ -353,7 +356,7 @@ def _classify(config, f, parallel, idx, m: MetricAtPoint) -> tuple[list[dict], f
     resid = _max_abs(general - closed)
     records.append(_bounded("christoffel-dual-path", idx, p, resid, config.tol("dual_path")))
 
-    resid = metric_compatibility_residual(f, p)
+    resid = metric_compatibility_residual(f, m)
     records.append(_bounded("metric-compatibility", idx, p, resid, config.tol("metric_compat")))
 
     defect = _max_abs(parallel_defect(f, p))
@@ -448,18 +451,24 @@ def _curvature_suite(config, f, rng, curved: list, metric: MetricAtPoint) -> lis
 def _orbit_seeds(rng: np.random.Generator, n_seeds: int) -> list[np.ndarray]:
     """Up to n_seeds random vectors whose orbits span, from at most 100 * n_seeds draws.
 
-    Each draw is accepted alone by the scalar cubic.  The draws come as many at a
-    time as seeds are missing (at most the draws left), the stream of drawing them
-    one at a time, since each missing seed takes at least one draw.
+    The draws come as many at a time as seeds are missing (at most the draws left), the
+    stream of drawing them one at a time, since each missing seed takes at least one
+    draw.  A batch is weighed at once, each draw decided as it is alone: the cubic is
+    elementwise, but a row norm and an array cube may round otherwise than one vector's,
+    so a draw within rounding of the bound is weighed again by itself.
     """
     seeds = []
     tries = 0
     while len(seeds) < n_seeds and tries < 100 * n_seeds:
         need = min(n_seeds - len(seeds), 100 * n_seeds - tries)
-        for x in rng.uniform(sampling.LOW, sampling.HIGH, size=(need, 3)):
-            tries += 1
-            if abs(independence_cubic(x)) > 0.1 * float(np.linalg.norm(x)) ** 3:
-                seeds.append(x)
+        draws = rng.uniform(sampling.LOW, sampling.HIGH, size=(need, 3))
+        tries += need
+        cubic = np.abs(independence_cubic(draws.T))
+        bound = 0.1 * np.linalg.norm(draws, axis=1) ** 3
+        keep = cubic > bound
+        for k in np.flatnonzero(np.abs(cubic - bound) <= 1e-12 * bound).tolist():
+            keep[k] = cubic[k] > 0.1 * float(np.linalg.norm(draws[k])) ** 3
+        seeds += list(draws[keep])
     return seeds
 
 
@@ -520,9 +529,12 @@ def _finite(value) -> bool:
 
 def _finite_records(records: list[dict]) -> list[dict]:
     """records, or a ConfigError naming the first that is not finite: Python floats, and
-    some numpy sums, overflow to inf silently, and the first such point is the one to name."""
+    some numpy sums, overflow to inf silently, and the first such point is the one to name.
+
+    A record's point is not read: every point is finite where it is made, by config's
+    _is_triple, expand_grid's check of each span, or the sampler's draws on [LOW, HIGH)."""
     for r in records:
-        if not _finite(list(r.values())):
+        if not _finite([v for k, v in r.items() if k != "point"]):
             raise ConfigError(f"point {r['point']} is out of range: {r['check']} is not finite")
     return records
 
@@ -540,8 +552,9 @@ def _assemble(config: RunConfig, records: list[dict]) -> dict:
 def render_json(report: dict, fh) -> None:
     """Write report as json.dump(report, fh, sort_keys=True, indent=2, allow_nan=False)
     does, byte for byte, then a newline; raise what it raises: ValueError for a NaN or
-    infinite float, TypeError for a value or key JSON has no form for.  report must be a
-    tree: a list or dict of exact type that contains itself exhausts the recursion limit.
+    infinite float, TypeError for a value or key JSON has no form for.  A list or dict may
+    appear in the report more than once, as a point's list is in each of its records, but
+    one of exact type that contains itself exhausts the recursion limit.
 
     The non-empty list members of a dict of str keys are written an item at a time, after
     one write of all that comes before: a report takes a write for its head, one per
@@ -570,12 +583,16 @@ def _json_encoder():
 
     Values of exact builtin types, all a report holds, are written here: a dict of str
     keys through its layout, cached for the encoder's life by its level and its keys in
-    order (its keys sorted and a %-template of its lines).  Anything else, a NaN or a
-    float subclass say, is left to json.dumps."""
+    order (its keys sorted and a %-template of its lines), and a list as the text of the
+    last list written when it is that same object at the same level, as a point's list
+    is in its consecutive records (the reference held keeps its id from being reused).
+    Anything else, a NaN or a float subclass say, is left to json.dumps."""
     layouts = {}
+    last = (None, 0, "")  # the last non-empty list written, its level and its text
     isfinite = math.isfinite
 
     def encode(o, level: int) -> str:
+        nonlocal last
         t = type(o)
         if t is float and isfinite(o) or t is int:
             return repr(o)
@@ -595,9 +612,12 @@ def _json_encoder():
                 keys, template = layout
                 return template % tuple([encode(o[k], level + 1) for k in keys])
         elif t is list and o:
+            if o is last[0] and level == last[1]:
+                return last[2]
             inner = "\n" + "  " * (level + 1)
             items = ("," + inner).join([encode(v, level + 1) for v in o])
-            return "[" + inner + items + "\n" + "  " * level + "]"
+            last = o, level, "[" + inner + items + "\n" + "  " * level + "]"
+            return last[2]
         text = json.dumps(o, sort_keys=True, indent=2, allow_nan=False)
         return text.replace("\n", "\n" + "  " * level)  # json escapes a newline in a string
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .circulant import Q_DENSE, S
-from .fields import FieldPair, degeneracy_factor, field_grad, field_jet, metric_at
+from .fields import FieldPair, MetricAtPoint, degeneracy_factor, field_grad, field_jet
 
 
 _EYE = np.eye(3)
@@ -113,9 +113,10 @@ def nabla_q(gamma: np.ndarray) -> np.ndarray:
             - np.einsum("aij...,as->ijs...", gamma, Q_DENSE))
 
 
-def metric_compatibility_residual(f: FieldPair, p) -> float:
-    """Max |d_k g_ij - Gamma^a_ki g_aj - Gamma^a_kj g_ia| (should vanish)."""
-    metric = metric_at(f, p)
+def metric_compatibility_residual(f: FieldPair, metric: MetricAtPoint) -> float:
+    """Max |d_k g_ij - Gamma^a_ki g_aj - Gamma^a_kj g_ia| (should vanish) at the point of
+    the one-point metric record metric, where D is not ~ 0."""
+    p = metric.point
     g = metric.g.dense()
     dg = metric_partials(f, p)
     gamma = christoffel_general(f, p)

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import re
 import shlex
@@ -14,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import circgeo.cli
@@ -311,9 +312,9 @@ class TestVerify:
             verified = [r for r in report["records"] if r["check"] == "metric-inverse"]
             assert len(verified) == n_reached
             assert sum(calls("christoffel_general")) == 7 * len(reached) + 2 * len(verified)
-            # The block's metric is checked once; metric_at checks each verified point.
-            assert calls("domain_check") == [27] + [1] * len(verified)
-            assert calls("domain_check", circgeo.fields) == [1] * len(verified)
+            # The block's metric is checked once, and no verified point's again.
+            assert calls("domain_check") == [27]
+            assert calls("domain_check", circgeo.fields) == []
 
         # A point whose stencil meets the plane x1 = x3 takes its tensor row like any
         # other: its skip is read from the block's tensor, not from a tensor of its own.
@@ -326,11 +327,12 @@ class TestVerify:
         assert sum(calls("christoffel_general")) == 7 * 3 + 2 * 3
         # Only the skipped row's stencil is checked again, to name its first D ~ 0.
         assert calls("domain_check", circgeo.cli) == [3]
-        assert calls("domain_check", circgeo.fields) == [1, 1, 1]
+        assert calls("domain_check", circgeo.fields) == []
         assert calls("domain_check", circgeo.curvature) == [7]
 
         # eval builds one tensor block per block of SCAN_BLOCK points, and checks
-        # the metric of each block once (the sampler checks its draws one by one).
+        # the metric of each block once; the sampler checks its draws in one batch,
+        # since the pair is definite everywhere and every draw is admissible.
         config = tmp_path / "points.json"
         config.write_text(json.dumps({"n_points": 2500}))
         for what in ("curvature", "sectional"):
@@ -340,7 +342,7 @@ class TestVerify:
             assert sum(calls("christoffel_general")) == 7 * 2500
             assert calls("domain_check", circgeo.cli, circgeo.curvature, circgeo.fields) == [
                 1024, 1024, 452]
-            assert set(calls("domain_check", circgeo.sampling)) == {1}
+            assert calls("domain_check", circgeo.sampling) == [2500]
 
         # A scan of 20^3 nodes: 8 blocks, one metric check and one tensor block each.
         report = counted("scan", "--fields", QUADRATIC_PAIR, "--grid=-1.5,1.5,20")
@@ -453,14 +455,30 @@ def one_at_a_time_seeds(rng, n_seeds):
     return seeds
 
 
+def on_the_bound(x):
+    """0.1 |x|^3, |x| summed in order and cubed by products: within rounding of the
+    bound, so that whether a draw is accepted rests on how the bound rounds."""
+    norm = np.sqrt(x[0] * x[0] + x[1] * x[1] + x[2] * x[2])
+    return 0.1 * (norm * norm * norm)
+
+
+# Cubics that _orbit_seeds takes in place of independence_cubic, elementwise over the
+# coordinate rows of a batch, as it weighs its draws at once.
+STUB_CUBICS = {
+    "rarely": lambda x: np.where(x[0] > 1.98, 1e9, 0.0),
+    "never": lambda x: np.zeros_like(x[0]),
+    "on-the-bound": on_the_bound,
+}
+
+
 @pytest.mark.parametrize("n_seeds", [0, 1, 3, 20])
-@pytest.mark.parametrize("accepts", ["cubic", "rarely", "never"])
+@pytest.mark.parametrize("accepts", ["cubic", "rarely", "never", "on-the-bound"])
 def test_bulk_seed_draws_replay_one_at_a_time(monkeypatch, n_seeds, accepts):
     # "rarely" accepts about 1 draw in 200, so small budgets run out part way;
-    # "never" spends the whole budget of 100 draws per seed.
+    # "never" spends the whole budget of 100 draws per seed; "on-the-bound" puts
+    # every draw where an array's norm and cube may round otherwise than one vector's.
     if accepts != "cubic":
-        monkeypatch.setattr(circgeo.cli, "independence_cubic",
-                            lambda x: 1e9 if accepts == "rarely" and x[0] > 1.98 else 0.0)
+        monkeypatch.setattr(circgeo.cli, "independence_cubic", STUB_CUBICS[accepts])
     for seed in range(6):
         bulk_rng, one_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         bulk = circgeo.cli._orbit_seeds(bulk_rng, n_seeds)
@@ -469,6 +487,16 @@ def test_bulk_seed_draws_replay_one_at_a_time(monkeypatch, n_seeds, accepts):
         assert bulk_rng.bit_generator.state == one_rng.bit_generator.state
         if accepts == "never":
             assert bulk == []
+
+
+def test_bulk_seed_draws_replay_100000_draws_of_the_cubic():
+    # 100,000 seeds take more than 100,000 draws, each weighed as it is alone.
+    bulk_rng, one_rng = np.random.default_rng(25), np.random.default_rng(25)
+    bulk = circgeo.cli._orbit_seeds(bulk_rng, 100_000)
+    one = one_at_a_time_seeds(one_rng, 100_000)
+    assert len(bulk) == 100_000
+    assert np.array_equal(bulk, one)
+    assert bulk_rng.bit_generator.state == one_rng.bit_generator.state
 
 
 def hexes(values):
@@ -549,6 +577,21 @@ class TestScan:
     def test_overflowing_grid_span_is_config_error(self, grid):
         with pytest.raises(ConfigError, match="grid span"):
             expand_grid(grid)
+
+    # _finite_records does not read a record's point, so every node must be finite.
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False),
+                              st.floats(allow_nan=False, allow_infinity=False),
+                              st.integers(1, 4)), min_size=3, max_size=3))
+    @example([(0.0, 0.0, 1), (0.0, 0.0, 1), (0.0, 1.7976931348623157e308, 4)])
+    def test_grid_nodes_are_finite_python_floats(self, axes):
+        grid = [list(axis) for axis in axes]
+        if not all(math.isfinite(hi - lo) for lo, hi, _ in axes):
+            with pytest.raises(ConfigError, match="grid span"):
+                expand_grid(grid)
+            return
+        nodes = expand_grid(grid)
+        assert all(type(c) is float and math.isfinite(c) for p in nodes for c in p)
 
     @pytest.mark.parametrize("command", ["scan", "verify"])
     def test_oversized_grid_exits_2(self, capsys, tmp_path, command):
@@ -657,7 +700,18 @@ JSON_VALUES = st.recursive(
 RECORDS = st.lists(st.dictionaries(LAYOUT_KEYS, JSON_VALUES, max_size=5), max_size=6)
 
 
+# One list object in consecutive records at one level, at two levels, in records that
+# are not consecutive, twice in one list, and in config as well.
+_P, _Q = [1.0, -2.5, 3e-9], [0.5, 2.0]
+
+
 @settings(max_examples=200, deadline=None)
+@example({"config": {}, "records": [{"point": _P, "check": "a"}, {"point": _P, "check": "b"}],
+          "summary": {}})
+@example({"records": [{"point": _P}, _P, {"a": {"point": _P}}, {"point": _P}, [_P, [_P]]]})
+@example({"records": [{"point": _P}, {"point": _Q}, {"point": _P}, {"q": [_Q, _Q], "p": _P}]})
+@example({"config": {"points": [_P, _Q], "x": _Q}, "records": [{"point": _P}, {"point": _Q}],
+          "summary": {"p": _P}})
 @given(st.one_of(
     JSON_VALUES,
     st.fixed_dictionaries({"config": JSON_VALUES, "records": RECORDS, "summary": JSON_VALUES}),
@@ -708,6 +762,14 @@ def report_of(argv: list[str]) -> dict:
     if args.command == "eval":
         return circgeo.cli.cmd_eval(config, args.what)
     return circgeo.cli.cmd_verify(config) if args.command == "verify" else cmd_scan(config)
+
+
+def test_records_of_a_point_share_its_list():
+    report = report_of(["verify", "--fields", "paper-example", "--seed", "3"])
+    lists = {}
+    for r in report["records"]:
+        assert lists.setdefault(r["point_index"], r["point"]) is r["point"]
+    assert len(lists) == 10 and len(report["records"]) > 10
 
 
 def value_types(value):

@@ -146,11 +146,11 @@ class TestChristoffel:
     def test_metric_compatibility(self, paper_fields, rng):
         for _ in range(20):
             p = random_point(rng, paper_fields)
-            assert metric_compatibility_residual(paper_fields, p) <= 1e-9
+            assert metric_compatibility_residual(paper_fields, metric_at(paper_fields, p)) <= 1e-9
         for _ in range(5):
             f = random_field_pair(rng)
             p = random_point(rng, f)
-            assert metric_compatibility_residual(f, p) <= 1e-9
+            assert metric_compatibility_residual(f, metric_at(f, p)) <= 1e-9
 
 
 class TestParallelism:
