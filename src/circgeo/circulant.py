@@ -58,8 +58,3 @@ def circ_mul(m1: CirculantMatrix, m2: CirculantMatrix) -> CirculantMatrix:
         a1 * b2 + b1 * a2 + c1 * c2,
         a1 * c2 + b1 * b2 + c1 * a2,
     )
-
-
-def circ_apply(m: CirculantMatrix, v) -> np.ndarray:
-    """Matrix-vector action of the expanded matrix on a 3-vector."""
-    return m.dense() @ np.asarray(v, dtype=float)

@@ -21,7 +21,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from . import sampling
-from .circulant import IDENTITY, Q, circ_apply, circ_mul
+from .circulant import IDENTITY, Q_DENSE, circ_mul
 from .connection import (
     christoffel_closed,
     christoffel_general,
@@ -42,7 +42,8 @@ from .curvature import (
     theorem3_check,
 )
 from .errors import ConfigError, DependentOrbit, IndefiniteMetric, ParseError, PointSkipped
-from .fields import FieldPair, MetricAtPoint, degenerate_metric, domain_check, parse_field_spec
+from .fields import (FieldPair, MetricAtPoint, degenerate_metric, domain_check, field_jet,
+                     parse_field_spec)
 
 DEFAULT_TOLERANCES = {
     "dual_path": 1e-9,
@@ -298,10 +299,10 @@ def _eval_block(config: RunConfig, f: FieldPair, what: str, start: int, block: l
                    "independence": cubic}
                   for three, s, ok in zip(mu.tolist(), spread.tolist(), passed.tolist())]
     elif what == "christoffel":
-        gamma = christoffel_general(f, metric.point)
+        gamma = christoffel_general(field_jet(f, metric.point))
         values = [{"gamma": g} for g in np.moveaxis(gamma, -1, 0).tolist()]
     else:
-        nq = nabla_q(christoffel_general(f, metric.point))
+        nq = nabla_q(christoffel_general(field_jet(f, metric.point)))
         values = [{"max_norm": top, "components": c} for top, c in zip(
             np.max(np.abs(nq), axis=(0, 1, 2)).tolist(), np.moveaxis(nq, -1, 0).tolist())]
     skips.update((int(rows[k]), why) for k, why in found.items())
@@ -323,13 +324,14 @@ def cmd_verify(config: RunConfig) -> dict:
 
 def _verify_block(config, f, rng, parallel, start, block) -> list[dict]:
     """The records of consecutive points, the first of index start, each point's sorted
-    by check: the block's metric checked at once, every point classified alone from its
-    row, then the curvature suite of those that take it, over the block at once."""
+    by check: the block's metric and its non-degenerate points' field jets at once, each
+    point classified alone from its rows, then the curvature suite of those that take it."""
     metric = domain_check(f, np.array(block))
     columns = zip(*(v.tolist() for v in (metric.a, metric.b, metric.d, metric.degenerate,
                                         metric.definite)), block)
-    classified = [_classify(config, f, parallel, start + i, MetricAtPoint(*c))
-                  for i, c in enumerate(columns)]
+    jets = iter(zip(*(v.tolist() for v in field_jet(f, metric.point[~metric.degenerate]))))
+    classified = [_classify(config, parallel, start + i, m, None if m.degenerate else next(jets))
+                  for i, m in enumerate(MetricAtPoint(*c) for c in columns)]
     by_point = [records for records, _ in classified]
     rows = [i for i, (_, gamma_max) in enumerate(classified) if gamma_max is not None]
     if rows:
@@ -339,9 +341,9 @@ def _verify_block(config, f, rng, parallel, start, block) -> list[dict]:
     return [r for records in by_point for r in sorted(records, key=lambda r: r["check"])]
 
 
-def _classify(config, f, parallel, idx, m: MetricAtPoint) -> tuple[list[dict], float | None]:
-    """The records up to Theorem 1 of the point of the one-point record m, of Python floats,
-    and max |Gamma| if it takes the curvature suite (the flat baseline reads it), else None."""
+def _classify(config, parallel, idx, m: MetricAtPoint, jet) -> tuple[list[dict], float | None]:
+    """The records up to Theorem 1 of the point of the one-point record m and jet (None if
+    D ~ 0), of Python floats, and max |Gamma| if it takes the curvature suite, else None."""
     p = m.point
     if m.degenerate:
         return [_record("all", idx, p, "skipped", reason="DegenerateMetric", d=m.d)], None
@@ -351,15 +353,15 @@ def _classify(config, f, parallel, idx, m: MetricAtPoint) -> tuple[list[dict], f
     )
     records = [_bounded("metric-inverse", idx, p, resid, config.tol("metric_inverse"))]
 
-    general = christoffel_general(f, p)
-    closed = christoffel_closed(f, p)
+    general = christoffel_general(jet)
+    closed = christoffel_closed(jet)
     resid = _max_abs(general - closed)
     records.append(_bounded("christoffel-dual-path", idx, p, resid, config.tol("dual_path")))
 
-    resid = metric_compatibility_residual(f, m)
+    resid = metric_compatibility_residual(jet)
     records.append(_bounded("metric-compatibility", idx, p, resid, config.tol("metric_compat")))
 
-    defect = _max_abs(parallel_defect(f, p))
+    defect = _max_abs(parallel_defect(jet))
     nq = _max_abs(nabla_q(general))
     if defect <= config.tol("defect_zero"):
         tol = config.tol("nabla_q")
@@ -492,7 +494,7 @@ def cmd_scan(config: RunConfig) -> dict:
     if not config.grid:
         raise ConfigError("scan requires a grid spec")
     f = _build_fields(config)
-    work = partial(_scan_block, config, f, circ_apply(Q, config.x))
+    work = partial(_scan_block, config, f, Q_DENSE @ np.asarray(config.x, dtype=float))
     return _assemble(config, _in_blocks(expand_grid(config.grid), SCAN_BLOCK, work))
 
 
@@ -629,8 +631,11 @@ def render_csv(report: dict, fh) -> None:
     keys = sorted({k for r in records for k in r})
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(keys)
+    point = cell = None  # a point's records share its list, and hold it consecutively
     for r in records:
-        writer.writerow([_csv_cell(r.get(k)) for k in keys])
+        if r["point"] is not point:
+            point, cell = r["point"], _csv_cell(r["point"])
+        writer.writerow([cell if k == "point" else _csv_cell(r.get(k)) for k in keys])
 
 
 def _csv_cell(value):

@@ -11,15 +11,16 @@ Two independent computations of the Christoffel symbols are provided:
   from the general formula and the corrections are listed in ERRATA.md.
 
 Both paths must agree everywhere; tests enforce this.  ``nabla_q`` reads the
-gamma[s, i, j] array of either, so its caller evaluates Gamma once.
+gamma[s, i, j] array of either, so its caller evaluates Gamma once.  No kernel
+evaluates a field: each takes the jet that ``fields.field_jet`` returns.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .circulant import Q_DENSE, S
-from .fields import FieldPair, MetricAtPoint, degeneracy_factor, field_grad, field_jet
+from .circulant import Q_DENSE, S, CirculantMatrix
+from .fields import degeneracy_factor
 
 
 _EYE = np.eye(3)
@@ -37,19 +38,19 @@ _T_TERMS = np.stack([_I + 3 * (_A != _J), _J + 3 * (_A != _I), _A + 3 * (_I != _
 _CLOSED_ORDER = 3 * np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]]) + np.arange(3)[:, None, None]
 
 
-def metric_partials(f: FieldPair, p) -> np.ndarray:
-    """dg[k, i, j] = d_k g_ij: diagonal entries carry A_k, off-diagonal B_k."""
-    grad_a, grad_b = field_grad(f, p)
+def metric_partials(jet) -> np.ndarray:
+    """dg[k, i, j] = d_k g_ij at one point's jet: diagonal entries carry A_k, off-diagonal B_k."""
+    grad_a, grad_b = np.array(jet[2:5]), np.array(jet[5:])
     return grad_a[:, None, None] * _EYE + grad_b[:, None, None] * _OFF_DIAGONAL
 
 
-def christoffel_general(f: FieldPair, p) -> np.ndarray:
+def christoffel_general(jet) -> np.ndarray:
     """Christoffel symbols gamma[s, i, j] from the inverse-metric contraction.
 
-    Over an (n, 3) block of points the batch axis comes last, gamma[s, i, j, n],
+    Over the jet of an (n, 3) block of points the batch axis comes last, gamma[s, i, j, n],
     each row with the bits of the one-point call.  Gamma is NaN where D ~ 0.
     """
-    a, b, *grad = field_jet(f, p)
+    a, b, *grad = jet
     d = degeneracy_factor(a, b)
     inv_a, inv_b = (a + b) / d, -b / d
     g_inv = np.array([[inv_a, inv_b, inv_b], [inv_b, inv_a, inv_b], [inv_b, inv_b, inv_a]])
@@ -58,9 +59,9 @@ def christoffel_general(f: FieldPair, p) -> np.ndarray:
     return 0.5 * np.einsum("as...,ija...->sij...", g_inv, t)
 
 
-def christoffel_closed(f: FieldPair, p) -> np.ndarray:
+def christoffel_closed(jet) -> np.ndarray:
     """Christoffel symbols gamma[s, i, j] from the corrected closed-form expressions."""
-    a, b, a1, a2, a3, b1, b2, b3 = field_jet(f, p)
+    a, b, a1, a2, a3, b1, b2, b3 = jet
     d = degeneracy_factor(a, b)
     half_d = 1.0 / (2.0 * d)
     ab = a + b
@@ -89,15 +90,15 @@ def christoffel_closed(f: FieldPair, p) -> np.ndarray:
     return np.array(values)[_CLOSED_ORDER]
 
 
-def parallel_defect(f: FieldPair, p) -> np.ndarray:
-    """Componentwise grad A - (grad B) . S; zero iff q is parallel at p."""
-    grad_a, grad_b = field_grad(f, p)
+def parallel_defect(jet) -> np.ndarray:
+    """Componentwise grad A - (grad B) . S at one point's jet; zero iff q is parallel there."""
+    grad_a, grad_b = np.array(jet[2:5]), np.array(jet[5:])
     return grad_a - grad_b @ S
 
 
-def parallel_everywhere(f: FieldPair, tol: float) -> bool:
-    """Whether each coefficient of the polynomials grad A - (grad B) . S is within tol,
-    so that q is parallel around every point, as the curvature identities need."""
+def parallel_everywhere(f, tol: float) -> bool:
+    """Whether each coefficient of the polynomials grad A - (grad B) . S of the FieldPair f
+    is within tol, so that q is parallel around every point, as the curvature identities need."""
     residual = [dict(f.a.partial(j).terms) for j in range(3)]
     for k, row in enumerate(S.tolist()):  # Python floats overflow to inf without a warning
         for mono, coef in f.b.partial(k).terms:
@@ -113,12 +114,11 @@ def nabla_q(gamma: np.ndarray) -> np.ndarray:
             - np.einsum("aij...,as->ijs...", gamma, Q_DENSE))
 
 
-def metric_compatibility_residual(f: FieldPair, metric: MetricAtPoint) -> float:
-    """Max |d_k g_ij - Gamma^a_ki g_aj - Gamma^a_kj g_ia| (should vanish) at the point of
-    the one-point metric record metric, where D is not ~ 0."""
-    p = metric.point
-    g = metric.g.dense()
-    dg = metric_partials(f, p)
-    gamma = christoffel_general(f, p)
+def metric_compatibility_residual(jet) -> float:
+    """Max |d_k g_ij - Gamma^a_ki g_aj - Gamma^a_kj g_ia| (should vanish) at one point's
+    jet, where D is not ~ 0."""
+    g = CirculantMatrix(jet[0], jet[1], jet[1]).dense()
+    dg = metric_partials(jet)
+    gamma = christoffel_general(jet)
     resid = dg - np.einsum("aki,aj->kij", gamma, g) - np.einsum("akj,ia->kij", gamma, g)
     return float(np.max(np.abs(resid)))

@@ -31,7 +31,7 @@ import numpy as np
 from .circulant import Q, Q_DENSE, circ_mul
 from .connection import christoffel_general
 from .errors import DegenerateSection, DependentOrbit, PointSkipped
-from .fields import FieldPair, MetricAtPoint, degenerate_metric, domain_check, row
+from .fields import FieldPair, MetricAtPoint, degenerate_metric, domain_check, field_jet, row
 
 #: The shift applied twice, q^2: (x1, x2, x3) -> (x3, x1, x2).  Built from the
 #: circulant product, since a matrix product at import starts BLAS and adds
@@ -106,7 +106,7 @@ def curvature_at(f: FieldPair, metric: MetricAtPoint) -> CurvatureAtPoint:
     stencil = np.repeat(p[None], 7, axis=0)  # p, then p + h_k e_k and p - h_k e_k for each k
     stencil[[1, 3, 5], :, [0, 1, 2]] += h
     stencil[[2, 4, 6], :, [0, 1, 2]] -= h
-    gammas = np.array([christoffel_general(f, q) for q in stencil])  # [7, s, i, j, n]
+    gammas = np.array([christoffel_general(field_jet(f, q)) for q in stencil])  # [7, s, i, j, n]
     skipped = np.isnan(gammas).any(axis=(0, 1, 2, 3))
     dgamma = (gammas[1::2] - gammas[2::2]) / (2.0 * h[:, None, None, None])  # [k, s, i, j]
     dgamma[..., skipped] = np.nan  # a degenerate stencil point leaves NaN in only part of its row

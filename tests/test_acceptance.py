@@ -21,7 +21,7 @@ from circgeo.curvature import (
     residual_scales,
     theorem3_check,
 )
-from circgeo.fields import domain_check, metric_at, parse_field_spec
+from circgeo.fields import domain_check, field_jet, metric_at, parse_field_spec
 from circgeo.sampling import HIGH, LOW, random_point, random_vector
 from pairs import random_defective_pair, random_definite_point, random_field_pair
 
@@ -40,7 +40,8 @@ def test_criterion_1_dual_path_christoffel(paper_fields):
     for f in pairs:
         for _ in range(100):
             p = random_point(rng, f)
-            diff = christoffel_closed(f, p) - christoffel_general(f, p)
+            jet = field_jet(f, p)
+            diff = christoffel_closed(jet) - christoffel_general(jet)
             worst = max(worst, float(np.max(np.abs(diff))))
     errata_ok = ERRATA.exists() and all(
         name in ERRATA.read_text() for name in ("Gamma^1_22", "Gamma^3_12", "Gamma^3_22")
@@ -55,10 +56,11 @@ def test_criterion_1_dual_path_christoffel(paper_fields):
 def test_criterion_2_theorem1_forward(paper_fields):
     rng = np.random.default_rng(2)
     exact = all(
-        np.array_equal(parallel_defect(paper_fields, rng.uniform(-5, 5, 3)), np.zeros(3))
+        np.array_equal(parallel_defect(field_jet(paper_fields, rng.uniform(-5, 5, 3))), np.zeros(3))
         for _ in range(100)
     )
-    gammas = (christoffel_general(paper_fields, random_point(rng, paper_fields)) for _ in range(100))
+    jets = (field_jet(paper_fields, random_point(rng, paper_fields)) for _ in range(100))
+    gammas = map(christoffel_general, jets)
     worst = max(float(np.max(np.abs(nabla_q(gamma)))) for gamma in gammas)
     report(2, exact and worst <= 1e-10, f"defect exact: {exact}, max |nabla q| {worst:.3e}")
 
@@ -70,8 +72,9 @@ def test_criterion_3_theorem1_converse():
     for _ in range(10):
         f = random_defective_pair(rng, min_defect=0.1)
         p = random_point(rng, f)
-        assert float(np.max(np.abs(parallel_defect(f, p)))) >= 0.1
-        nq = float(np.max(np.abs(nabla_q(christoffel_general(f, p)))))
+        jet = field_jet(f, p)
+        assert float(np.max(np.abs(parallel_defect(jet)))) >= 0.1
+        nq = float(np.max(np.abs(nabla_q(christoffel_general(jet)))))
         smallest = min(smallest, nq)
         ok = ok and nq > 1e-6
     report(3, ok, f"smallest |nabla q| over defective pairs {smallest:.3e}")
@@ -83,7 +86,7 @@ def test_criterion_4_flat_baseline():
     gamma_max = curv_max = 0.0
     for _ in range(10):
         p = rng.uniform(-2, 2, 3)
-        gamma_max = max(gamma_max, float(np.max(np.abs(christoffel_general(f, p)))))
+        gamma_max = max(gamma_max, float(np.max(np.abs(christoffel_general(field_jet(f, p))))))
         curv_max = max(curv_max, float(np.max(np.abs(curvature_at(f, domain_check(f, p[None])).r_up))))
     report(
         4,

@@ -245,7 +245,7 @@ def test_block_connection_and_curvature_match_one_point_calls(a, b, block, x):
     f = FieldPair(a, b)
     points = np.array(block)
     qx = Q_DENSE @ np.array(x)
-    gamma = christoffel_general(f, points)
+    gamma = christoffel_general(field_jet(f, points))
     # Each takes the rows of the block's metric record where it applies.
     metric = domain_check(f, points)
     curved = np.flatnonzero(~metric.degenerate)
@@ -255,7 +255,7 @@ def test_block_connection_and_curvature_match_one_point_calls(a, b, block, x):
     assert gamma.shape == (3, 3, 3, len(block)) and mu.shape == (len(definite),)
     for n, p in enumerate(block):
         # Gamma at one point is NaN where D ~ 0, as the block's row is.
-        assert hexes(gamma[..., n]) == hexes(christoffel_general(f, p))
+        assert hexes(gamma[..., n]) == hexes(christoffel_general(field_jet(f, p)))
     for k, n in enumerate(curved):
         one = curvature_at(f, domain_check(f, row(block[n])))
         if k in curv.skips:  # the whole row is marked

@@ -263,19 +263,27 @@ class TestVerify:
         # curvature_at in the CLI and in the curvature module (sectional_curvature
         # and theorem3_check build their own tensor; verify calls neither),
         # christoffel_general in the CLI, the curvature stencil and
-        # metric_compatibility_residual, and domain_check in the CLI, the curvature
-        # stencil, metric_at and the sampler.  A call over an (n, 3) block counts n
-        # rows, a call at one point one.  Constant fields add the flat-baseline
-        # check, which reads the same tensor.
+        # metric_compatibility_residual, domain_check in the CLI, the curvature
+        # stencil, metric_at and the sampler, and the field jets wherever a module
+        # could bind field_jet or field_grad, connection among them.  A call over an
+        # (n, 3) block, or on its jet of (n,) columns, counts n rows, a call at one
+        # point one.  Constant fields add the flat-baseline check, which reads the
+        # same tensor.
         made = []  # (name, binding module, rows) of each call, in order
 
         def counting(name, original, binding):
             def wrapper(*args, **kwargs):
-                points = getattr(args[1], "point", args[1])  # curvature_at takes a record
-                made.append((name, binding, len(points) if np.ndim(points) == 2 else 1))
+                if name == "christoffel_general":  # a jet of floats or of (n,) columns
+                    rows = np.size(args[0][0])
+                else:  # a point or a block, or curvature_at's record of one
+                    points = getattr(args[1], "point", args[1])
+                    rows = len(points) if np.ndim(points) == 2 else 1
+                made.append((name, binding, rows))
                 return original(*args, **kwargs)
 
             return wrapper
+
+        everywhere = (circgeo.cli, circgeo.connection, circgeo.curvature, circgeo.fields)
 
         for name, module, bindings in (
             ("curvature_at", circgeo.curvature, (circgeo.cli, circgeo.curvature)),
@@ -287,10 +295,13 @@ class TestVerify:
                 "domain_check", circgeo.fields,
                 (circgeo.cli, circgeo.curvature, circgeo.fields, circgeo.sampling),
             ),
+            ("field_jet", circgeo.fields, everywhere),
+            ("field_grad", circgeo.fields, everywhere),
         ):
             original = getattr(module, name)
             for binding in bindings:
-                monkeypatch.setattr(binding, name, counting(name, original, binding))
+                monkeypatch.setattr(binding, name, counting(name, original, binding),
+                                    raising=False)
 
         def calls(name, *bindings):
             """The rows of each call of name, in order, through bindings (default: any)."""
@@ -315,6 +326,12 @@ class TestVerify:
             # The block's metric is checked once, and no verified point's again.
             assert calls("domain_check") == [27]
             assert calls("domain_check", circgeo.fields) == []
+            # Each verified point's jet is evaluated once, with its block's, for all of
+            # its connection checks; the stencil evaluates 7 per tensor row.
+            assert calls("field_jet", circgeo.cli) == [len(verified)]
+            assert calls("field_jet", circgeo.curvature) == [len(reached)] * 7
+            assert sum(calls("field_jet")) == len(verified) + 7 * len(reached)
+            assert calls("field_jet", circgeo.connection) == calls("field_grad") == []
 
         # A point whose stencil meets the plane x1 = x3 takes its tensor row like any
         # other: its skip is read from the block's tensor, not from a tensor of its own.
@@ -1078,14 +1095,15 @@ class TestConfig:
             *(["eval", what, "--point=0.0,1.5,-9.710448464022956e+139"]
               for what in ("christoffel", "nabla-q", "curvature", "sectional")),
             ["scan", "--grid=0,0,1,1.5,1.5,1,-9.710448464022956e+139,-9.710448464022956e+139,1"],
+            ["verify", "--point=0.0,1.5,-9.710448464022956e+139"],
         ],
-        ids=["eval-christoffel", "eval-nabla-q", "eval-curvature", "eval-sectional", "scan"],
+        ids=["eval-christoffel", "eval-nabla-q", "eval-curvature", "eval-sectional", "scan",
+             "verify"],
     )
     def test_eval_words_an_overflow_as_scan_does(self, capsys, argv):
         # A and B are finite and D is not degenerate, but B_1 = 1e300 * x2 * x3 is past
-        # the float range.  eval runs the block kernels that scan runs, so both name the
-        # operation that overflowed.  verify classifies one point at a time in Python
-        # floats, which overflow without raising, and words it otherwise.
+        # the float range.  eval, scan and verify evaluate the field jet over a block,
+        # so all name the operation that overflowed.
         fields = f"A: + 2.0*x2^2 + 2.0*x2^3 + 0; B: + 1{'0' * 300}*x1^1*x2^1*x3^1"
         code, captured = run(capsys, *argv, "--fields", fields)
         assert code == 2

@@ -18,7 +18,7 @@ from circgeo.connection import (
     parallel_everywhere,
 )
 from circgeo.errors import DegenerateMetric
-from circgeo.fields import domain_check, field_grad, metric_at, parse_field_spec
+from circgeo.fields import domain_check, field_jet, metric_at, parse_field_spec
 from circgeo.sampling import random_point
 from pairs import (
     CUBIC_PAIR,
@@ -41,10 +41,8 @@ REDUCED_GROUPS = (
 
 def reduced_values(f, p):
     """The three group values (G1, G2, G3), from the field jet alone."""
-    metric = metric_at(f, p)
-    a, b = metric.a, metric.b
-    (a1, a2, a3), (b1, b2, b3) = field_grad(f, p)
-    half_d = 1.0 / (2.0 * metric.d)
+    a, b, a1, a2, a3, b1, b2, b3 = field_jet(f, p)
+    half_d = 1.0 / (2.0 * metric_at(f, p).d)
     return (
         half_d * (a * a1 + b * (-3 * b1 + b2 + b3)),
         half_d * (a * a2 + b * (b1 - 3 * b2 + b3)),
@@ -54,7 +52,7 @@ def reduced_values(f, p):
 
 def group_deviation(f, p):
     """Max |Gamma[s, i, j] - G| over the groups, relative to 1 + max |Gamma|."""
-    gamma = christoffel_general(f, p)
+    gamma = christoffel_general(field_jet(f, p))
     deviation = max(
         abs(gamma[s, i, j] - value)
         for value, group in zip(reduced_values(f, p), REDUCED_GROUPS)
@@ -85,7 +83,7 @@ def exact_terms(*weighted):
 
 def christoffel_loop(f, p):
     """Reference assembly: explicit index loop, then symmetrisation in (i, j)."""
-    dg = metric_partials(f, p)
+    dg = metric_partials(field_jet(f, p))
     t = np.empty((3, 3, 3))
     for i in range(3):
         for j in range(3):
@@ -98,30 +96,31 @@ def christoffel_loop(f, p):
 class TestChristoffel:
     def test_constant_fields_vanish(self):
         f = parse_field_spec("A: 2; B: 1")
-        assert np.max(np.abs(christoffel_general(f, (0.4, -1, 2)))) == 0.0
-        assert np.max(np.abs(christoffel_closed(f, (0.4, -1, 2)))) == 0.0
+        assert np.max(np.abs(christoffel_general(field_jet(f, (0.4, -1, 2))))) == 0.0
+        assert np.max(np.abs(christoffel_closed(field_jet(f, (0.4, -1, 2))))) == 0.0
 
     def test_paper_point_frozen_values(self, paper_fields):
         # Frozen from the reduced-group formulas at (1,0,0):
         # G1 = (16+2)/36 = 1/2, G2 = (8-2)/36 = 1/6, G3 = (0-6)/36 = -1/6.
         expected = gamma_from_groups(0.5, 1 / 6, -1 / 6)
         for path in (christoffel_general, christoffel_closed):
-            gamma = path(paper_fields, (1, 0, 0))
+            gamma = path(field_jet(paper_fields, (1, 0, 0)))
             assert np.max(np.abs(gamma - expected)) <= 1e-14
 
     def test_lower_index_symmetry_exact(self, paper_fields, rng):
         for _ in range(10):
             p = random_point(rng, paper_fields)
-            gamma = christoffel_general(paper_fields, p)
+            jet = field_jet(paper_fields, p)
+            gamma = christoffel_general(jet)
             assert np.array_equal(gamma, gamma.transpose(0, 2, 1))
-            gamma = christoffel_closed(paper_fields, p)
+            gamma = christoffel_closed(jet)
             assert np.array_equal(gamma, gamma.transpose(0, 2, 1))
 
     def test_general_path_bitwise_matches_loop_reference(self, rng):
         for _ in range(50):
             f = random_field_pair(rng, degree=2)
             p = random_point(rng, f)
-            gamma = christoffel_general(f, p)
+            gamma = christoffel_general(field_jet(f, p))
             assert gamma.tobytes() == christoffel_loop(f, p).tobytes()
 
     def test_degenerate_point_is_nan(self, paper_fields):
@@ -129,7 +128,7 @@ class TestChristoffel:
         # block's row, and the point's skip is the DegenerateMetric that names D.
         for p in ((1, 1, 1), np.array([[1.2, 0.5, 0.3], [1, 1, 1]])):
             for kernel in (christoffel_general, christoffel_closed):
-                gamma = kernel(paper_fields, p)
+                gamma = kernel(field_jet(paper_fields, p))
                 assert np.isnan(gamma[..., -1] if gamma.ndim == 4 else gamma).all()
                 assert gamma.ndim == 3 or not np.isnan(gamma[..., 0]).any()
         with pytest.raises(DegenerateMetric, match=r"^D = 0\.0 at point \(1\.0, 1\.0, 1\.0\)$"):
@@ -140,55 +139,58 @@ class TestChristoffel:
             f = random_field_pair(rng)
             for _ in range(10):
                 p = random_point(rng, f)
-                diff = christoffel_closed(f, p) - christoffel_general(f, p)
+                jet = field_jet(f, p)
+                diff = christoffel_closed(jet) - christoffel_general(jet)
                 assert np.max(np.abs(diff)) <= 1e-9
 
     def test_metric_compatibility(self, paper_fields, rng):
         for _ in range(20):
             p = random_point(rng, paper_fields)
-            assert metric_compatibility_residual(paper_fields, metric_at(paper_fields, p)) <= 1e-9
+            assert metric_compatibility_residual(field_jet(paper_fields, p)) <= 1e-9
         for _ in range(5):
             f = random_field_pair(rng)
             p = random_point(rng, f)
-            assert metric_compatibility_residual(f, metric_at(f, p)) <= 1e-9
+            assert metric_compatibility_residual(field_jet(f, p)) <= 1e-9
 
 
 class TestParallelism:
     def test_paper_example_defect_zero_everywhere(self, paper_fields, rng):
         for _ in range(10):
             p = rng.uniform(-5, 5, 3)
-            assert np.array_equal(parallel_defect(paper_fields, p), np.zeros(3))
+            assert np.array_equal(parallel_defect(field_jet(paper_fields, p)), np.zeros(3))
 
     def test_defect_simple_counterexample(self):
         f = parse_field_spec("A: x1; B: 0")
-        assert np.array_equal(parallel_defect(f, (2, 3, 4)), [1, 0, 0])
+        assert np.array_equal(parallel_defect(field_jet(f, (2, 3, 4))), [1, 0, 0])
 
     def test_defect_constant_fields(self):
         f = parse_field_spec("A: 2; B: 1")
-        assert np.array_equal(parallel_defect(f, (0, 0, 0)), np.zeros(3))
+        assert np.array_equal(parallel_defect(field_jet(f, (0, 0, 0))), np.zeros(3))
 
     def test_nabla_q_paper_point(self, paper_fields):
-        assert np.max(np.abs(nabla_q(christoffel_general(paper_fields, (1, 0, 0))))) <= 1e-12
+        gamma = christoffel_general(field_jet(paper_fields, (1, 0, 0)))
+        assert np.max(np.abs(nabla_q(gamma))) <= 1e-12
 
     def test_nabla_q_constant_fields_exact_zero(self):
         f = parse_field_spec("A: 2; B: 1")
-        assert np.max(np.abs(nabla_q(christoffel_general(f, (1, 2, 3))))) == 0.0
+        assert np.max(np.abs(nabla_q(christoffel_general(field_jet(f, (1, 2, 3)))))) == 0.0
 
     def test_nabla_q_nonzero_when_defect_nonzero(self):
         f = parse_field_spec("A: x1; B: 0")
-        assert np.max(np.abs(nabla_q(christoffel_general(f, (1, 0, 0))))) > 1e-6
+        assert np.max(np.abs(nabla_q(christoffel_general(field_jet(f, (1, 0, 0)))))) > 1e-6
 
     def test_theorem1_forward_random_points(self, paper_fields, rng):
         for _ in range(30):
             p = random_point(rng, paper_fields)
-            assert np.max(np.abs(nabla_q(christoffel_general(paper_fields, p)))) <= 1e-10
+            assert np.max(np.abs(nabla_q(christoffel_general(field_jet(paper_fields, p))))) <= 1e-10
 
     def test_theorem1_forward_nonlinear_parallel_pair(self, rng):
         for _ in range(5):
             f = random_parallel_pair(rng)
             p = random_point(rng, f)
-            assert np.max(np.abs(parallel_defect(f, p))) <= 1e-12
-            assert np.max(np.abs(nabla_q(christoffel_general(f, p)))) <= 1e-10
+            jet = field_jet(f, p)
+            assert np.max(np.abs(parallel_defect(jet))) <= 1e-12
+            assert np.max(np.abs(nabla_q(christoffel_general(jet)))) <= 1e-10
 
     def test_random_parallel_pair_is_exactly_parallel(self, rng):
         for _ in range(50):
@@ -216,7 +218,7 @@ class TestParallelism:
         assert not any(parallel_everywhere(random_defective_pair(rng), 1e-9) for _ in range(10))
         # grad A - (grad B) . S is (2 x1, 0, 0): zero on the plane x1 = 0, and not everywhere.
         f = parse_field_spec("A: 4*x1 + 2*x2 + x1^2; B: x1 + 2*x2 + 3*x3")
-        assert np.array_equal(parallel_defect(f, (0, 1.2, 0.3)), np.zeros(3))
+        assert np.array_equal(parallel_defect(field_jet(f, (0, 1.2, 0.3))), np.zeros(3))
         assert not parallel_everywhere(f, 1e-9)
         # Parallel up to the rounding of decimal coefficients.
         f = parse_field_spec("A: 0.3*x1 + 0.1*x2 + 0.1*x3 + 2; B: 0.1*x1 + 0.2*x2 + 0.2*x3")
@@ -231,8 +233,9 @@ class TestParallelism:
         for _ in range(10):
             f = random_defective_pair(rng)
             p = random_point(rng, f)
-            assert np.max(np.abs(parallel_defect(f, p))) >= 0.1
-            assert np.max(np.abs(nabla_q(christoffel_general(f, p)))) > 1e-6
+            jet = field_jet(f, p)
+            assert np.max(np.abs(parallel_defect(jet))) >= 0.1
+            assert np.max(np.abs(nabla_q(christoffel_general(jet)))) > 1e-6
 
 
 class TestReducedChristoffel:
@@ -291,8 +294,9 @@ class TestExactOracle:
             assert rg["point"] == rq["point"] and rg["status"] == rq["status"]
             if rg["status"] == "pass":
                 p = rg["point"]
-                general = christoffel_general(f, p)
-                gammas = [rg["gamma"], general, christoffel_closed(f, p)]
+                jet = field_jet(f, p)
+                general = christoffel_general(jet)
+                gammas = [rg["gamma"], general, christoffel_closed(jet)]
                 assert_within_rounding(f, p, gammas, [rq["components"], nabla_q(general)])
                 checked += 1
         assert checked
@@ -305,8 +309,9 @@ class TestExactOracle:
         rng = np.random.default_rng(8)
         for _ in range(100):
             p = random_point(rng, f)
-            general = christoffel_general(f, p)
-            assert_within_rounding(f, p, [general, christoffel_closed(f, p)], [nabla_q(general)])
+            jet = field_jet(f, p)
+            general = christoffel_general(jet)
+            assert_within_rounding(f, p, [general, christoffel_closed(jet)], [nabla_q(general)])
 
     def test_points_near_the_plane_a_equals_b(self, paper_fields):
         # A - B = 3 (x1 - x3): x3 is set 1e-9 to 1e-1 from the plane x1 = x3, which
@@ -318,7 +323,8 @@ class TestExactOracle:
             p[2] = p[0] + rng.choice([-1.0, 1.0]) * np.sqrt(2.0) * 10 ** rng.uniform(-9, -1)
             if domain_check(paper_fields, p).degenerate:
                 continue
-            general = christoffel_general(paper_fields, p)
-            gammas = [general, christoffel_closed(paper_fields, p)]
+            jet = field_jet(paper_fields, p)
+            general = christoffel_general(jet)
+            gammas = [general, christoffel_closed(jet)]
             assert_within_rounding(paper_fields, p, gammas, [nabla_q(general)])
             checked += 1

@@ -26,7 +26,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from circgeo import cli, curvature
-from circgeo.circulant import Q, circ_apply
+from circgeo.circulant import Q_DENSE
 from circgeo.connection import christoffel_closed, christoffel_general, metric_partials
 from circgeo.curvature import curvature_at, sectional_curvature
 from circgeo.errors import ConfigError, PointSkipped
@@ -37,6 +37,7 @@ from circgeo.fields import (
     domain_check,
     field_eval,
     field_grad,
+    field_jet,
     metric_at,
     parse_field_spec,
 )
@@ -129,11 +130,15 @@ def point_skip(f, p, gamma):
 
 
 def new_gamma(f, p):
-    return point_skip(f, p, christoffel_general(f, p))
+    return point_skip(f, p, christoffel_general(field_jet(f, p)))
 
 
 def new_closed(f, p):
-    return point_skip(f, p, christoffel_closed(f, p))
+    return point_skip(f, p, christoffel_closed(field_jet(f, p)))
+
+
+def new_partials(f, p):
+    return metric_partials(field_jet(f, p))
 
 
 def new_curvature(f, p):
@@ -154,7 +159,7 @@ def assert_kernels_match(f, p):
     for new, old in [
         (new_gamma, old_christoffel_general),
         (new_closed, old_christoffel_closed),
-        (metric_partials, old_metric_partials),
+        (new_partials, old_metric_partials),
         (new_curvature, old_curvature_at),
     ]:
         assert repr(outcome(new, f, p)) == repr(outcome(old, f, p))
@@ -215,7 +220,7 @@ def old_cmd_scan(config):
         raise ConfigError("scan requires a grid spec")
     f = cli._build_fields(config)
     points = cli.expand_grid(config.grid)
-    qx = circ_apply(Q, config.x)
+    qx = Q_DENSE @ np.asarray(config.x, dtype=float)
     records = []
     for idx, p in enumerate(points):
         with cli._in_range(p):
