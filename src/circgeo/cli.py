@@ -358,7 +358,7 @@ def _classify(config, parallel, idx, m: MetricAtPoint, jet) -> tuple[list[dict],
     resid = _max_abs(general - closed)
     records.append(_bounded("christoffel-dual-path", idx, p, resid, config.tol("dual_path")))
 
-    resid = metric_compatibility_residual(jet)
+    resid = metric_compatibility_residual(jet, m.g.dense())
     records.append(_bounded("metric-compatibility", idx, p, resid, config.tol("metric_compat")))
 
     defect = _max_abs(parallel_defect(jet))
@@ -631,11 +631,8 @@ def render_csv(report: dict, fh) -> None:
     keys = sorted({k for r in records for k in r})
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(keys)
-    point = cell = None  # a point's records share its list, and hold it consecutively
     for r in records:
-        if r["point"] is not point:
-            point, cell = r["point"], _csv_cell(r["point"])
-        writer.writerow([cell if k == "point" else _csv_cell(r.get(k)) for k in keys])
+        writer.writerow([_csv_cell(r.get(k)) for k in keys])
 
 
 def _csv_cell(value):

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .circulant import Q_DENSE, S, CirculantMatrix
+from .circulant import Q_DENSE, S
 from .fields import degeneracy_factor
 
 
@@ -114,10 +114,9 @@ def nabla_q(gamma: np.ndarray) -> np.ndarray:
             - np.einsum("aij...,as->ijs...", gamma, Q_DENSE))
 
 
-def metric_compatibility_residual(jet) -> float:
+def metric_compatibility_residual(jet, g: np.ndarray) -> float:
     """Max |d_k g_ij - Gamma^a_ki g_aj - Gamma^a_kj g_ia| (should vanish) at one point's
-    jet, where D is not ~ 0."""
-    g = CirculantMatrix(jet[0], jet[1], jet[1]).dense()
+    jet and its dense metric g, where D is not ~ 0."""
     dg = metric_partials(jet)
     gamma = christoffel_general(jet)
     resid = dg - np.einsum("aki,aj->kij", gamma, g) - np.einsum("akj,ia->kij", gamma, g)
