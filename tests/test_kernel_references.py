@@ -407,15 +407,17 @@ def verify_runs(draw):
 @settings(max_examples=100, deadline=None)
 @given(verify_runs(), st.integers(0, 2**32 - 1))
 def test_block_verify_matches_point_by_point_verify(run, seed):
-    # Where a point's numbers overflow, its block is redone point by point from the
-    # random state the block began with: the error names the first such point, and a
-    # run that does not stop draws what a point-by-point run draws.
+    # Every point is checked against the run's one set of random vectors and orbit
+    # seeds, drawn before any block.  Where a point's numbers overflow, its block is
+    # redone point by point: the error names the first such point, and a run that
+    # does not stop reports what a point-by-point run reports.
     fields, points = run
-    config = {"fields": fields, "points": points, "seed": seed, "n_vectors": 3, "n_seeds": 2}
+    config = {"fields": fields, "points": points, "seed": seed}
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps(config))
         argv = ["verify", "--config", str(path)]
         reference = run_cli(argv, VERIFY_BLOCK=1)
+        assert "unknown config key" not in reference[2]  # the run got past its config
         for block in (2, cli.VERIFY_BLOCK):
             assert run_cli(argv, VERIFY_BLOCK=block) == reference
