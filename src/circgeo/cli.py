@@ -61,13 +61,14 @@ DEFAULT_TOLERANCES = {
 #: largest n_points.
 MAX_GRID_NODES = 1_000_000
 
-#: Grid nodes per block of a scan, so that its arrays stay within a few MB at
-#: any grid size.
+#: Points per block of eval and of verify's classify, and grid nodes per block of
+#: a scan, so that their arrays stay within a few MB at any size.
 SCAN_BLOCK = 1024
 
-#: Points per block of verify.  The curvature suite of a block's points is one
-#: tensor block and one stacked contraction; a larger block saves little time
-#: and holds more memory.
+#: Points per sub-block of verify's curvature suite.  The curvature points of a
+#: classify block take the suite this many at a time, each sub-block one tensor
+#: block and one stacked contraction; a larger one saves little time and holds
+#: more memory.
 VERIFY_BLOCK = 32
 
 #: Verify checks identities 3.1/3.6 on N_VECTORS random quadruples of vectors and
@@ -228,7 +229,8 @@ def _in_range(point):
 
 def _in_blocks(points: list, size: int, work) -> list[dict]:
     """The records of work(start, block) over blocks of points (start: the first one's index),
-    each run under np.errstate(over="raise", invalid="raise") and checked by _finite_records.
+    each run under np.errstate(over="raise", invalid="raise") and checked by _finite_records:
+    an array expression over a block raises where a Python float would become inf silently.
     A block that overflows is redone as blocks of one under _in_range, each checked as it is
     made: the error names the first point it belongs to.  work draws no random numbers, so a
     point's records do not depend on the block it is in."""
@@ -243,10 +245,6 @@ def _in_blocks(points: list, size: int, work) -> list[dict]:
                 with _in_range(p):
                     records += _finite_records(work(start + i, [p]))
     return records
-
-
-def _max_abs(values: np.ndarray) -> float:
-    return float(np.max(np.abs(values)))
 
 
 def _is_constant(f: FieldPair) -> bool:
@@ -322,72 +320,70 @@ def cmd_verify(config: RunConfig) -> dict:
     seeds = _orbit_seeds(rng)
     parallel = parallel_everywhere(f, config.tol("defect_zero"))
     work = partial(_verify_block, config, f, vectors, seeds, parallel)
-    return _assemble(config, _in_blocks(points, VERIFY_BLOCK, work))
+    return _assemble(config, _in_blocks(points, SCAN_BLOCK, work))
 
 
 def _verify_block(config, f, vectors, seeds, parallel, start, block) -> list[dict]:
     """The records of consecutive points, the first of index start, each point's sorted
-    by check: the block's metric and its non-degenerate points' field jets at once, each
-    point classified alone from its rows, then the curvature suite of those that take it."""
+    by check.  Over the block's non-degenerate rows each check up to Theorem 1 is one array
+    expression: the metric inverse, the closed-form Gamma, the defect, nabla q and the
+    maxima over the stack of general Gamma.  Only christoffel_general and
+    metric_compatibility_residual, whose calls the benchmark's trace counts, run a point at
+    a time.  The points that take the curvature suite take it VERIFY_BLOCK at a time."""
     metric = domain_check(f, np.array(block))
-    columns = zip(*(v.tolist() for v in (metric.a, metric.b, metric.d, metric.degenerate,
-                                        metric.definite)), block)
-    jets = iter(zip(*(v.tolist() for v in field_jet(f, metric.point[~metric.degenerate]))))
-    classified = [_classify(config, parallel, start + i, m, None if m.degenerate else next(jets))
-                  for i, m in enumerate(MetricAtPoint(*c) for c in columns)]
-    by_point = [records for records, _ in classified]
-    rows = [i for i, (_, gamma_max) in enumerate(classified) if gamma_max is not None]
-    if rows:
-        curved = [(start + i, block[i], classified[i][1]) for i in rows]
-        for r in _curvature_suite(config, f, vectors, seeds, curved, metric.take(rows)):
+    by_point = [[] for _ in block]
+    for n in np.flatnonzero(metric.degenerate).tolist():
+        by_point[n].append(_record("all", start + n, block[n], "skipped",
+                                   reason="DegenerateMetric", d=float(metric.d[n])))
+    rows = np.flatnonzero(~metric.degenerate)
+    curved = []  # (index, point, max |Gamma|) of each point that takes the curvature suite
+    if len(rows):
+        m = metric.take(rows)
+        jet = field_jet(f, m.point)
+        prod = circ_mul(m.g, m.g_inv)
+        inverses = np.max(np.abs([prod.a - IDENTITY.a, prod.b - IDENTITY.b, prod.c - IDENTITY.c]),
+                          axis=0)
+        row_jets = list(zip(*(v.tolist() for v in jet)))
+        general = np.stack([christoffel_general(j) for j in row_jets], axis=-1)
+        duals = np.max(np.abs(general - christoffel_closed(jet)), axis=(0, 1, 2))
+        defects = np.max(np.abs(parallel_defect(jet)), axis=0)
+        nqs = np.max(np.abs(nabla_q(general)), axis=(0, 1, 2))
+        gamma_maxes = np.max(np.abs(general), axis=(0, 1, 2))
+        dense = np.ascontiguousarray(np.moveaxis(m.g.dense(), -1, 0))  # each point's 3x3
+        columns = zip(rows.tolist(), row_jets, dense, *(v.tolist() for v in (
+            inverses, duals, defects, nqs, gamma_maxes)))
+        for n, row_jet, g, inverse, dual, defect, nq, gamma_max in columns:
+            idx, p = start + n, block[n]
+            compat = metric_compatibility_residual(row_jet, g)
+            records = by_point[n]
+            records += [
+                _bounded("metric-inverse", idx, p, inverse, config.tol("metric_inverse")),
+                _bounded("christoffel-dual-path", idx, p, dual, config.tol("dual_path")),
+                _bounded("metric-compatibility", idx, p, compat, config.tol("metric_compat")),
+            ]
+            if defect <= config.tol("defect_zero"):
+                tol = config.tol("nabla_q")
+                records.append(_record("theorem1-parallel", idx, p, "pass" if nq <= tol else "fail",
+                                       defect=defect, nabla_q=nq, tolerance=tol))
+                # The curvature checks need q parallel around p, not only at p.
+                if parallel:
+                    curved.append((idx, p, gamma_max))
+                else:
+                    records += _skipped_curvature(idx, p, "q is not parallel near the point")
+            elif defect >= 0.1:
+                tol = config.tol("nabla_q_nonzero")
+                records.append(_record("theorem1-converse", idx, p, "pass" if nq > tol else "fail",
+                                       defect=defect, nabla_q=nq, tolerance=tol))
+            else:
+                records.append(_record("theorem1-parallel", idx, p, "skipped",
+                                       reason="defect neither zero nor large", defect=defect,
+                                       nabla_q=nq))
+    for s in range(0, len(curved), VERIFY_BLOCK):
+        sub = curved[s:s + VERIFY_BLOCK]
+        for r in _curvature_suite(config, f, vectors, seeds, sub,
+                                  metric.take([idx - start for idx, _, _ in sub])):
             by_point[r["point_index"] - start].append(r)
     return [r for records in by_point for r in sorted(records, key=lambda r: r["check"])]
-
-
-def _classify(config, parallel, idx, m: MetricAtPoint, jet) -> tuple[list[dict], float | None]:
-    """The records up to Theorem 1 of the point of the one-point record m and jet (None if
-    D ~ 0), of Python floats, and max |Gamma| if it takes the curvature suite, else None."""
-    p = m.point
-    if m.degenerate:
-        return [_record("all", idx, p, "skipped", reason="DegenerateMetric", d=m.d)], None
-    prod = circ_mul(m.g, m.g_inv)
-    resid = max(
-        abs(prod.a - IDENTITY.a), abs(prod.b - IDENTITY.b), abs(prod.c - IDENTITY.c)
-    )
-    records = [_bounded("metric-inverse", idx, p, resid, config.tol("metric_inverse"))]
-
-    general = christoffel_general(jet)
-    closed = christoffel_closed(jet)
-    resid = _max_abs(general - closed)
-    records.append(_bounded("christoffel-dual-path", idx, p, resid, config.tol("dual_path")))
-
-    resid = metric_compatibility_residual(jet, m.g.dense())
-    records.append(_bounded("metric-compatibility", idx, p, resid, config.tol("metric_compat")))
-
-    defect = _max_abs(parallel_defect(jet))
-    nq = _max_abs(nabla_q(general))
-    if defect <= config.tol("defect_zero"):
-        tol = config.tol("nabla_q")
-        records.append(
-            _record("theorem1-parallel", idx, p, "pass" if nq <= tol else "fail",
-                    defect=defect, nabla_q=nq, tolerance=tol)
-        )
-        # The curvature checks need q parallel around p, not only at p.
-        if parallel:
-            return records, _max_abs(general)
-        records += _skipped_curvature(idx, p, "q is not parallel near the point")
-    elif defect >= 0.1:
-        tol = config.tol("nabla_q_nonzero")
-        records.append(
-            _record("theorem1-converse", idx, p, "pass" if nq > tol else "fail",
-                    defect=defect, nabla_q=nq, tolerance=tol)
-        )
-    else:
-        records.append(
-            _record("theorem1-parallel", idx, p, "skipped",
-                    reason="defect neither zero nor large", defect=defect, nabla_q=nq)
-        )
-    return records, None
 
 
 def _skipped_curvature(idx, p, why: PointSkipped | str) -> list[dict]:

@@ -12,7 +12,11 @@ Two independent computations of the Christoffel symbols are provided:
 
 Both paths must agree everywhere; tests enforce this.  ``nabla_q`` reads the
 gamma[s, i, j] array of either, so its caller evaluates Gamma once.  No kernel
-evaluates a field: each takes the jet that ``fields.field_jet`` returns.
+evaluates a field: each takes the jet that ``fields.field_jet`` returns.  Both
+Christoffel paths, ``parallel_defect`` and ``nabla_q`` take one point's jet (or
+Gamma) or a block's, with the batch axis last and each row the bits of the
+one-point call; ``metric_partials`` and ``metric_compatibility_residual`` take
+one point's.
 """
 
 from __future__ import annotations
@@ -60,7 +64,8 @@ def christoffel_general(jet) -> np.ndarray:
 
 
 def christoffel_closed(jet) -> np.ndarray:
-    """Christoffel symbols gamma[s, i, j] from the corrected closed-form expressions."""
+    """Christoffel symbols gamma[s, i, j] from the corrected closed-form expressions;
+    gamma[s, i, j, n] over the jet of an (n, 3) block."""
     a, b, a1, a2, a3, b1, b2, b3 = jet
     d = degeneracy_factor(a, b)
     half_d = 1.0 / (2.0 * d)
@@ -91,9 +96,10 @@ def christoffel_closed(jet) -> np.ndarray:
 
 
 def parallel_defect(jet) -> np.ndarray:
-    """Componentwise grad A - (grad B) . S at one point's jet; zero iff q is parallel there."""
+    """Componentwise grad A - (grad B) . S, zero iff q is parallel there: a 3-vector at one
+    point's jet, [j, n] over a block's.  S is symmetric, so S @ grad B is (grad B) . S."""
     grad_a, grad_b = np.array(jet[2:5]), np.array(jet[5:])
-    return grad_a - grad_b @ S
+    return grad_a - S @ grad_b
 
 
 def parallel_everywhere(f, tol: float) -> bool:

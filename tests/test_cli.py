@@ -263,18 +263,22 @@ class TestVerify:
         # curvature_at in the CLI and in the curvature module (sectional_curvature
         # and theorem3_check build their own tensor; verify calls neither),
         # christoffel_general in the CLI, the curvature stencil and
-        # metric_compatibility_residual, domain_check in the CLI, the curvature
+        # metric_compatibility_residual, the closed form, the defect and nabla q in
+        # the CLI and the connection module, domain_check in the CLI, the curvature
         # stencil, metric_at and the sampler, and the field jets wherever a module
         # could bind field_jet or field_grad, connection among them.  A call over an
-        # (n, 3) block, or on its jet of (n,) columns, counts n rows, a call at one
-        # point one.  Constant fields add the flat-baseline check, which reads the
-        # same tensor.
+        # (n, 3) block, on its jet of (n,) columns or on its gamma[s, i, j, n], counts
+        # n rows, a call at one point one.  Constant fields add the flat-baseline
+        # check, which reads the same tensor.
         made = []  # (name, binding module, rows) of each call, in order
+        takes_jet = ("christoffel_general", "christoffel_closed", "parallel_defect")
 
         def counting(name, original, binding):
             def wrapper(*args, **kwargs):
-                if name == "christoffel_general":  # a jet of floats or of (n,) columns
+                if name in takes_jet:  # a jet of floats or of (n,) columns
                     rows = np.size(args[0][0])
+                elif name == "nabla_q":  # gamma[s, i, j] or gamma[s, i, j, n]
+                    rows = args[0].shape[3] if args[0].ndim == 4 else 1
                 else:  # a point or a block, or curvature_at's record of one
                     points = getattr(args[1], "point", args[1])
                     rows = len(points) if np.ndim(points) == 2 else 1
@@ -291,6 +295,8 @@ class TestVerify:
                 "christoffel_general", circgeo.connection,
                 (circgeo.cli, circgeo.connection, circgeo.curvature),
             ),
+            *((name, circgeo.connection, (circgeo.cli, circgeo.connection))
+              for name in ("christoffel_closed", "parallel_defect", "nabla_q")),
             (
                 "domain_check", circgeo.fields,
                 (circgeo.cli, circgeo.curvature, circgeo.fields, circgeo.sampling),
@@ -323,6 +329,14 @@ class TestVerify:
             verified = [r for r in report["records"] if r["check"] == "metric-inverse"]
             assert len(verified) == n_reached
             assert sum(calls("christoffel_general")) == 7 * len(reached) + 2 * len(verified)
+            # The grid is one classify block: the closed form, the defect and nabla q
+            # take its verified rows at once, and the general Gamma is taken a point
+            # at a time, once in the CLI and once in metric_compatibility_residual.
+            for name in ("christoffel_closed", "parallel_defect", "nabla_q"):
+                assert calls(name, circgeo.cli) == [len(verified)]
+                assert calls(name, circgeo.connection) == []
+            assert calls("christoffel_general", circgeo.cli) == [1] * len(verified)
+            assert calls("christoffel_general", circgeo.connection) == [1] * len(verified)
             # The block's metric is checked once, and no verified point's again.
             assert calls("domain_check") == [27]
             assert calls("domain_check", circgeo.fields) == []
@@ -399,8 +413,8 @@ class TestVerify:
             return original(*args)
 
         monkeypatch.setattr(circgeo.cli, "_verify_block", counting)
-        for size, redone in ((circgeo.cli.VERIFY_BLOCK, [3, 1, 1]), (1, [1, 1, 1])):
-            monkeypatch.setattr(circgeo.cli, "VERIFY_BLOCK", size)
+        for size, redone in ((circgeo.cli.SCAN_BLOCK, [3, 1, 1]), (1, [1, 1, 1])):
+            monkeypatch.setattr(circgeo.cli, "SCAN_BLOCK", size)
             blocks.clear()
             code, captured = run(capsys, *argv)
             assert (code, blocks) == (2, redone)
@@ -411,19 +425,20 @@ class TestVerify:
             assert captured.out == ""
 
     def test_redone_block_names_its_first_point_out_of_range(self, capsys, monkeypatch):
-        # At point 0 the closed form's (A + B) A_1 overflows to inf in Python floats,
-        # without raising, so its dual-path residual is not finite; at point 1 D is
-        # NaN, which raises and has the block redone.  Each redone point's records are
-        # checked as they are made, so point 0 is named, as a point-by-point run names it.
+        # At point 0 the closed form's (A + B) A_1 overflows, and at point 1 D is NaN:
+        # over the block either raises, and the block is redone point by point.  Point 0
+        # alone raises in the same closed form, taken over its block of one, so it is
+        # named with numpy's words for the overflow, as eval and scan word one, and as a
+        # point-by-point run names it.
         fields = f"A: 1{'0' * 300}*x1 + 2; B: 1{'0' * 299}*x1"
-        for size in (circgeo.cli.VERIFY_BLOCK, 1):
-            monkeypatch.setattr(circgeo.cli, "VERIFY_BLOCK", size)
+        for size in (circgeo.cli.SCAN_BLOCK, 1):
+            monkeypatch.setattr(circgeo.cli, "SCAN_BLOCK", size)
             code, captured = run(capsys, "verify", "--fields", fields,
                                  "--point", "1e-150,0.5,0.3", "--point", "1e10,0.5,0.3")
             assert code == 2
             assert captured.err == (
                 "circgeo: error: point [1e-150, 0.5, 0.3] is out of range:"
-                " christoffel-dual-path is not finite\n"
+                " overflow encountered in multiply\n"
             )
             assert captured.out == ""
 

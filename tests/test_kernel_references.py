@@ -410,14 +410,16 @@ def test_block_verify_matches_point_by_point_verify(run, seed):
     # Every point is checked against the run's one set of random vectors and orbit
     # seeds, drawn before any block.  Where a point's numbers overflow, its block is
     # redone point by point: the error names the first such point, and a run that
-    # does not stop reports what a point-by-point run reports.
+    # does not stop reports what a point-by-point run reports.  Verify classifies
+    # blocks of SCAN_BLOCK points and runs the curvature suite of their curvature
+    # points VERIFY_BLOCK at a time; the reference takes both a point at a time.
     fields, points = run
     config = {"fields": fields, "points": points, "seed": seed}
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps(config))
         argv = ["verify", "--config", str(path)]
-        reference = run_cli(argv, VERIFY_BLOCK=1)
+        reference = run_cli(argv, SCAN_BLOCK=1, VERIFY_BLOCK=1)
         assert "unknown config key" not in reference[2]  # the run got past its config
-        for block in (2, cli.VERIFY_BLOCK):
-            assert run_cli(argv, VERIFY_BLOCK=block) == reference
+        for classify, curvature in ((2, 2), (cli.SCAN_BLOCK, 1), (cli.SCAN_BLOCK, cli.VERIFY_BLOCK)):
+            assert run_cli(argv, SCAN_BLOCK=classify, VERIFY_BLOCK=curvature) == reference
