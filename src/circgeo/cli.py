@@ -206,15 +206,14 @@ def resolve_points(config: RunConfig, f: FieldPair, rng: np.random.Generator) ->
 def _record(check: str, index: int, point: list, status: str, **extra) -> dict:
     """A record of the point, a list of finite Python floats from resolve_points or
     expand_grid, held as it is: all of a point's records share its one list."""
-    rec = {"check": check, "point_index": index, "point": point, "status": status}
-    rec.update(extra)
-    return rec
+    return {"check": check, "point_index": index, "point": point, "status": status, **extra}
 
 
 def _bounded(check: str, index: int, point, residual: float, tolerance: float) -> dict:
     """A check that passes when its residual is at most its tolerance."""
-    return _record(check, index, point, "pass" if residual <= tolerance else "fail",
-                   residual=residual, tolerance=tolerance)
+    return {"check": check, "point_index": index, "point": point,
+            "status": "pass" if residual <= tolerance else "fail",
+            "residual": residual, "tolerance": tolerance}
 
 
 @contextmanager
@@ -229,22 +228,45 @@ def _in_range(point):
 
 def _in_blocks(points: list, size: int, work) -> list[dict]:
     """The records of work(start, block) over blocks of points (start: the first one's index),
-    each run under np.errstate(over="raise", invalid="raise") and checked by _finite_records:
-    an array expression over a block raises where a Python float would become inf silently.
-    A block that overflows is redone as blocks of one under _in_range, each checked as it is
-    made: the error names the first point it belongs to.  work draws no random numbers, so a
-    point's records do not depend on the block it is in."""
+    each run under np.errstate(over="raise", invalid="raise"): an array expression over a
+    block raises where a Python float would become inf silently.  work checks what it has
+    computed with _check_finite before it builds records.  A block that overflows is split
+    in halves, each run the same way, down to blocks of one, which run under _in_range: since
+    a point overflows alone where it overflows in its block, the error names the first point
+    it belongs to, after at most 2 log2(size) + 1 calls of work for one such point.  work
+    draws no random numbers, so a point's records do not depend on the block it is in."""
     records = []
     for start in range(0, len(points), size):
-        block = points[start:start + size]
-        try:
-            with np.errstate(over="raise", invalid="raise"):
-                records += _finite_records(work(start, block))
-        except (FloatingPointError, OverflowError):
-            for i, p in enumerate(block):
-                with _in_range(p):
-                    records += _finite_records(work(start + i, [p]))
+        records += _bisected(work, start, points[start:start + size])
     return records
+
+
+def _bisected(work, start: int, block: list) -> list[dict]:
+    """work(start, block), or, where it overflows, its halves' records in turn."""
+    if len(block) == 1:
+        with _in_range(block[0]):
+            return work(start, block)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return work(start, block)
+    except (FloatingPointError, OverflowError):
+        half = len(block) // 2
+        return _bisected(work, start, block[:half]) + _bisected(work, start + half, block[half:])
+
+
+def _check_finite(block: list, found: list) -> None:
+    """A ConfigError naming the first point of block, and of its checks the first by name,
+    whose value is not finite, from (check, rows, not_finite) triples: the check's mask
+    over rows, ascending indices into block.  Python floats, and some numpy sums, overflow
+    to inf silently, and the first such value in report order is the one to name.  Points
+    are finite where they are made, by config's _is_triple, expand_grid's check of each
+    span, or the sampler's draws on [LOW, HIGH), and so are A, B and D, or domain_check
+    raises."""
+    firsts = [(rows[k], check) for check, rows, not_finite in found
+              for k in np.flatnonzero(not_finite)[:1]]
+    if firsts:
+        n, check = min(firsts)
+        raise ConfigError(f"point {block[n]} is out of range: {check} is not finite")
 
 
 def _is_constant(f: FieldPair) -> bool:
@@ -267,7 +289,8 @@ def _eval_block(config: RunConfig, f: FieldPair, what: str, start: int, block: l
     """The records of consecutive points, the first of index start, from array kernels over
     the whole block: what at each point, or the skip of the point or of a point it needs.
     Nothing is computed where D ~ 0, nor mu where g is indefinite, nor over no points.
-    For sectional, cmd_eval has checked that config.x admits the sections."""
+    For sectional, cmd_eval has checked that config.x admits the sections.  The arrays
+    computed, each with the row axis last, are checked to be finite where no skip stands."""
     x = np.array(block)
     m = domain_check(f, x)
     applies = ~m.degenerate & (m.definite if what == "sectional" else True)
@@ -277,11 +300,13 @@ def _eval_block(config: RunConfig, f: FieldPair, what: str, start: int, block: l
              for n in np.flatnonzero(~applies).tolist()}
     metric = m.take(rows)
     found = {}  # the skips the curvature layer finds, by row of metric
+    arrays = []  # what is computed over the rows of metric, the row axis last
     if not len(rows):
         values = []
     elif what == "metric":
-        with np.errstate(over="ignore"):  # Python float rules, for _finite_records
+        with np.errstate(over="ignore"):  # Python float rules: _check_finite names it
             inverse = metric.g_inv
+        arrays = [inverse.a, inverse.b]
         columns = zip(*(v.tolist() for v in (metric.a, metric.b, metric.d, metric.definite,
                                             inverse.a, inverse.b)))
         values = [{"g": [a, b, b], "g_inv": [ia, ib, ib], "d": d, "definite": definite}
@@ -289,21 +314,30 @@ def _eval_block(config: RunConfig, f: FieldPair, what: str, start: int, block: l
     elif what == "curvature":
         curv = curvature_at(f, metric)
         found = curv.skips
+        arrays = [curv.r_down]
         values = [{"max_abs": top, "r_down": r} for top, r in
                   zip(curv.max_abs.tolist(), np.moveaxis(curv.r_down, -1, 0).tolist())]
     elif what == "sectional":
         mu, spread, passed, found, cubic = theorem3_check(
             f, metric, config.x, config.tol("spread_rel"), config.tol("spread_abs"))
+        arrays = [mu.T, spread]
         values = [{"status": "pass" if ok else "fail", "mu": three, "spread": s,
                    "independence": cubic}
                   for three, s, ok in zip(mu.tolist(), spread.tolist(), passed.tolist())]
     elif what == "christoffel":
         gamma = christoffel_general(field_jet(f, metric.point))
+        arrays = [gamma]
         values = [{"gamma": g} for g in np.moveaxis(gamma, -1, 0).tolist()]
     else:
         nq = nabla_q(christoffel_general(field_jet(f, metric.point)))
+        arrays = [nq]
         values = [{"max_norm": top, "components": c} for top, c in zip(
             np.max(np.abs(nq), axis=(0, 1, 2)).tolist(), np.moveaxis(nq, -1, 0).tolist())]
+    finite = np.ones(len(rows), dtype=bool)
+    for v in arrays:
+        finite &= np.isfinite(v).reshape(-1, len(rows)).all(axis=0)
+    finite[list(found)] = True  # a skipped row is NaN
+    _check_finite(block, [(what, rows, ~finite)])
     skips.update((int(rows[k]), why) for k, why in found.items())
     values = {n: {"status": "pass", **v} for n, v in zip(rows.tolist(), values)}
     return [_record(what, start + n, p, **values[n]) if n not in skips else
@@ -326,64 +360,80 @@ def cmd_verify(config: RunConfig) -> dict:
 def _verify_block(config, f, vectors, seeds, parallel, start, block) -> list[dict]:
     """The records of consecutive points, the first of index start, each point's sorted
     by check.  Over the block's non-degenerate rows each check up to Theorem 1 is one array
-    expression: the metric inverse, the closed-form Gamma, the defect, nabla q and the
-    maxima over the stack of general Gamma.  Only christoffel_general and
-    metric_compatibility_residual, whose calls the benchmark's trace counts, run a point at
-    a time.  The points that take the curvature suite take it VERIFY_BLOCK at a time."""
+    expression: the metric inverse, the closed-form Gamma, the defect, nabla q, the
+    metric-compatibility residual and the maxima over the stack of general Gamma.  Only
+    christoffel_general, whose calls the benchmark's trace counts, runs a point at a time,
+    here and inside metric_compatibility_residual.  The points that take the curvature
+    suite take it VERIFY_BLOCK at a time.  Every value is checked to be finite on the
+    block's arrays before a classify record is built, and each tolerance is read once."""
     metric = domain_check(f, np.array(block))
     by_point = [[] for _ in block]
     for n in np.flatnonzero(metric.degenerate).tolist():
         by_point[n].append(_record("all", start + n, block[n], "skipped",
                                    reason="DegenerateMetric", d=float(metric.d[n])))
     rows = np.flatnonzero(~metric.degenerate)
-    curved = []  # (index, point, max |Gamma|) of each point that takes the curvature suite
-    if len(rows):
-        m = metric.take(rows)
-        jet = field_jet(f, m.point)
-        prod = circ_mul(m.g, m.g_inv)
-        inverses = np.max(np.abs([prod.a - IDENTITY.a, prod.b - IDENTITY.b, prod.c - IDENTITY.c]),
-                          axis=0)
-        row_jets = list(zip(*(v.tolist() for v in jet)))
-        general = np.stack([christoffel_general(j) for j in row_jets], axis=-1)
-        duals = np.max(np.abs(general - christoffel_closed(jet)), axis=(0, 1, 2))
-        defects = np.max(np.abs(parallel_defect(jet)), axis=0)
-        nqs = np.max(np.abs(nabla_q(general)), axis=(0, 1, 2))
-        gamma_maxes = np.max(np.abs(general), axis=(0, 1, 2))
-        dense = np.ascontiguousarray(np.moveaxis(m.g.dense(), -1, 0))  # each point's 3x3
-        columns = zip(rows.tolist(), row_jets, dense, *(v.tolist() for v in (
-            inverses, duals, defects, nqs, gamma_maxes)))
-        for n, row_jet, g, inverse, dual, defect, nq, gamma_max in columns:
-            idx, p = start + n, block[n]
-            compat = metric_compatibility_residual(row_jet, g)
-            records = by_point[n]
-            records += [
-                _bounded("metric-inverse", idx, p, inverse, config.tol("metric_inverse")),
-                _bounded("christoffel-dual-path", idx, p, dual, config.tol("dual_path")),
-                _bounded("metric-compatibility", idx, p, compat, config.tol("metric_compat")),
-            ]
-            if defect <= config.tol("defect_zero"):
-                tol = config.tol("nabla_q")
-                records.append(_record("theorem1-parallel", idx, p, "pass" if nq <= tol else "fail",
-                                       defect=defect, nabla_q=nq, tolerance=tol))
-                # The curvature checks need q parallel around p, not only at p.
-                if parallel:
-                    curved.append((idx, p, gamma_max))
-                else:
-                    records += _skipped_curvature(idx, p, "q is not parallel near the point")
-            elif defect >= 0.1:
-                tol = config.tol("nabla_q_nonzero")
-                records.append(_record("theorem1-converse", idx, p, "pass" if nq > tol else "fail",
-                                       defect=defect, nabla_q=nq, tolerance=tol))
-            else:
-                records.append(_record("theorem1-parallel", idx, p, "skipped",
-                                       reason="defect neither zero nor large", defect=defect,
-                                       nabla_q=nq))
+    if not len(rows):
+        return [records[0] for records in by_point]
+    m = metric.take(rows)
+    jet = field_jet(f, m.point)
+    prod = circ_mul(m.g, m.g_inv)
+    inverses = np.max(np.abs([prod.a - IDENTITY.a, prod.b - IDENTITY.b, prod.c - IDENTITY.c]),
+                      axis=0)
+    general = np.stack([christoffel_general(j) for j in zip(*(v.tolist() for v in jet))], axis=-1)
+    duals = np.max(np.abs(general - christoffel_closed(jet)), axis=(0, 1, 2))
+    defects = np.max(np.abs(parallel_defect(jet)), axis=0)
+    nqs = np.max(np.abs(nabla_q(general)), axis=(0, 1, 2))
+    gamma_maxes = np.max(np.abs(general), axis=(0, 1, 2))
+    compats = metric_compatibility_residual(
+        jet, np.ascontiguousarray(np.moveaxis(m.g.dense(), -1, 0)))  # each point's 3x3
+    t_inverse, t_dual, t_compat, t_defect, t_zero, t_nonzero = map(config.tol, (
+        "metric_inverse", "dual_path", "metric_compat", "defect_zero", "nabla_q",
+        "nabla_q_nonzero"))
+    zero = defects <= t_defect
+    converse = ~zero & (defects >= 0.1)
+    unbounded = ~(np.isfinite(defects) & np.isfinite(nqs))  # in the Theorem 1 record
+    found = [("metric-inverse", rows, ~np.isfinite(inverses)),
+             ("christoffel-dual-path", rows, ~np.isfinite(duals)),
+             ("metric-compatibility", rows, ~np.isfinite(compats)),
+             ("theorem1-parallel", rows, unbounded & ~converse),
+             ("theorem1-converse", rows, unbounded & converse)]
+    # The points where q is parallel take the curvature checks, which need q parallel
+    # around the point, not only at it; their records sort among the classify records.
+    near = rows[zero].tolist()
+    curved = [(start + n, block[n], top) for n, top in zip(near, gamma_maxes[zero].tolist())]
+    if not parallel:
+        for n in near:
+            by_point[n] += _skipped_curvature(start + n, block[n],
+                                              "q is not parallel near the point")
+        curved = []
     for s in range(0, len(curved), VERIFY_BLOCK):
         sub = curved[s:s + VERIFY_BLOCK]
-        for r in _curvature_suite(config, f, vectors, seeds, sub,
-                                  metric.take([idx - start for idx, _, _ in sub])):
+        at = [idx - start for idx, _, _ in sub]
+        records, suite_found = _curvature_suite(config, f, vectors, seeds, sub, metric.take(at))
+        for r in records:
             by_point[r["point_index"] - start].append(r)
-    return [r for records in by_point for r in sorted(records, key=lambda r: r["check"])]
+        found += [(check, [at[k] for k in ks], not_finite) for check, ks, not_finite in suite_found]
+    _check_finite(block, found)
+
+    columns = zip(rows.tolist(), *(v.tolist() for v in (inverses, duals, compats, defects, nqs,
+                                                        zero, converse)))
+    for n, inverse, dual, compat, defect, nq, is_zero, is_converse in columns:
+        idx, p = start + n, block[n]
+        if is_zero:
+            theorem1 = _record("theorem1-parallel", idx, p, "pass" if nq <= t_zero else "fail",
+                               defect=defect, nabla_q=nq, tolerance=t_zero)
+        elif is_converse:
+            theorem1 = _record("theorem1-converse", idx, p, "pass" if nq > t_nonzero else "fail",
+                               defect=defect, nabla_q=nq, tolerance=t_nonzero)
+        else:
+            theorem1 = _record("theorem1-parallel", idx, p, "skipped",
+                               reason="defect neither zero nor large", defect=defect, nabla_q=nq)
+        by_point[n] += [_bounded("christoffel-dual-path", idx, p, dual, t_dual),
+                        _bounded("metric-compatibility", idx, p, compat, t_compat),
+                        _bounded("metric-inverse", idx, p, inverse, t_inverse), theorem1]
+    for n in near:
+        by_point[n].sort(key=lambda r: r["check"])
+    return [r for records in by_point for r in records]
 
 
 def _skipped_curvature(idx, p, why: PointSkipped | str) -> list[dict]:
@@ -393,11 +443,15 @@ def _skipped_curvature(idx, p, why: PointSkipped | str) -> list[dict]:
             for check in ("identity-3.1", "identity-3.2", "identity-3.6", "theorem3-spread")]
 
 
-def _curvature_suite(config, f, vectors, seeds, curved: list, metric: MetricAtPoint) -> list[dict]:
+def _curvature_suite(config, f, vectors, seeds, curved: list,
+                     metric: MetricAtPoint) -> tuple[list[dict], list]:
     """The curvature records of the points (index, point, max |Gamma|) that take the
     suite, whose rows of the block's metric record are metric: one tensor block, and
     the checks of every point against the run's four (N_VECTORS, 3) stacks of vectors
-    and its (m, 3) stack of orbit seeds, contracted over the block at once."""
+    and its (m, 3) stack of orbit seeds, contracted over the block at once.  With them,
+    _check_finite's (check, rows, not_finite) triples, rows indexing curved: a maximum
+    taken from 0.0, as Python's max takes it, passes over NaN, and is not finite only
+    where an entry is inf."""
     indices, points, gamma_max = zip(*curved)
     curv = curvature_at(f, metric)
     rows = list(range(len(points)))
@@ -407,25 +461,36 @@ def _curvature_suite(config, f, vectors, seeds, curved: list, metric: MetricAtPo
             records += _skipped_curvature(indices[n], points[n], why)
         rows = [n for n in rows if n not in curv.skips]
         if not rows:
-            return records
+            return records, []
         curv = curv.take(rows)
 
     rel = config.tol("identity_rel")
     resid32, scale32 = identity_32_residual(curv)
+    with np.errstate(over="ignore"):  # the Python float product it was
+        tol32 = rel * scale32
     r31, r36 = identity_residuals(curv, *vectors)
     scale = np.maximum(residual_scales(curv, *vectors), 1e-300)
-    ratios31, ratios36 = (r31 / scale).tolist(), (r36 / scale).tolist()
+    ratios31, ratios36 = r31 / scale, r36 / scale
     definite = np.flatnonzero(curv.metric.definite).tolist()
     _, spread, passed, _ = orbit_spreads(
         curv.take(definite), seeds, config.tol("spread_rel"), config.tol("spread_abs"))
     spreads = dict(zip(definite, zip(spread.tolist(), passed.tolist())))
-    for k, n in enumerate(rows):
+    found = [("identity-3.2", rows, ~(np.isfinite(resid32) & np.isfinite(tol32))),
+             ("identity-3.1", rows, (ratios31 == np.inf).any(axis=-1)),
+             ("identity-3.6", rows, (ratios36 == np.inf).any(axis=-1)),
+             ("theorem3-spread", [rows[k] for k in definite], (spread == np.inf).any(axis=-1))]
+    constant = _is_constant(f)
+    if constant:
+        found.append(("flat-baseline", rows, ~(np.isfinite(np.array(gamma_max)[rows])
+                                               & np.isfinite(curv.max_abs))))
+    columns = zip(rows, resid32.tolist(), tol32.tolist(), ratios31.tolist(), ratios36.tolist())
+    for k, (n, r32, t32, ratio31, ratio36) in enumerate(columns):
         idx, p = indices[n], points[n]
         # Python max from 0.0 keeps the first of equal values, as a running max does.
         records += [
-            _bounded("identity-3.2", idx, p, float(resid32[k]), rel * float(scale32[k])),
-            _bounded("identity-3.1", idx, p, max([0.0, *ratios31[k]]), rel),
-            _bounded("identity-3.6", idx, p, max([0.0, *ratios36[k]]), rel),
+            _bounded("identity-3.2", idx, p, r32, t32),
+            _bounded("identity-3.1", idx, p, max([0.0, *ratio31]), rel),
+            _bounded("identity-3.6", idx, p, max([0.0, *ratio36]), rel),
         ]
         if k in spreads:
             spread, passed = spreads[k]
@@ -433,7 +498,7 @@ def _curvature_suite(config, f, vectors, seeds, curved: list, metric: MetricAtPo
                                    worst_spread=max([0.0, *spread]), seeds=len(seeds)))
         else:
             records.append(_record("theorem3-spread", idx, p, "skipped", reason="IndefiniteMetric"))
-        if _is_constant(f):
+        if constant:
             # Constant fields have defect 0 and the metric of p at every stencil point.
             # Their partial tables are empty, so t, Gamma, dGamma and R are exact zeros:
             # flat means 0.0, with no tolerance.
@@ -441,7 +506,7 @@ def _curvature_suite(config, f, vectors, seeds, curved: list, metric: MetricAtPo
             records.append(_record("flat-baseline", idx, p,
                                    "pass" if gamma == curv_max == 0.0 else "fail",
                                    gamma_max=gamma, curvature_max=curv_max))
-    return records
+    return records, found
 
 
 def _orbit_seeds(rng: np.random.Generator) -> np.ndarray:
@@ -467,12 +532,14 @@ def cmd_scan(config: RunConfig) -> dict:
 
 def _scan_block(config: RunConfig, f: FieldPair, qx, start: int, block: list) -> list[dict]:
     """The rows of consecutive grid nodes, from array kernels over the whole block; mu_e1 is
-    null where the node is degenerate or indefinite, or a stencil point or the section is."""
+    null where the node is degenerate or indefinite, or a stencil point or the section is.
+    A mu that is not finite (sectional_curvatures gives inf, not NaN, for one) stops the run."""
     m = domain_check(f, np.array(block))
     curved = np.flatnonzero(m.definite & ~m.degenerate)
     mu = np.full(len(block), np.nan)  # NaN where the node is skipped
     if len(curved):
         mu[curved] = sectional_curvature(f, m.take(curved), config.x, qx)[0]
+    _check_finite(block, [("scan", range(len(block)), np.isinf(mu))])
     rows = []
     columns = zip(block, *(c.tolist() for c in (m.a, m.b, m.d, m.degenerate, m.definite, mu)))
     for i, (p, a, b, d, degenerate, definite, mu_e1) in enumerate(columns):
@@ -488,24 +555,6 @@ def _build_fields(config: RunConfig) -> FieldPair:
         return parse_field_spec(config.fields)
     except ParseError as exc:
         raise ConfigError(f"bad field spec: {exc}") from exc
-
-
-def _finite(value) -> bool:
-    if isinstance(value, float):
-        return math.isfinite(value)
-    return not isinstance(value, list) or all(map(_finite, value))
-
-
-def _finite_records(records: list[dict]) -> list[dict]:
-    """records, or a ConfigError naming the first that is not finite: Python floats, and
-    some numpy sums, overflow to inf silently, and the first such point is the one to name.
-
-    A record's point is not read: every point is finite where it is made, by config's
-    _is_triple, expand_grid's check of each span, or the sampler's draws on [LOW, HIGH)."""
-    for r in records:
-        if not _finite([v for k, v in r.items() if k != "point"]):
-            raise ConfigError(f"point {r['point']} is out of range: {r['check']} is not finite")
-    return records
 
 
 def _assemble(config: RunConfig, records: list[dict]) -> dict:

@@ -15,8 +15,9 @@ gamma[s, i, j] array of either, so its caller evaluates Gamma once.  No kernel
 evaluates a field: each takes the jet that ``fields.field_jet`` returns.  Both
 Christoffel paths, ``parallel_defect`` and ``nabla_q`` take one point's jet (or
 Gamma) or a block's, with the batch axis last and each row the bits of the
-one-point call; ``metric_partials`` and ``metric_compatibility_residual`` take
-one point's.
+one-point call.  ``metric_partials`` takes either, with the batch axis first, and
+``metric_compatibility_residual`` takes a block's jet and metric, each row with the bits
+of the one-point contraction.
 """
 
 from __future__ import annotations
@@ -43,9 +44,11 @@ _CLOSED_ORDER = 3 * np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]]) + np.arange(3)[:
 
 
 def metric_partials(jet) -> np.ndarray:
-    """dg[k, i, j] = d_k g_ij at one point's jet: diagonal entries carry A_k, off-diagonal B_k."""
-    grad_a, grad_b = np.array(jet[2:5]), np.array(jet[5:])
-    return grad_a[:, None, None] * _EYE + grad_b[:, None, None] * _OFF_DIAGONAL
+    """dg[k, i, j] = d_k g_ij at one point's jet, dg[n, k, i, j] over the jet of an (n, 3)
+    block: diagonal entries carry A_k, off-diagonal B_k."""
+    grad_a, grad_b = (np.moveaxis(np.array(grad), 0, -1)[..., None, None]
+                      for grad in (jet[2:5], jet[5:]))
+    return grad_a * _EYE + grad_b * _OFF_DIAGONAL
 
 
 def christoffel_general(jet) -> np.ndarray:
@@ -120,10 +123,18 @@ def nabla_q(gamma: np.ndarray) -> np.ndarray:
             - np.einsum("aij...,as->ijs...", gamma, Q_DENSE))
 
 
-def metric_compatibility_residual(jet, g: np.ndarray) -> float:
-    """Max |d_k g_ij - Gamma^a_ki g_aj - Gamma^a_kj g_ia| (should vanish) at one point's
-    jet and its dense metric g, where D is not ~ 0."""
+def metric_compatibility_residual(jet, g: np.ndarray) -> np.ndarray:
+    """Max |d_k g_ij - Gamma^a_ki g_aj - Gamma^a_kj g_ia| (should vanish) at each point of
+    an (n, 3) block where D is not ~ 0, from its jet of (n,) columns and its (n, 3, 3)
+    dense metric: (n,).
+
+    Gamma is taken a point at a time, the benchmark's trace counting one call per row.  Each
+    row of the stack is laid out as one point's Gamma is, s running fastest: einsum's order
+    of summation follows the layout, and so the batch-first contractions give each row the
+    bits of the one-point "aki,aj->kij" and "akj,ia->kij"."""
     dg = metric_partials(jet)
-    gamma = christoffel_general(jet)
-    resid = dg - np.einsum("aki,aj->kij", gamma, g) - np.einsum("akj,ia->kij", gamma, g)
-    return float(np.max(np.abs(resid)))
+    rows = zip(*(v.tolist() for v in jet))
+    gamma = np.array([christoffel_general(row).transpose(1, 2, 0) for row in rows])
+    gamma = gamma.transpose(0, 3, 1, 2)  # [n, s, i, j]
+    resid = dg - np.einsum("naki,naj->nkij", gamma, g) - np.einsum("nakj,nia->nkij", gamma, g)
+    return np.max(np.abs(resid), axis=(1, 2, 3))

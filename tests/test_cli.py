@@ -383,7 +383,8 @@ class TestVerify:
     def test_error_in_a_block_names_its_first_point(self, capsys):
         # Point 0 passes.  Point 1, in the same block, overflows only in Theorem 3's
         # tolerance spread_rel * max|mu|, where its |mu| exceeds 1.8.  The block is
-        # redone point by point, so the message is that of a point-by-point run.
+        # redone in halves down to that point alone, so the message is that of a
+        # point-by-point run.
         argv = ("verify", "--fields", "paper-example", "--seed", "3", "--tol", "spread_rel=1e308",
                 "--point", "1.2,0.5,0.3")
         code, captured = run(capsys, *argv)
@@ -397,7 +398,7 @@ class TestVerify:
         assert captured.out == ""
 
     def test_failed_block_is_redone_from_its_draws(self, capsys, monkeypatch):
-        # At point 1, D = (A - B)(A + 2B) overflows: the block is redone point by point
+        # At point 1, D = (A - B)(A + 2B) overflows: the block is redone in halves
         # against the run's one set of random vectors and orbit seeds, drawn before any
         # block, and the error names point 1, as a point-by-point run does
         # (test_block_verify_matches_point_by_point_verify compares the two over drawn
@@ -413,7 +414,10 @@ class TestVerify:
             return original(*args)
 
         monkeypatch.setattr(circgeo.cli, "_verify_block", counting)
-        for size, redone in ((circgeo.cli.SCAN_BLOCK, [3, 1, 1]), (1, [1, 1, 1])):
+        # The block of three is halved: point 0 alone passes, and of the other two,
+        # which overflow together, point 1 alone is named.  In blocks of one, point 1
+        # runs once, under the error's wording, and point 2 never.
+        for size, redone in ((circgeo.cli.SCAN_BLOCK, [3, 1, 2, 1]), (1, [1, 1])):
             monkeypatch.setattr(circgeo.cli, "SCAN_BLOCK", size)
             blocks.clear()
             code, captured = run(capsys, *argv)
@@ -424,9 +428,52 @@ class TestVerify:
             )
             assert captured.out == ""
 
+    def test_one_point_out_of_range_costs_a_bisection(self, capsys, monkeypatch, tmp_path):
+        # 1,023 points of [1.1, 1.9]^3, then (1e200, 0, 0), where D overflows, fill one
+        # block.  Each level of the bisection runs a half that passes and the half that
+        # overflows, so the point is named after 2 log2(1,024) + 1 = 21 block calls.
+        rng = np.random.default_rng(4)
+        points = [*rng.uniform(1.1, 1.9, size=(1023, 3)).tolist(), [1e200, 0.0, 0.0]]
+        config = tmp_path / "points.json"
+        config.write_text(json.dumps({"points": points}))
+        blocks = []
+        original = circgeo.cli._verify_block
+
+        def counting(*args):
+            blocks.append(len(args[-1]))
+            return original(*args)
+
+        monkeypatch.setattr(circgeo.cli, "_verify_block", counting)
+        code, captured = run(capsys, "verify", "--fields", "paper-example", "--config", str(config))
+        assert code == 2
+        assert captured.err == (
+            "circgeo: error: point [1e+200, 0.0, 0.0] is out of range: D = (A - B)(A + 2B) = inf\n"
+        )
+        assert blocks == [1024] + [2**k for k in range(9, -1, -1) for _ in range(2)]
+
+    @pytest.mark.parametrize("bad", [0, 1, 2, 511, 512, 700, 1022, 1023])
+    def test_bisection_bound_holds_wherever_the_point_is(self, bad):
+        # One point of a full block overflows, wherever it is: the block is halved
+        # down to it in at most 2 log2(SCAN_BLOCK) + 1 calls of work, the last of them
+        # on the point alone, which is named.
+        calls = []
+
+        def work(start, block):
+            calls.append((start, len(block)))
+            if start <= bad < start + len(block):
+                np.float64(1e300) * np.float64(1e300)  # raises under _in_blocks' errstate
+            return list(range(start, start + len(block)))
+
+        points = [[float(n), 0.0, 0.0] for n in range(circgeo.cli.SCAN_BLOCK)]
+        named = rf"^point \[{bad}\.0, 0\.0, 0\.0\] is out of range: overflow"
+        with pytest.raises(ConfigError, match=named):
+            circgeo.cli._in_blocks(points, circgeo.cli.SCAN_BLOCK, work)
+        assert len(calls) <= 2 * math.log2(circgeo.cli.SCAN_BLOCK) + 1
+        assert calls[-1] == (bad, 1)
+
     def test_redone_block_names_its_first_point_out_of_range(self, capsys, monkeypatch):
         # At point 0 the closed form's (A + B) A_1 overflows, and at point 1 D is NaN:
-        # over the block either raises, and the block is redone point by point.  Point 0
+        # over the block either raises, and the block is redone in halves.  Point 0
         # alone raises in the same closed form, taken over its block of one, so it is
         # named with numpy's words for the overflow, as eval and scan word one, and as a
         # point-by-point run names it.
@@ -608,7 +655,7 @@ class TestScan:
         with pytest.raises(ConfigError, match="grid span"):
             expand_grid(grid)
 
-    # _finite_records does not read a record's point, so every node must be finite.
+    # _check_finite does not read a record's point, so every node must be finite.
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False),
                               st.floats(allow_nan=False, allow_infinity=False),
@@ -1152,7 +1199,7 @@ class TestConfig:
             ["verify", "--point", "1e160,-1e160,0", "--point", "1e160,-1e160,1e200"],
             ["eval", "metric", "--point", "1e160,-1e160,0", "--point", "1e160,-1e160,1e200"],
             ["eval", "christoffel", "--point", "1e160,-1e160,0", "--point", "1e160,-1e160,1e200"],
-            ["scan", "--grid=1e160,1e160,1,-1e160,-1e160,1,0,1e200,2"],  # the block is redone node by node
+            ["scan", "--grid=1e160,1e160,1,-1e160,-1e160,1,0,1e200,2"],  # the block is halved
         ],
         ids=["verify", "eval-metric", "eval-christoffel", "scan"],
     )

@@ -3,11 +3,14 @@
 Each reference below is the assembly the current kernel replaced: Gamma from
 the metric-partial tensor and three transposes, the closed forms written
 item by item over numpy scalars, the metric partials from a fresh identity
-matrix, and the curvature stencil with its own step rule on numpy arrays,
-each raising DegenerateMetric where it meets D ~ 0; and the scan as a loop
-over grid nodes, each a block of one.  The kernels mark such a point with NaN
-instead, and the curvature with the skip the reference raised.  verify over
-blocks of points is compared with verify one point per block.  The
+matrix, the metric-compatibility residual one point at a time, and the
+curvature stencil with its own step rule on numpy arrays, each raising
+DegenerateMetric where it meets D ~ 0; and the scan as a loop over grid nodes,
+each a block of one, whose records a walk over every value checks to be
+finite.  The kernels mark such a point with NaN instead, and the curvature with
+the skip the reference raised.  verify over blocks of points is compared with
+verify one point per block, and the value it names as not finite with the one
+that walk names.  The
 comparisons are exact, on reprs, float.hex (so that the sign of a zero counts
 too) or report bytes, not within a tolerance, because reports must keep their
 bytes.
@@ -15,6 +18,7 @@ bytes.
 
 import io
 import json
+import math
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -27,7 +31,12 @@ from hypothesis import strategies as st
 
 from circgeo import cli, curvature
 from circgeo.circulant import Q_DENSE
-from circgeo.connection import christoffel_closed, christoffel_general, metric_partials
+from circgeo.connection import (
+    christoffel_closed,
+    christoffel_general,
+    metric_compatibility_residual,
+    metric_partials,
+)
 from circgeo.curvature import curvature_at, sectional_curvature
 from circgeo.errors import ConfigError, PointSkipped
 from circgeo.fields import (
@@ -41,7 +50,7 @@ from circgeo.fields import (
     metric_at,
     parse_field_spec,
 )
-from pairs import CUBIC_PAIR, QUADRATIC_PAIR, random_parallel_pair
+from pairs import CUBIC_PAIR, QUADRATIC_PAIR, random_field_pair, random_parallel_pair
 
 
 def old_metric_partials(f, p):
@@ -109,6 +118,14 @@ def old_curvature_at(f, p, h=1e-6):
     )
     r_down = np.einsum("as,akji->kjis", metric.g.dense(), r_up)
     return r_up, r_down
+
+
+def old_metric_compatibility_residual(jet, g):
+    """The residual at one point's jet of floats and its dense metric, with its own Gamma."""
+    dg = metric_partials(jet)
+    gamma = christoffel_general(jet)
+    resid = dg - np.einsum("aki,aj->kij", gamma, g) - np.einsum("akj,ia->kij", gamma, g)
+    return float(np.max(np.abs(resid)))
 
 
 def outcome(fn, *args):
@@ -214,6 +231,21 @@ def test_curvature_matches_reference_at_other_steps(a, b, p, h):
         assert hexes(*new) == hexes(*old)
 
 
+def old_finite(value) -> bool:
+    if isinstance(value, float):
+        return math.isfinite(value)
+    return not isinstance(value, list) or all(map(old_finite, value))
+
+
+def old_finite_records(records):
+    """records, or a ConfigError naming the first with a value, other than its point, that
+    is not finite: the walk over every record that the commands' checks on arrays replaced."""
+    for r in records:
+        if not old_finite([v for k, v in r.items() if k != "point"]):
+            raise ConfigError(f"point {r['point']} is out of range: {r['check']} is not finite")
+    return records
+
+
 def old_cmd_scan(config):
     """The scan as one loop over the grid nodes, each a point or a block of one."""
     if not config.grid:
@@ -239,7 +271,7 @@ def old_cmd_scan(config):
             assert bool(skips) == bool(np.isnan(mu))
             if not skips:
                 row["mu_e1"] = float(mu)
-        records += cli._finite_records([row])
+        records += old_finite_records([row])
     return cli._assemble(config, records)
 
 
@@ -409,7 +441,7 @@ def verify_runs(draw):
 def test_block_verify_matches_point_by_point_verify(run, seed):
     # Every point is checked against the run's one set of random vectors and orbit
     # seeds, drawn before any block.  Where a point's numbers overflow, its block is
-    # redone point by point: the error names the first such point, and a run that
+    # redone in halves: the error names the first such point, and a run that
     # does not stop reports what a point-by-point run reports.  Verify classifies
     # blocks of SCAN_BLOCK points and runs the curvature suite of their curvature
     # points VERIFY_BLOCK at a time; the reference takes both a point at a time.
@@ -423,3 +455,71 @@ def test_block_verify_matches_point_by_point_verify(run, seed):
         assert "unknown config key" not in reference[2]  # the run got past its config
         for classify, curvature in ((2, 2), (cli.SCAN_BLOCK, 1), (cli.SCAN_BLOCK, cli.VERIFY_BLOCK)):
             assert run_cli(argv, SCAN_BLOCK=classify, VERIFY_BLOCK=curvature) == reference
+
+
+@pytest.mark.parametrize(
+    "pair", ["paper-example", QUADRATIC_PAIR, CUBIC_PAIR, "generic", "parallel"])
+def test_block_compatibility_residual_matches_one_point_formula(pair):
+    # 64 points of [-2, 2]^3, then each moved to within 1e-4 to 1e-9 of the plane A = B
+    # (g's eigenvalue A - B, which Gamma divides by) and of A = -2B.  The block is taken
+    # as verify takes its non-degenerate rows: the jet's (n,) columns and the (n, 3, 3)
+    # stack of each point's dense metric.
+    rng = np.random.default_rng(sum(map(ord, pair)))
+    drawn = {"generic": random_field_pair, "parallel": random_parallel_pair}
+    f = drawn[pair](rng) if pair in drawn else parse_field_spec(pair)
+    x = rng.uniform(-2.0, 2.0, size=(64, 3))
+    offsets = 10.0 ** -rng.uniform(4.0, 9.0, size=len(x)) * rng.choice([-1.0, 1.0], size=len(x))
+    near = [near_plane(f, p, c, off) for c in (1.0, -2.0) for p, off in zip(x, offsets)]
+    x = np.concatenate([x, near])
+    metric = domain_check(f, x)
+    m = metric.take(np.flatnonzero(~metric.degenerate))
+    assert len(m.point) > len(x) / 2  # most rows near the planes are not degenerate
+    jet = field_jet(f, m.point)
+    g = np.ascontiguousarray(np.moveaxis(m.g.dense(), -1, 0))
+    block = metric_compatibility_residual(jet, g)
+    one = [old_metric_compatibility_residual(row, g[n])
+           for n, row in enumerate(zip(*(v.tolist() for v in jet)))]
+    assert hexes(block) == hexes(one)
+
+
+def verify_config(argv):
+    return cli.config_from_args(cli.build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("compat_at, identity_at", [
+    ((2,), (2,)),  # the same point: identity-3.6 sorts before metric-compatibility
+    ((1,), (2,)),  # metric-compatibility at the earlier point
+    ((3,), (2, 5)),  # identity-3.6 at the earlier point
+    ((), ()),  # NaN alone in the identity-3.1 ratios, which Python's max from 0.0 passes over
+])
+def test_first_value_not_finite_is_named_in_report_order(compat_at, identity_at):
+    # paper-example is parallel, so each non-degenerate grid point takes the curvature
+    # suite, and the grid's 18 such points are one sub-block.  metric-compatibility is
+    # made inf at the rows compat_at of the classify block, identity-3.6 at the rows
+    # identity_at of the curvature sub-block, and every identity-3.1 residual NaN.  The
+    # error must name what the walk over the finished records in report order names.
+    argv = ["verify", "--fields", "paper-example", "--grid", "1.1,1.9,3", "--seed", "5"]
+
+    def compat(jet, g):
+        residuals = metric_compatibility_residual(jet, g)
+        residuals[list(compat_at)] = np.inf
+        return residuals
+
+    def identities(*args):
+        r31, r36 = curvature.identity_residuals(*args)
+        r31[:] = np.nan
+        r36[list(identity_at), 0] = np.inf
+        return r31, r36
+
+    patches = {"metric_compatibility_residual": compat, "identity_residuals": identities}
+    with patch.multiple(cli, **patches, _check_finite=lambda block, bad: None):
+        records = cli.cmd_verify(verify_config(argv))["records"]
+    assert len({r["point_index"] for r in records if r["check"] == "identity-3.2"}) == 18
+    try:
+        old_finite_records(records)
+        expected = (0, "")
+    except ConfigError as exc:
+        expected = (2, f"circgeo: error: {exc}\n")
+    code, _, err = run_cli(argv, **patches)
+    assert (code, err) == expected
+    assert code == (2 if compat_at else 0)
