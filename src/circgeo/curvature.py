@@ -15,8 +15,9 @@ D not ~ 0 for ``curvature_at``, g definite for ``sectional_curvature`` and
 ``theorem3_check``.  The caller skips the other rows.  A row whose value fails
 here holds NaN, and its skip, the PointSkipped its record reports, sits in a
 dict keyed by the row: a degenerate stencil point or a degenerate section.  The
-checks contract the tensor against (m, 3) stacks of vectors shared by every
-point, or (n, m, 3) stacks of each point's own, giving (n, m).
+identities 3.1, 3.2 and 3.6 are checked on the tensor itself, (n,).  The
+sections contract it against (m, 3) stacks of vectors shared by every point,
+or (n, m, 3) stacks of each point's own, giving (n, m).
 ``sectional_curvature`` and ``theorem3_check`` build their own tensor;
 ``sectional_curvatures`` and ``orbit_spreads`` take one.  ``theorem3_check``
 raises DependentOrbit, which depends on the seed alone, before it builds one.
@@ -28,15 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circulant import Q, Q_DENSE, circ_mul
+from .circulant import Q_DENSE
 from .connection import christoffel_general
 from .errors import DegenerateSection, DependentOrbit, PointSkipped
 from .fields import FieldPair, MetricAtPoint, degenerate_metric, domain_check, field_jet, row
-
-#: The shift applied twice, q^2: (x1, x2, x3) -> (x3, x1, x2).  Built from the
-#: circulant product, since a matrix product at import starts BLAS and adds
-#: its buffers to the resident size of runs that never need them.
-Q2_DENSE = circ_mul(Q, Q).dense()
 
 #: Step of the curvature stencil, h_k = FD_STEP * (1 + |x_k|).  1e-5 keeps the
 #: truncation error of the curvature itself well below 1e-6, but the orbit-section
@@ -45,11 +41,6 @@ Q2_DENSE = circ_mul(Q, Q).dense()
 #: x_k = 0) is far above half an ulp of x_k, about 1.1e-16 |x_k|, so x_k +- h_k
 #: never rounds back to x_k.
 FD_STEP = 1e-6
-
-
-def _norms(v: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row, summed as np.linalg.norm sums one vector."""
-    return np.sqrt(np.matmul(v[..., None, :], v[..., :, None])[..., 0, 0])
 
 
 @dataclass(frozen=True)
@@ -128,22 +119,31 @@ def curvature_at(f: FieldPair, metric: MetricAtPoint) -> CurvatureAtPoint:
     return CurvatureAtPoint(r_up, r_down, metric, skips)
 
 
-def identity_residuals(curv: CurvatureAtPoint, x, y, z, u) -> tuple[np.ndarray, np.ndarray]:
-    """Residuals of identities 3.1 and 3.6 at each point for each row of four stacks, (n, m):
-    3.1 is |R(x, y, q^2 z, u) - R(x, y, z, q u)|; 3.6 is the larger of
-    |R(x, y, z, u) - R(x, y, q z, q u)| and |R(x, y, z, u) - R(x, y, q^2 z, q^2 u)|.
-    """
-    qz, q2z = z @ Q_DENSE.T, z @ Q2_DENSE.T
-    qu, q2u = u @ Q_DENSE.T, u @ Q2_DENSE.T
-    r = curv.scalars(
-        np.concatenate([x] * 5, axis=-2),
-        np.concatenate([y] * 5, axis=-2),
-        np.concatenate([q2z, z, z, qz, q2z], axis=-2),
-        np.concatenate([u, qu, u, qu, q2u], axis=-2),
-    )
-    r = r.reshape(*r.shape[:-1], 5, x.shape[-2])
-    r31 = np.abs(r[..., 0, :] - r[..., 1, :])
-    r36 = np.maximum(np.abs(r[..., 2, :] - r[..., 3, :]), np.abs(r[..., 2, :] - r[..., 4, :]))
+def _frobenius(t: np.ndarray) -> np.ndarray:
+    """The Frobenius norm of each point's (3, 3, 3, 3) slice of t[k, j, i, s, n], (n,): its 81
+    squares summed in C order from 0.0, so that a point's norm does not depend on its block."""
+    total = 0.0
+    for v in t.reshape(81, -1):
+        total = total + v * v
+    return np.sqrt(total)
+
+
+def identity_residuals(curv: CurvatureAtPoint) -> tuple[np.ndarray, np.ndarray]:
+    """Residuals of identities 3.1 and 3.6 at each point, two (n,) arrays: the Frobenius norm
+    of the difference tensor of R / s, s = max(max |R_kjis|, 1e-300).  3.1 is
+    R(x, y, q^2 z, u) - R(x, y, z, q u); 3.6 is the larger of R(x, y, z, u) - R(x, y, q z, q u)
+    and R(x, y, z, u) - R(x, y, q^2 z, q^2 u).  q shifts a vector's entries, so each tensor is
+    R rolled along i and s, exactly.  Since |T(x, y, z, u)| <= |T|_F |x| |y| |z| |u|, the
+    residual bounds |T(x, y, z, u)| / (s |x| |y| |z| |u|) for every quadruple.
+
+    The residuals are finite wherever R is: each entry of R / s is at most 1 in size, so a
+    difference is at most 2 and the 81 squares sum to at most 324.  An inf in R makes
+    inf / inf, which raises under np.errstate(invalid="raise"); a NaN makes max |R| NaN, and
+    so the scale of identity_32_residual, which is then not finite at the same point."""
+    r = curv.r_down / np.maximum(curv.max_abs, 1e-300)
+    r31 = _frobenius(np.roll(r, -1, axis=2) - np.roll(r, 1, axis=3))
+    r36 = np.maximum(_frobenius(r - np.roll(r, (1, 1), axis=(2, 3))),
+                     _frobenius(r - np.roll(r, (-1, -1), axis=(2, 3))))
     return r31, r36
 
 
@@ -262,14 +262,10 @@ def theorem3_check(f: FieldPair, metric: MetricAtPoint, x, spread_rel: float,
     return mu[:, 0], spread[:, 0], passed[:, 0], skips, cubic
 
 
-def residual_scales(curv: CurvatureAtPoint, *stacks) -> np.ndarray:
-    """Magnitude reference for identity residual tolerances at each point, per row of stacks."""
-    prod = 1.0
-    for v in stacks:
-        prod = prod * _norms(v)
-    return curv.max_abs[:, None] * prod
-
-
 def residual_scale(curv: CurvatureAtPoint, *vectors) -> np.ndarray:
-    """Magnitude reference for curvature-identity residual tolerances at each point, (n,)."""
-    return residual_scales(curv, *map(row, vectors))[:, 0]
+    """max |R_kjis| times the product of the vectors' norms at each point, (n,): the magnitude
+    R(x, y, z, u) is read against."""
+    scale = curv.max_abs
+    for v in vectors:
+        scale = scale * float(np.linalg.norm(v))
+    return scale

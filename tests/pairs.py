@@ -1,5 +1,6 @@
 """Field pairs and points for the tests: two fixed pairs as spec text, seeded
-random pairs (generic, defective and parallel) and definite points.
+random pairs (generic, defective and parallel), definite points, and points
+moved near a plane A = c B.
 
 The CLI builds its fields from spec text only and samples points with |D|
 bounded away from 0 but no definiteness asked, so these generators live with
@@ -11,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from circgeo.circulant import S
-from circgeo.fields import FieldPair, Polynomial, domain_check
+from circgeo.fields import FieldPair, Polynomial, domain_check, field_eval, field_grad
 from circgeo.sampling import HIGH, LOW, MIN_ABS_D
 
 #: A quadratic parallel pair, definite everywhere (the scan-quadratic benchmark's).
@@ -121,3 +122,24 @@ def random_parallel_pair(rng: np.random.Generator) -> FieldPair:
         (0, 0, 1): ca[2],
     }
     return FieldPair(Polynomial.from_dict(a_terms), Polynomial.from_dict(b_terms))
+
+
+def near_plane(f, p, c, offset):
+    """p moved by Newton steps onto the plane A = c B, then by offset along the
+    gradient of A - c B: within about |offset| of the plane where the steps converge."""
+    with np.errstate(all="ignore"):
+        try:
+            for _ in range(8):
+                (a, b), (grad_a, grad_b) = field_eval(f, p), field_grad(f, p)
+                grad = grad_a - c * grad_b
+                norm = float(np.linalg.norm(grad))
+                if not 0.0 < norm < np.inf:
+                    return p
+                step = p - (a - c * b) / norm**2 * grad
+                if not np.isfinite(step).all():
+                    return p
+                p = step
+        except OverflowError:  # a power past the float range, in the fields or norm**2
+            return p
+        moved = p + offset / norm * grad
+    return moved if np.isfinite(moved).all() else p

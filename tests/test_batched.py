@@ -1,7 +1,8 @@
 """The stacked kernels equal the per-vector and per-point formulas bit for bit.
 
 Each reference below is the single-vector computation the stacked kernels
-replaced, at one point of a block of one; the comparisons use ==, not a
+replaced, at one point of a block of one, and for the identity residuals
+the sampled differences at basis vectors; the comparisons use ==, not a
 tolerance, because reports must keep their bytes.  The block kernels are
 compared on float.hex, so that the sign of a zero counts too: field jets and
 Gamma with their one-point calls, and curvature, sectional curvature and their
@@ -23,7 +24,6 @@ from circgeo.curvature import (
     identity_residuals,
     independence_cubic,
     orbit_spreads,
-    residual_scales,
     sectional_curvature,
     theorem3_check,
 )
@@ -92,26 +92,27 @@ def test_scalars_and_inners_match_per_vector_forms(seed, n):
 
 
 @settings(max_examples=60, deadline=None)
-@given(seeds, sizes)
-def test_identity_residuals_match_per_vector_loop(seed, n):
-    rng, _, _, curv = curvature_case(seed)
-    x, y, z, u = rng.uniform(-2.0, 2.0, size=(4, n, 3))
-    (r31,), (r36,) = identity_residuals(curv, x, y, z, u)
-    (scales,) = residual_scales(curv, x, y, z, u)
-    q2 = Q_DENSE @ Q_DENSE
-    for row, (a, b, c, d) in enumerate(zip(x, y, z, u)):
-        base = old_scalar(curv, a, b, c, d)
-        assert r31[row] == abs(
-            old_scalar(curv, a, b, q2 @ c, d) - old_scalar(curv, a, b, c, Q_DENSE @ d)
-        )
-        assert r36[row] == max(
-            abs(base - old_scalar(curv, a, b, Q_DENSE @ c, Q_DENSE @ d)),
-            abs(base - old_scalar(curv, a, b, q2 @ c, Q_DENSE @ (Q_DENSE @ d))),
-        )
-        prod = 1.0
-        for v in (a, b, c, d):
-            prod *= float(np.linalg.norm(v))
-        assert scales[row] == curv.max_abs[0] * prod
+@given(seeds)
+def test_identity_residuals_match_per_vector_loop(seed):
+    # Each entry of a difference tensor is a sampled difference at basis vectors, such as
+    # R(e_k, e_j, q^2 e_i, e_t) - R(e_k, e_j, e_i, q e_t) for 3.1, each term one entry of R
+    # over s = max(max |R|, 1e-300).  A residual is the norm of their 81 values, the squares
+    # summed in (k, j, i, t) order from 0.0.
+    _, _, _, curv = curvature_case(seed)
+    assume(not curv.skips)
+    s = max(float(curv.max_abs[0]), 1e-300)
+    q, q2, e = Q_DENSE, Q_DENSE @ Q_DENSE, np.eye(3)
+    sums = [0.0, 0.0, 0.0]
+    for k, j, i, t in np.ndindex(3, 3, 3, 3):
+        a, b, c, d = e[k], e[j], e[i], e[t]
+        base = old_scalar(curv, a, b, c, d) / s
+        terms = (old_scalar(curv, a, b, q2 @ c, d) / s - old_scalar(curv, a, b, c, q @ d) / s,
+                 base - old_scalar(curv, a, b, q @ c, q @ d) / s,
+                 base - old_scalar(curv, a, b, q2 @ c, q2 @ d) / s)
+        sums = [total + x * x for total, x in zip(sums, terms)]
+    r31, r36 = identity_residuals(curv)
+    assert hexes(r31) == hexes([math.sqrt(sums[0])])
+    assert hexes(r36) == hexes([max(math.sqrt(sums[1]), math.sqrt(sums[2]))])
 
 
 @settings(max_examples=60, deadline=None)
@@ -275,8 +276,8 @@ def test_block_connection_and_curvature_match_one_point_calls(a, b, block, x):
 @settings(max_examples=40, deadline=None)
 @given(seeds, st.sampled_from([1, 2, 7]), st.sampled_from([0, 1, 3, 20]))
 def test_paired_block_kernels_match_one_point_calls(seed, n, m):
-    # Over a block, each point contracts its own m vectors: (n, m, 3) stacks, as
-    # verify's curvature suite draws them.  Every row has the one-point bits.
+    # Over a block, each point contracts its own m vectors: (n, m, 3) stacks.  Every
+    # row has the one-point bits, and so do the identity residuals of each point.
     rng = np.random.default_rng(seed)
     f = random_parallel_pair(rng)
     try:
@@ -297,19 +298,17 @@ def test_paired_block_kernels_match_one_point_calls(seed, n, m):
 
     scalars = block.scalars(x, y, z, u)
     inners = block.metric.inners(x, y)
-    r31, r36 = identity_residuals(block, x, y, z, u)
-    scales = residual_scales(block, x, y, z, u)
+    r31, r36 = identity_residuals(block)
     resid32, scale32 = identity_32_residual(block)
     mu, spread, passed, skips = orbit_spreads(block, orbit_seeds, 1e-6, 1e-9)
-    assert scalars.shape == inners.shape == r31.shape == scales.shape == (n, m)
-    assert mu.shape == (n, m, 3) and resid32.shape == (n,)
+    assert scalars.shape == inners.shape == (n, m)
+    assert mu.shape == (n, m, 3) and resid32.shape == r31.shape == r36.shape == (n,)
     for k, p in enumerate(points):
         one = curvature_at(f, domain_check(f, p[None]))
         vectors = (x[k], y[k], z[k], u[k])
         assert hexes(scalars[k]) == hexes(one.scalars(*vectors))
         assert hexes(inners[k]) == hexes(one.metric.inners(x[k], y[k]))
-        assert hexes([r31[k], r36[k]]) == hexes(identity_residuals(one, *vectors))
-        assert hexes(scales[k]) == hexes(residual_scales(one, *vectors))
+        assert hexes([r31[k], r36[k]]) == hexes(identity_residuals(one))
         assert hexes([resid32[k], scale32[k], block.max_abs[k]]) == hexes(
             [*identity_32_residual(one), one.max_abs]
         )

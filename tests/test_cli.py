@@ -399,8 +399,8 @@ class TestVerify:
 
     def test_failed_block_is_redone_from_its_draws(self, capsys, monkeypatch):
         # At point 1, D = (A - B)(A + 2B) overflows: the block is redone in halves
-        # against the run's one set of random vectors and orbit seeds, drawn before any
-        # block, and the error names point 1, as a point-by-point run does
+        # against the run's one set of orbit seeds, drawn before any block, and the
+        # error names point 1, as a point-by-point run does
         # (test_block_verify_matches_point_by_point_verify compares the two over drawn
         # pairs and points).
         argv = ("verify", "--fields", "A: 2 + 4*x1 + 2*x2; B: 1 + x1 + 2*x2 + 3*x3",
@@ -1100,8 +1100,9 @@ class TestConfig:
     )
     def test_gradient_mode_and_step_inputs_exit_2(self, tmp_path, capsys, argv, config, message):
         # Gradients are always exact, the curvature stencil's step is fixed, flatness
-        # is exact, and verify draws a fixed number of random vectors and orbit seeds:
-        # the knobs that chose otherwise are gone.
+        # is exact, verify draws a fixed number of orbit seeds, and checks identities 3.1
+        # and 3.6 on the curvature tensor, with no vectors: the knobs that chose otherwise
+        # are gone.
         if config is not None:
             path = tmp_path / "run.json"
             path.write_text(json.dumps(config))

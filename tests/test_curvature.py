@@ -107,31 +107,31 @@ class TestShiftIdentities:
         for _ in range(5):
             p = random_point(rng, paper_fields)
             curv = at(paper_fields, p)
+            assert identity_residuals(curv)[0][0] <= 1e-7
             for _ in range(20):
                 x, y, z, u = (random_vector(rng) for _ in range(4))
-                resid = identity_residuals(curv, row(x), row(y), row(z), row(u))[0][0, 0]
+                resid = abs(curv.scalar(x, y, circ_apply_q2(z), u)[0]
+                            - curv.scalar(x, y, z, Q_DENSE @ u)[0])
                 assert resid <= 1e-7 * max(residual_scale(curv, x, y, z, u)[0], 1e-300)
 
     def test_identity_31_zero_vectors(self, paper_fields):
+        # Both sides of 3.1 and 3.6 vanish at z = u = 0; so does the tensor of a flat pair.
         curv = at(paper_fields, (1, 0, 0))
-        zero = row(np.zeros(3))
-        r31, r36 = identity_residuals(curv, row((1, 2, 3)), row((3, 1, 0)), zero, zero)
-        assert r31.tolist() == [[0.0]]
-        assert r36.tolist() == [[0.0]]
+        x, y, zero = (1, 2, 3), (3, 1, 0), np.zeros(3)
+        assert curv.scalar(x, y, zero, zero).tolist() == [0.0]
+        assert curv.scalar(x, y, circ_apply_q2(zero), Q_DENSE @ zero).tolist() == [0.0]
+        flat = at(parse_field_spec(FLAT), (1, 0, 0))
+        assert [r.tolist() for r in identity_residuals(flat)] == [[0.0], [0.0]]
 
-    def test_identity_31_fails_without_parallelism(self, rng):
+    def test_identity_31_fails_without_parallelism(self):
         # Curved, non-parallel pair: the identity is a consequence of the
         # parallelism of q, not of the circulant shape alone.
         f = parse_field_spec("A: 2 + x1^2; B: x2")
         p = np.array([0.5, 0.3, -0.2])
         curv = at(f, p)
         assert curv.max_abs[0] > 1e-3  # genuinely curved
-        worst = 0.0
-        for _ in range(50):
-            x, y, z, u = (random_vector(rng) for _ in range(4))
-            resid = identity_residuals(curv, row(x), row(y), row(z), row(u))[0][0, 0]
-            worst = max(worst, resid / max(residual_scale(curv, x, y, z, u)[0], 1e-300))
-        assert worst > 1e-2
+        r31, _ = identity_residuals(curv)
+        assert r31[0] > 1e-2
 
     def test_identity_32_coordinates(self, paper_fields, rng):
         for _ in range(10):
@@ -158,6 +158,7 @@ class TestShiftIdentities:
                 twice = curv.scalar(x, y, circ_apply_q2(z), circ_apply_q2(u))[0]
                 assert abs(base - once) <= 1e-7 * scale
                 assert abs(base - twice) <= 1e-7 * scale
+            assert identity_residuals(curv)[1][0] <= 1e-7
 
 
 class TestSections:

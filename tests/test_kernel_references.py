@@ -44,13 +44,12 @@ from circgeo.fields import (
     Polynomial,
     degenerate_metric,
     domain_check,
-    field_eval,
     field_grad,
     field_jet,
     metric_at,
     parse_field_spec,
 )
-from pairs import CUBIC_PAIR, QUADRATIC_PAIR, random_field_pair, random_parallel_pair
+from pairs import CUBIC_PAIR, QUADRATIC_PAIR, near_plane, random_field_pair, random_parallel_pair
 
 
 def old_metric_partials(f, p):
@@ -381,27 +380,6 @@ def test_block_scan_matches_per_node_scan_on_fixed_grids(case, fmt):
     assert_scan_matches_reference(["scan", *case, "--format", fmt])
 
 
-def near_plane(f, p, c, offset):
-    """p moved by Newton steps onto the plane A = c B, then by offset along the
-    gradient of A - c B: within about |offset| of the plane where the steps converge."""
-    with np.errstate(all="ignore"):
-        try:
-            for _ in range(8):
-                (a, b), (grad_a, grad_b) = field_eval(f, p), field_grad(f, p)
-                grad = grad_a - c * grad_b
-                norm = float(np.linalg.norm(grad))
-                if not 0.0 < norm < np.inf:
-                    return p
-                step = p - (a - c * b) / norm**2 * grad
-                if not np.isfinite(step).all():
-                    return p
-                p = step
-        except OverflowError:  # a power past the float range, in the fields or norm**2
-            return p
-        moved = p + offset / norm * grad
-    return moved if np.isfinite(moved).all() else p
-
-
 def parallel_spec(seed, quadratic, shift):
     """Spec text of a random parallel pair, or of its linear part (parallel too), with
     shift added to A."""
@@ -439,10 +417,10 @@ def verify_runs(draw):
 @settings(max_examples=100, deadline=None)
 @given(verify_runs(), st.integers(0, 2**32 - 1))
 def test_block_verify_matches_point_by_point_verify(run, seed):
-    # Every point is checked against the run's one set of random vectors and orbit
-    # seeds, drawn before any block.  Where a point's numbers overflow, its block is
-    # redone in halves: the error names the first such point, and a run that
-    # does not stop reports what a point-by-point run reports.  Verify classifies
+    # Every point is checked against the run's one set of orbit seeds, drawn before
+    # any block.  Where a point's numbers overflow, its block is redone in halves:
+    # the error names the first such point, and a run that does not stop reports
+    # what a point-by-point run reports.  Verify classifies
     # blocks of SCAN_BLOCK points and runs the curvature suite of their curvature
     # points VERIFY_BLOCK at a time; the reference takes both a point at a time.
     fields, points = run
@@ -487,17 +465,19 @@ def verify_config(argv):
 
 
 @pytest.mark.parametrize("compat_at, identity_at", [
-    ((2,), (2,)),  # the same point: identity-3.6 sorts before metric-compatibility
+    ((2,), (2,)),  # the same point: identity-3.2 sorts before metric-compatibility
     ((1,), (2,)),  # metric-compatibility at the earlier point
-    ((3,), (2, 5)),  # identity-3.6 at the earlier point
-    ((), ()),  # NaN alone in the identity-3.1 ratios, which Python's max from 0.0 passes over
+    ((3,), (2, 5)),  # identity-3.2 at the earlier point
+    ((), ()),  # NaN alone in the theorem3-spread spreads, which Python's max from 0.0 passes over
 ])
 def test_first_value_not_finite_is_named_in_report_order(compat_at, identity_at):
     # paper-example is parallel, so each non-degenerate grid point takes the curvature
     # suite, and the grid's 18 such points are one sub-block.  metric-compatibility is
-    # made inf at the rows compat_at of the classify block, identity-3.6 at the rows
-    # identity_at of the curvature sub-block, and every identity-3.1 residual NaN.  The
+    # made inf at the rows compat_at of the classify block, identity-3.2 at the rows
+    # identity_at of the curvature sub-block, and every theorem3-spread spread NaN.  The
     # error must name what the walk over the finished records in report order names.
+    # The identity-3.1 and 3.6 residuals are finite wherever the tensor is
+    # (tests/test_identities.py), so verify does not look at them.
     argv = ["verify", "--fields", "paper-example", "--grid", "1.1,1.9,3", "--seed", "5"]
 
     def compat(jet, g):
@@ -505,13 +485,18 @@ def test_first_value_not_finite_is_named_in_report_order(compat_at, identity_at)
         residuals[list(compat_at)] = np.inf
         return residuals
 
-    def identities(*args):
-        r31, r36 = curvature.identity_residuals(*args)
-        r31[:] = np.nan
-        r36[list(identity_at), 0] = np.inf
-        return r31, r36
+    def identity_32(curv):
+        residual, scale = curvature.identity_32_residual(curv)
+        residual[list(identity_at)] = np.inf
+        return residual, scale
 
-    patches = {"metric_compatibility_residual": compat, "identity_residuals": identities}
+    def spreads(*args):
+        mu, spread, passed, skips = curvature.orbit_spreads(*args)
+        spread[:] = np.nan
+        return mu, spread, passed, skips
+
+    patches = {"metric_compatibility_residual": compat, "identity_32_residual": identity_32,
+               "orbit_spreads": spreads}
     with patch.multiple(cli, **patches, _check_finite=lambda block, bad: None):
         records = cli.cmd_verify(verify_config(argv))["records"]
     assert len({r["point_index"] for r in records if r["check"] == "identity-3.2"}) == 18
