@@ -3,6 +3,8 @@
 Exit codes: 0 all checks passed, 1 at least one failure, 2 configuration or
 I/O error.  Reports are deterministic for a fixed config and seed (stable
 key order, records sorted by point index then check name, no timestamps).
+Each command turns a block of points into a table of checks; _records, the only
+record builder, makes its records once _check_finite has weighed the table.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import sys
 from contextlib import contextmanager
 from functools import partial
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 import numpy as np
 
@@ -40,7 +43,7 @@ from .curvature import (
     sectional_curvature,
     theorem3_check,
 )
-from .errors import ConfigError, DependentOrbit, IndefiniteMetric, ParseError, PointSkipped
+from .errors import ConfigError, DependentOrbit, IndefiniteMetric, ParseError
 from .fields import (FieldPair, MetricAtPoint, degenerate_metric, domain_check, field_jet,
                      parse_field_spec)
 
@@ -201,17 +204,56 @@ def resolve_points(config: RunConfig, f: FieldPair, rng: np.random.Generator) ->
         raise ConfigError(f"could not sample admissible points: {exc}") from exc
 
 
-def _record(check: str, index: int, point: list, status: str, **extra) -> dict:
-    """A record of the point, a list of finite Python floats from resolve_points or
-    expand_grid, held as it is: all of a point's records share its one list."""
-    return {"check": check, "point_index": index, "point": point, "status": status, **extra}
+def _records(start: int, block: list, table: list) -> list[dict]:
+    """The records of block, the first point of index start, in report order: by point, then
+    by check.  Each entry of table is (check, rows, status, fields): rows ascending indices
+    into block; status a str every row shares, or a bool array, true where a row passes;
+    each value of the dict fields one value every row shares, or a list over rows, or an
+    array with the row axis last.  A record holds its point as block does, a list of finite
+    Python floats from resolve_points or expand_grid: all of a point's records share it."""
+    _check_finite(block, table)
+    records = []
+    for check, rows, status, fields in sorted(table, key=itemgetter(0)):
+        rows = np.asarray(rows, dtype=int).tolist()
+        if isinstance(status, np.ndarray):  # whether each row passes
+            status = ["pass" if ok else "fail" for ok in status.tolist()]
+        values = {"check": check, "point_index": [start + n for n in rows],
+                  "point": [block[n] for n in rows], "status": status, **fields}
+        columns = {k: np.moveaxis(v, -1, 0).tolist() if isinstance(v, np.ndarray) else v
+                   for k, v in values.items() if isinstance(v, (list, np.ndarray))}
+        # Copies of one dict, each row's values then set in place: no dict is resized.
+        template = {k: None if k in columns else v for k, v in values.items()}
+        entry = [template.copy() for _ in rows]
+        for key, column in columns.items():
+            for record, v in zip(entry, column):
+                record[key] = v
+        records += entry
+    records.sort(key=itemgetter("point_index"))  # stable: a point's records stay by check
+    return records
 
 
-def _bounded(check: str, index: int, point, residual: float, tolerance: float) -> dict:
-    """A check that passes when its residual is at most its tolerance."""
-    return {"check": check, "point_index": index, "point": point,
-            "status": "pass" if residual <= tolerance else "fail",
-            "residual": residual, "tolerance": tolerance}
+def _check_finite(block: list, table: list) -> None:
+    """A ConfigError naming the first point of block, and of its checks the first by name,
+    with a NaN or inf in a float array of table's fields (see _records).  The other values
+    are finite where they are made: points by _is_triple, expand_grid or the sampler, A, B
+    and D by domain_check, tolerances by RunConfig.set, and x's cubic since |x|**4 is."""
+    firsts = [(rows[k], check) for check, rows, _, fields in table if len(rows)
+              for v in fields.values() if isinstance(v, np.ndarray) and v.dtype.kind == "f"
+              for k in np.flatnonzero(~np.isfinite(v).reshape(-1, len(rows)).all(axis=0))[:1]]
+    if firsts:
+        n, check = min(firsts)
+        raise ConfigError(f"point {block[n]} is out of range: {check} is not finite")
+
+
+def _bounded(check: str, rows, residual, tolerance) -> tuple:
+    """The entry of a check that passes where its residual is at most its tolerance."""
+    return check, rows, residual <= tolerance, {"residual": residual, "tolerance": tolerance}
+
+
+def _skipped(check: str, rows, why: list) -> tuple:
+    """The entry of rows skipped for the PointSkipped errors why, one per row."""
+    return check, rows, "skipped", {"reason": [type(e).__name__ for e in why],
+                                    "detail": [str(e) for e in why]}
 
 
 @contextmanager
@@ -227,12 +269,13 @@ def _in_range(point):
 def _in_blocks(points: list, size: int, work) -> list[dict]:
     """The records of work(start, block) over blocks of points (start: the first one's index),
     each run under np.errstate(over="raise", invalid="raise"): an array expression over a
-    block raises where a Python float would become inf silently.  work checks what it has
-    computed with _check_finite before it builds records.  A block that overflows is split
-    in halves, each run the same way, down to blocks of one, which run under _in_range: since
-    a point overflows alone where it overflows in its block, the error names the first point
-    it belongs to, after at most 2 log2(size) + 1 calls of work for one such point.  work
-    draws no random numbers, so a point's records do not depend on the block it is in."""
+    block raises where a Python float would become inf silently.  work builds its records
+    with _records, the only record builder, which weighs the block's table first.  A block
+    that overflows is split in halves, each run the same way, down to blocks of one, which
+    run under _in_range: since a point overflows alone where it overflows in its block, the
+    error names the first point it belongs to, after at most 2 log2(size) + 1 calls of work
+    for one such point.  work draws no random numbers, so a point's records do not depend
+    on the block it is in."""
     records = []
     for start in range(0, len(points), size):
         records += _bisected(work, start, points[start:start + size])
@@ -252,25 +295,6 @@ def _bisected(work, start: int, block: list) -> list[dict]:
         return _bisected(work, start, block[:half]) + _bisected(work, start + half, block[half:])
 
 
-def _check_finite(block: list, found: list) -> None:
-    """A ConfigError naming the first point of block, and of its checks the first by name,
-    whose value is not finite, from (check, rows, not_finite) triples: the check's mask
-    over rows, ascending indices into block.  Python floats, and some numpy sums, overflow
-    to inf silently, and the first such value in report order is the one to name.  Points
-    are finite where they are made, by config's _is_triple, expand_grid's check of each
-    span, or the sampler's draws on [LOW, HIGH), and so are A, B and D, or domain_check
-    raises."""
-    firsts = [(rows[k], check) for check, rows, not_finite in found
-              for k in np.flatnonzero(not_finite)[:1]]
-    if firsts:
-        n, check = min(firsts)
-        raise ConfigError(f"point {block[n]} is out of range: {check} is not finite")
-
-
-def _is_constant(f: FieldPair) -> bool:
-    return f.a.degree() == 0 and f.b.degree() == 0
-
-
 def cmd_eval(config: RunConfig, what: str) -> dict:
     f = _build_fields(config)
     points = resolve_points(config, f, np.random.default_rng(config.seed))
@@ -278,8 +302,8 @@ def cmd_eval(config: RunConfig, what: str) -> dict:
         try:
             sections_of(config.x)
         except DependentOrbit as exc:  # of x alone: every point's skip, whatever its metric
-            return _assemble(config, [_record(what, n, p, "skipped", reason=type(exc).__name__,
-                                              detail=str(exc)) for n, p in enumerate(points)])
+            rows = range(len(points))
+            return _assemble(config, _records(0, points, [_skipped(what, rows, [exc] * len(rows))]))
     return _assemble(config, _in_blocks(points, SCAN_BLOCK, partial(_eval_block, config, f, what)))
 
 
@@ -287,61 +311,49 @@ def _eval_block(config: RunConfig, f: FieldPair, what: str, start: int, block: l
     """The records of consecutive points, the first of index start, from array kernels over
     the whole block: what at each point, or the skip of the point or of a point it needs.
     Nothing is computed where D ~ 0, nor mu where g is indefinite, nor over no points.
-    For sectional, cmd_eval has checked that config.x admits the sections.  The arrays
-    computed, each with the row axis last, are checked to be finite where no skip stands."""
+    For sectional, cmd_eval has checked that config.x admits the sections."""
     x = np.array(block)
     m = domain_check(f, x)
     applies = ~m.degenerate & (m.definite if what == "sectional" else True)
-    rows = np.flatnonzero(applies)
-    skips = {n: degenerate_metric(m.d[n], x[n]) if m.degenerate[n] else
-             IndefiniteMetric(f"metric not positive definite at {tuple(x[n].tolist())}")
-             for n in np.flatnonzero(~applies).tolist()}
-    metric = m.take(rows)
-    found = {}  # the skips the curvature layer finds, by row of metric
-    arrays = []  # what is computed over the rows of metric, the row axis last
+    rows, degenerate = np.flatnonzero(applies), np.flatnonzero(m.degenerate)
+    indefinite = np.flatnonzero(~applies & ~m.degenerate)
+    if what == "metric":
+        table = [(what, degenerate, "skipped",
+                  {"reason": "DegenerateMetric", "d": m.d[degenerate]})]
+    else:
+        table = [_skipped(what, degenerate, [degenerate_metric(m.d[n], x[n]) for n in degenerate])]
+    table.append(_skipped(what, indefinite, [
+        IndefiniteMetric(f"metric not positive definite at {tuple(x[n].tolist())}")
+        for n in indefinite]))
     if not len(rows):
-        values = []
-    elif what == "metric":
+        return _records(start, block, table)
+    metric = m.take(rows)
+    skips = {}  # the skips the curvature layer finds, by row of metric
+    if what == "metric":
         with np.errstate(over="ignore"):  # Python float rules: _check_finite names it
             inverse = metric.g_inv
-        arrays = [inverse.a, inverse.b]
-        columns = zip(*(v.tolist() for v in (metric.a, metric.b, metric.d, metric.definite,
-                                            inverse.a, inverse.b)))
-        values = [{"g": [a, b, b], "g_inv": [ia, ib, ib], "d": d, "definite": definite}
-                  for a, b, d, definite, ia, ib in columns]
+        fields = {"g": np.stack([metric.a, metric.b, metric.b]),
+                  "g_inv": np.stack([inverse.a, inverse.b, inverse.b]),
+                  "d": metric.d, "definite": metric.definite}
     elif what == "curvature":
         curv = curvature_at(f, metric)
-        found = curv.skips
-        arrays = [curv.r_down]
-        values = [{"max_abs": top, "r_down": r} for top, r in
-                  zip(curv.max_abs.tolist(), np.moveaxis(curv.r_down, -1, 0).tolist())]
+        skips = curv.skips
+        fields = {"max_abs": curv.max_abs, "r_down": curv.r_down}
     elif what == "sectional":
-        mu, spread, passed, found, cubic = theorem3_check(
+        mu, spread, passed, skips, cubic = theorem3_check(
             f, metric, config.x, config.tol("spread_rel"), config.tol("spread_abs"))
-        arrays = [mu.T, spread]
-        values = [{"status": "pass" if ok else "fail", "mu": three, "spread": s,
-                   "independence": cubic}
-                  for three, s, ok in zip(mu.tolist(), spread.tolist(), passed.tolist())]
+        fields = {"mu": mu.T, "spread": spread, "independence": cubic}
     elif what == "christoffel":
-        gamma = christoffel_general(field_jet(f, metric.point))
-        arrays = [gamma]
-        values = [{"gamma": g} for g in np.moveaxis(gamma, -1, 0).tolist()]
+        fields = {"gamma": christoffel_general(field_jet(f, metric.point))}
     else:
         nq = nabla_q(christoffel_general(field_jet(f, metric.point)))
-        arrays = [nq]
-        values = [{"max_norm": top, "components": c} for top, c in zip(
-            np.max(np.abs(nq), axis=(0, 1, 2)).tolist(), np.moveaxis(nq, -1, 0).tolist())]
-    finite = np.ones(len(rows), dtype=bool)
-    for v in arrays:
-        finite &= np.isfinite(v).reshape(-1, len(rows)).all(axis=0)
-    finite[list(found)] = True  # a skipped row is NaN
-    _check_finite(block, [(what, rows, ~finite)])
-    skips.update((int(rows[k]), why) for k, why in found.items())
-    values = {n: {"status": "pass", **v} for n, v in zip(rows.tolist(), values)}
-    return [_record(what, start + n, p, **values[n]) if n not in skips else
-            _record(what, start + n, p, "skipped", reason=type(skips[n]).__name__,
-                    **({"d": float(m.d[n])} if what == "metric" else {"detail": str(skips[n])}))
-            for n, p in enumerate(block)]
+        fields = {"max_norm": np.max(np.abs(nq), axis=(0, 1, 2)), "components": nq}
+    skipped = sorted(skips)
+    kept = np.setdiff1d(np.arange(len(rows)), skipped)  # a skipped row holds NaN
+    fields = {k: v[..., kept] if isinstance(v, np.ndarray) else v for k, v in fields.items()}
+    table += [_skipped(what, rows[skipped], [skips[k] for k in skipped]),
+              (what, rows[kept], passed[kept] if what == "sectional" else "pass", fields)]
+    return _records(start, block, table)
 
 
 def cmd_verify(config: RunConfig) -> dict:
@@ -354,23 +366,23 @@ def cmd_verify(config: RunConfig) -> dict:
     return _assemble(config, _in_blocks(points, SCAN_BLOCK, work))
 
 
+#: The checks of a point where q is parallel, which need q parallel around it too.
+CURVATURE_CHECKS = ("identity-3.1", "identity-3.2", "identity-3.6", "theorem3-spread")
+
+
 def _verify_block(config, f, seeds, parallel, start, block) -> list[dict]:
-    """The records of consecutive points, the first of index start, each point's sorted
-    by check.  Over the block's non-degenerate rows each check up to Theorem 1 is one array
-    expression: the metric inverse, the closed-form Gamma, the defect, nabla q, the
-    metric-compatibility residual and the maxima over the stack of general Gamma.  Only
+    """The records of consecutive points, the first of index start.  Over the block's
+    non-degenerate rows each check up to Theorem 1 is one array expression.  Only
     christoffel_general, whose calls the benchmark's trace counts, runs a point at a time,
     here and inside metric_compatibility_residual.  The points that take the curvature
-    suite take it VERIFY_BLOCK at a time.  Every value is checked to be finite on the
-    block's arrays before a classify record is built, and each tolerance is read once."""
+    suite take it VERIFY_BLOCK at a time.  Each tolerance is read once."""
     metric = domain_check(f, np.array(block))
-    by_point = [[] for _ in block]
-    for n in np.flatnonzero(metric.degenerate).tolist():
-        by_point[n].append(_record("all", start + n, block[n], "skipped",
-                                   reason="DegenerateMetric", d=float(metric.d[n])))
+    degenerate = np.flatnonzero(metric.degenerate)
+    table = [("all", degenerate, "skipped", {"reason": "DegenerateMetric",
+                                             "d": metric.d[degenerate]})]
     rows = np.flatnonzero(~metric.degenerate)
     if not len(rows):
-        return [records[0] for records in by_point]
+        return _records(start, block, table)
     m = metric.take(rows)
     jet = field_jet(f, m.point)
     prod = circ_mul(m.g, m.g_inv)
@@ -388,117 +400,66 @@ def _verify_block(config, f, seeds, parallel, start, block) -> list[dict]:
         "nabla_q_nonzero"))
     zero = defects <= t_defect
     converse = ~zero & (defects >= 0.1)
-    unbounded = ~(np.isfinite(defects) & np.isfinite(nqs))  # in the Theorem 1 record
-    found = [("metric-inverse", rows, ~np.isfinite(inverses)),
-             ("christoffel-dual-path", rows, ~np.isfinite(duals)),
-             ("metric-compatibility", rows, ~np.isfinite(compats)),
-             ("theorem1-parallel", rows, unbounded & ~converse),
-             ("theorem1-converse", rows, unbounded & converse)]
-    # The points where q is parallel take the curvature checks, which need q parallel
-    # around the point, not only at it; their records sort among the classify records.
-    near = rows[zero].tolist()
-    curved = [(start + n, block[n], top) for n, top in zip(near, gamma_maxes[zero].tolist())]
+    other = ~zero & ~converse
+    table += [
+        _bounded("metric-inverse", rows, inverses, t_inverse),
+        _bounded("christoffel-dual-path", rows, duals, t_dual),
+        _bounded("metric-compatibility", rows, compats, t_compat),
+        ("theorem1-parallel", rows[zero], nqs[zero] <= t_zero,
+         {"defect": defects[zero], "nabla_q": nqs[zero], "tolerance": t_zero}),
+        ("theorem1-converse", rows[converse], nqs[converse] > t_nonzero,
+         {"defect": defects[converse], "nabla_q": nqs[converse], "tolerance": t_nonzero}),
+        ("theorem1-parallel", rows[other], "skipped",
+         {"reason": "defect neither zero nor large", "defect": defects[other],
+          "nabla_q": nqs[other]}),
+    ]
+    near, gamma_maxes = rows[zero], gamma_maxes[zero]  # where the curvature checks apply
     if not parallel:
-        for n in near:
-            by_point[n] += _skipped_curvature(start + n, block[n],
-                                              "q is not parallel near the point")
-        curved = []
-    for s in range(0, len(curved), VERIFY_BLOCK):
-        sub = curved[s:s + VERIFY_BLOCK]
-        at = [idx - start for idx, _, _ in sub]
-        records, suite_found = _curvature_suite(config, f, seeds, sub, metric.take(at))
-        for r in records:
-            by_point[r["point_index"] - start].append(r)
-        found += [(check, [at[k] for k in ks], not_finite) for check, ks, not_finite in suite_found]
-    _check_finite(block, found)
-
-    columns = zip(rows.tolist(), *(v.tolist() for v in (inverses, duals, compats, defects, nqs,
-                                                        zero, converse)))
-    for n, inverse, dual, compat, defect, nq, is_zero, is_converse in columns:
-        idx, p = start + n, block[n]
-        if is_zero:
-            theorem1 = _record("theorem1-parallel", idx, p, "pass" if nq <= t_zero else "fail",
-                               defect=defect, nabla_q=nq, tolerance=t_zero)
-        elif is_converse:
-            theorem1 = _record("theorem1-converse", idx, p, "pass" if nq > t_nonzero else "fail",
-                               defect=defect, nabla_q=nq, tolerance=t_nonzero)
-        else:
-            theorem1 = _record("theorem1-parallel", idx, p, "skipped",
-                               reason="defect neither zero nor large", defect=defect, nabla_q=nq)
-        by_point[n] += [_bounded("christoffel-dual-path", idx, p, dual, t_dual),
-                        _bounded("metric-compatibility", idx, p, compat, t_compat),
-                        _bounded("metric-inverse", idx, p, inverse, t_inverse), theorem1]
-    for n in near:
-        by_point[n].sort(key=lambda r: r["check"])
-    return [r for records in by_point for r in records]
+        return _records(start, block, table + [
+            (check, near, "skipped", {"reason": "q is not parallel near the point"})
+            for check in CURVATURE_CHECKS])
+    for s in range(0, len(near), VERIFY_BLOCK):
+        at = near[s:s + VERIFY_BLOCK]
+        table += _curvature_suite(config, f, seeds, at, gamma_maxes[s:s + VERIFY_BLOCK],
+                                  metric.take(at))
+    return _records(start, block, table)
 
 
-def _skipped_curvature(idx, p, why: PointSkipped | str) -> list[dict]:
-    skip = {"reason": why} if isinstance(why, str) else {
-        "reason": type(why).__name__, "detail": str(why)}
-    return [_record(check, idx, p, "skipped", **skip)
-            for check in ("identity-3.1", "identity-3.2", "identity-3.6", "theorem3-spread")]
-
-
-def _curvature_suite(config, f, seeds, curved: list,
-                     metric: MetricAtPoint) -> tuple[list[dict], list]:
-    """The curvature records of the points (index, point, max |Gamma|) that take the
-    suite, whose rows of the block's metric record are metric: one tensor block, the
-    identities checked on it, and Theorem 3 against the run's (m, 3) stack of orbit
-    seeds, contracted over the block at once.  With them, _check_finite's (check, rows,
-    not_finite) triples, rows indexing curved: a maximum taken from 0.0, as Python's max
-    takes it, passes over NaN, and is not finite only where an entry is inf.  The 3.1
-    and 3.6 residuals need none: identity_residuals says why they are finite."""
-    indices, points, gamma_max = zip(*curved)
+def _curvature_suite(config, f, seeds, rows, gamma_max, metric: MetricAtPoint) -> list[tuple]:
+    """The table entries of the block's rows that take the suite, given with their max
+    |Gamma| and their metric record: one tensor block, the identities checked on it, and
+    Theorem 3 against the run's (m, 3) stack of orbit seeds, contracted over the block at
+    once.  worst_spread is the largest spread from 0.0, as Python's max takes it: it passes
+    over NaN, and is not finite only where a spread is inf."""
     curv = curvature_at(f, metric)
-    rows = list(range(len(points)))
-    records = []
-    if curv.skips:  # p is not degenerate, but a point of its stencil is
-        for n, why in curv.skips.items():
-            records += _skipped_curvature(indices[n], points[n], why)
-        rows = [n for n in rows if n not in curv.skips]
-        if not rows:
-            return records, []
-        curv = curv.take(rows)
-
+    skipped = sorted(curv.skips)  # p is not degenerate, but a point of its stencil is
+    table = [_skipped(check, rows[skipped], [curv.skips[k] for k in skipped])
+             for check in CURVATURE_CHECKS]
+    kept = np.setdiff1d(np.arange(len(rows)), skipped)
+    rows, gamma_max, curv = rows[kept], gamma_max[kept], curv.take(kept)
     rel = config.tol("identity_rel")
     resid32, scale32 = identity_32_residual(curv)
     with np.errstate(over="ignore"):  # the Python float product it was
         tol32 = rel * scale32
     r31, r36 = identity_residuals(curv)
-    definite = np.flatnonzero(curv.metric.definite).tolist()
-    _, spread, passed, _ = orbit_spreads(
-        curv.take(definite), seeds, config.tol("spread_rel"), config.tol("spread_abs"))
-    spreads = dict(zip(definite, zip(spread.tolist(), passed.tolist())))
-    found = [("identity-3.2", rows, ~(np.isfinite(resid32) & np.isfinite(tol32))),
-             ("theorem3-spread", [rows[k] for k in definite], (spread == np.inf).any(axis=-1))]
-    constant = _is_constant(f)
-    if constant:
-        found.append(("flat-baseline", rows, ~(np.isfinite(np.array(gamma_max)[rows])
-                                               & np.isfinite(curv.max_abs))))
-    columns = zip(rows, resid32.tolist(), tol32.tolist(), r31.tolist(), r36.tolist())
-    for k, (n, r32, t32, res31, res36) in enumerate(columns):
-        idx, p = indices[n], points[n]
-        records += [
-            _bounded("identity-3.2", idx, p, r32, t32),
-            _bounded("identity-3.1", idx, p, res31, rel),
-            _bounded("identity-3.6", idx, p, res36, rel),
-        ]
-        if k in spreads:
-            spread, passed = spreads[k]
-            records.append(_record("theorem3-spread", idx, p, "pass" if all(passed) else "fail",
-                                   worst_spread=max([0.0, *spread]), seeds=len(seeds)))
-        else:
-            records.append(_record("theorem3-spread", idx, p, "skipped", reason="IndefiniteMetric"))
-        if constant:
-            # Constant fields have defect 0 and the metric of p at every stencil point.
-            # Their partial tables are empty, so t, Gamma, dGamma and R are exact zeros:
-            # flat means 0.0, with no tolerance.
-            gamma, curv_max = gamma_max[n], float(curv.max_abs[k])
-            records.append(_record("flat-baseline", idx, p,
-                                   "pass" if gamma == curv_max == 0.0 else "fail",
-                                   gamma_max=gamma, curvature_max=curv_max))
-    return records, found
+    definite = curv.metric.definite
+    _, spread, passed, _ = orbit_spreads(curv.take(np.flatnonzero(definite)), seeds,
+                                         config.tol("spread_rel"), config.tol("spread_abs"))
+    table += [
+        _bounded("identity-3.2", rows, resid32, tol32),
+        _bounded("identity-3.1", rows, r31, rel),
+        _bounded("identity-3.6", rows, r36, rel),
+        ("theorem3-spread", rows[definite], passed.all(axis=-1),
+         {"worst_spread": np.fmax.reduce(spread, axis=-1, initial=0.0), "seeds": len(seeds)}),
+        ("theorem3-spread", rows[~definite], "skipped", {"reason": "IndefiniteMetric"}),
+    ]
+    if f.a.degree() == 0 and f.b.degree() == 0:
+        # Constant fields have defect 0 and the metric of p at every stencil point.
+        # Their partial tables are empty, so t, Gamma, dGamma and R are exact zeros:
+        # flat means 0.0, with no tolerance.
+        table.append(("flat-baseline", rows, (gamma_max == 0.0) & (curv.max_abs == 0.0),
+                      {"gamma_max": gamma_max, "curvature_max": curv.max_abs}))
+    return table
 
 
 def _orbit_seeds(rng: np.random.Generator) -> np.ndarray:
@@ -531,15 +492,18 @@ def _scan_block(config: RunConfig, f: FieldPair, qx, start: int, block: list) ->
     mu = np.full(len(block), np.nan)  # NaN where the node is skipped
     if len(curved):
         mu[curved] = sectional_curvature(f, m.take(curved), config.x, qx)[0]
-    _check_finite(block, [("scan", range(len(block)), np.isinf(mu))])
-    rows = []
-    columns = zip(block, *(c.tolist() for c in (m.a, m.b, m.d, m.degenerate, m.definite, mu)))
-    for i, (p, a, b, d, degenerate, definite, mu_e1) in enumerate(columns):
-        rows.append(_record("scan", start + i, p, "skipped" if degenerate else "pass", a=a, b=b,
-                            d=d, definite=definite, mu_e1=None if math.isnan(mu_e1) else mu_e1))
-        if degenerate:
-            rows[-1]["reason"] = "DegenerateMetric"
-    return rows
+
+    def entry(nodes, status, **extra):  # the table entry of the nodes where nodes is true
+        n = np.flatnonzero(nodes)
+        return "scan", n, status, {"a": m.a[n], "b": m.b[n], "d": m.d[n],
+                                   "definite": m.definite[n], **extra}
+
+    null = np.isnan(mu)
+    return _records(start, block, [
+        entry(m.degenerate, "skipped", reason="DegenerateMetric", mu_e1=None),
+        entry(null & ~m.degenerate, "pass", mu_e1=None),
+        entry(~null, "pass", mu_e1=mu[~null]),
+    ])
 
 
 def _build_fields(config: RunConfig) -> FieldPair:

@@ -849,6 +849,55 @@ def test_records_of_a_point_share_its_list():
     assert len(lists) == 10 and len(report["records"]) > 10
 
 
+def test_records_come_in_report_order():
+    # Entries out of check order, an empty entry, a status and values every row shares, a
+    # status from whether each row passes, a list over rows and a (2, n) array; a bool and
+    # a str array, which are not weighed (np.isfinite refuses a str array).
+    block = [[0.0, 0.0, float(n)] for n in range(4)]
+    table = [
+        ("b", np.array([0, 2]), np.array([True, False]), {"residual": np.array([0.5, 1.5]),
+                                                          "tolerance": 1.0}),
+        ("a", np.array([1, 2]), "skipped", {"reason": ["x", "y"],
+                                            "vector": np.array([[1.0, 2.0], [3.0, 4.0]])}),
+        ("c", np.array([], dtype=int), "pass", {"residual": np.array([])}),
+        ("a", [0], "pass", {"flag": np.array([True]), "name": np.array(["text"])}),
+    ]
+    records = circgeo.cli._records(10, block, table)
+    assert [(r["point_index"], r["check"]) for r in records] == [
+        (10, "a"), (10, "b"), (11, "a"), (12, "a"), (12, "b")]
+    assert records == [
+        {"check": "a", "point_index": 10, "point": block[0], "status": "pass", "flag": True,
+         "name": "text"},
+        {"check": "b", "point_index": 10, "point": block[0], "status": "pass", "residual": 0.5,
+         "tolerance": 1.0},
+        {"check": "a", "point_index": 11, "point": block[1], "status": "skipped", "reason": "x",
+         "vector": [1.0, 3.0]},
+        {"check": "a", "point_index": 12, "point": block[2], "status": "skipped", "reason": "y",
+         "vector": [2.0, 4.0]},
+        {"check": "b", "point_index": 12, "point": block[2], "status": "fail", "residual": 1.5,
+         "tolerance": 1.0},
+    ]
+    assert records[0]["point"] is records[1]["point"] is block[0]
+    assert records[3]["point"] is records[4]["point"] is block[2]
+    assert all(type(v) is float for r in records for v in r.get("vector", []))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_records_name_the_first_value_not_finite(bad):
+    # Point 1 holds the first bad value, in b and c; the first check by name is b, not c,
+    # nor a, which is bad only at point 2.
+    block = [[0.0, 0.0, float(n)] for n in range(4)]
+    table = [
+        ("c", np.array([1]), "pass", {"v": np.array([bad])}),
+        ("b", np.array([1, 3]), "pass", {"residual": np.array([bad, 0.0])}),
+        ("a", np.array([1, 2]), "pass", {"v": np.array([[0.0, bad], [0.0, 0.0]]),
+                                         "flag": np.array([True, False])}),
+    ]
+    with pytest.raises(ConfigError) as exc:
+        circgeo.cli._records(0, block, table)
+    assert str(exc.value) == f"point {block[1]} is out of range: b is not finite"
+
+
 def value_types(value):
     """The exact type of value and of everything in it; ("key", type) for a dict's keys."""
     yield type(value)

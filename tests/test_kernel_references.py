@@ -9,11 +9,11 @@ DegenerateMetric where it meets D ~ 0; and the scan as a loop over grid nodes,
 each a block of one, whose records a walk over every value checks to be
 finite.  The kernels mark such a point with NaN instead, and the curvature with
 the skip the reference raised.  verify over blocks of points is compared with
-verify one point per block, and the value it names as not finite with the one
-that walk names.  The
-comparisons are exact, on reprs, float.hex (so that the sign of a zero counts
-too) or report bytes, not within a tolerance, because reports must keep their
-bytes.
+verify one point per block, and the value each command names as not finite,
+with an inf or NaN put into each array of its table of checks in turn, with the
+one that walk names.  The comparisons are exact, on reprs, float.hex (so that
+the sign of a zero counts too) or report bytes, not within a tolerance, because
+reports must keep their bytes.
 """
 
 import io
@@ -256,11 +256,9 @@ def old_cmd_scan(config):
     for idx, p in enumerate(points):
         with cli._in_range(p):
             m = domain_check(f, p)
-        row = cli._record(
-            "scan", idx, p,
-            "skipped" if m.degenerate else "pass",
-            a=m.a, b=m.b, d=m.d, definite=m.definite,
-        )
+        row = {"check": "scan", "point_index": idx, "point": p,
+               "status": "skipped" if m.degenerate else "pass",
+               "a": m.a, "b": m.b, "d": m.d, "definite": m.definite}
         if m.degenerate:
             row["reason"] = "DegenerateMetric"
         row["mu_e1"] = None
@@ -476,8 +474,7 @@ def test_first_value_not_finite_is_named_in_report_order(compat_at, identity_at)
     # made inf at the rows compat_at of the classify block, identity-3.2 at the rows
     # identity_at of the curvature sub-block, and every theorem3-spread spread NaN.  The
     # error must name what the walk over the finished records in report order names.
-    # The identity-3.1 and 3.6 residuals are finite wherever the tensor is
-    # (tests/test_identities.py), so verify does not look at them.
+    # test_every_table_entry_is_weighed puts inf into each of the other arrays.
     argv = ["verify", "--fields", "paper-example", "--grid", "1.1,1.9,3", "--seed", "5"]
 
     def compat(jet, g):
@@ -497,7 +494,7 @@ def test_first_value_not_finite_is_named_in_report_order(compat_at, identity_at)
 
     patches = {"metric_compatibility_residual": compat, "identity_32_residual": identity_32,
                "orbit_spreads": spreads}
-    with patch.multiple(cli, **patches, _check_finite=lambda block, bad: None):
+    with patch.multiple(cli, **patches, _check_finite=lambda block, table: None):
         records = cli.cmd_verify(verify_config(argv))["records"]
     assert len({r["point_index"] for r in records if r["check"] == "identity-3.2"}) == 18
     try:
@@ -508,3 +505,69 @@ def test_first_value_not_finite_is_named_in_report_order(compat_at, identity_at)
     code, _, err = run_cli(argv, **patches)
     assert (code, err) == expected
     assert code == (2 if compat_at else 0)
+
+
+def unchecked_records(argv, patches):
+    """The records of argv's command with the patches made, and no check of finiteness."""
+    args = cli.build_parser().parse_args(argv)
+    config = cli.config_from_args(args)
+    commands = {"eval": lambda: cli.cmd_eval(config, args.what),
+                "verify": lambda: cli.cmd_verify(config), "scan": lambda: cli.cmd_scan(config)}
+    with patch.multiple(cli, **patches, _check_finite=lambda block, table: None):
+        return commands[args.command]()["records"]
+
+
+def with_value(function, at, pick=None, value=np.inf):
+    """function, with value put into the rows at (the last axis) of its result, or of the
+    array pick takes from it."""
+    def patched(*args):
+        result = function(*args)
+        (pick(result) if pick else result)[..., list(at)] = value
+        return result
+    return patched
+
+
+PAPER = ["--fields", "paper-example", "--grid", "1.1,1.9,3", "--seed", "5"]
+
+
+@pytest.mark.parametrize("argv, name, patched, check", [
+    (["verify", *PAPER], "christoffel_closed", with_value(christoffel_closed, (1, 4)),
+     "christoffel-dual-path"),
+    (["verify", *PAPER], "circ_mul", with_value(cli.circ_mul, (3,), lambda prod: prod.a),
+     "metric-inverse"),
+    # An inf defect makes a parallel row a converse one; a NaN one, a skipped parallel one.
+    (["verify", *PAPER], "parallel_defect", with_value(cli.parallel_defect, (2,)),
+     "theorem1-converse"),
+    (["verify", *PAPER], "parallel_defect", with_value(cli.parallel_defect, (2,), value=np.nan),
+     "theorem1-parallel"),
+    (["verify", "--fields", CUBIC_PAIR, "--grid=-1,1,3"], "parallel_defect",
+     with_value(cli.parallel_defect, (0, 5)), "theorem1-converse"),
+    (["verify", *PAPER], "nabla_q", with_value(cli.nabla_q, (6,)), "theorem1-parallel"),
+    (["verify", *PAPER], "identity_residuals",
+     with_value(cli.identity_residuals, (2,), lambda r: r[0]), "identity-3.1"),
+    (["verify", *PAPER], "identity_residuals",
+     with_value(cli.identity_residuals, (0, 3), lambda r: r[1]), "identity-3.6"),
+    # inf in R would stop the identity residuals at inf / inf; NaN makes max |R| NaN, and
+    # flat-baseline sorts before the identities that it makes NaN too.
+    (["verify", "--fields", "A: 2; B: 0.5", "--grid=-1,1,3"], "curvature_at",
+     with_value(curvature_at, (4,), lambda c: c.r_down, np.nan), "flat-baseline"),
+    # A D this small, not degenerate as domain_check found it, makes g^-1 inf.
+    (["eval", "metric", *PAPER], "domain_check",
+     with_value(domain_check, (5,), lambda m: m.d, 5e-324), "metric"),
+    (["eval", "christoffel", *PAPER], "christoffel_general",
+     with_value(christoffel_general, (3,)), "christoffel"),
+    (["eval", "nabla-q", *PAPER], "nabla_q", with_value(cli.nabla_q, (3,)), "nabla-q"),
+    (["eval", "curvature", *PAPER], "curvature_at",
+     with_value(curvature_at, (2,), lambda c: c.r_down), "curvature"),
+    (["eval", "sectional", *PAPER], "theorem3_check",
+     with_value(cli.theorem3_check, (1,), lambda r: r[0].T), "sectional"),
+    (["scan", *PAPER[:4]], "sectional_curvature",
+     with_value(sectional_curvature, (2,), lambda r: r[0]), "scan"),
+])
+def test_every_table_entry_is_weighed(argv, name, patched, check):
+    # Each array of the table is made inf (or NaN) at some rows in turn; the error must
+    # name what the walk over the finished records in report order names.
+    with pytest.raises(ConfigError, match=f": {check} is not finite$") as exc:
+        old_finite_records(unchecked_records(argv, {name: patched}))
+    assert run_cli(argv, **{name: patched})[::2] == (2, f"circgeo: error: {exc.value}\n")
+
